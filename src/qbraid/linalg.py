@@ -136,17 +136,22 @@ class ExactMatrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        cols_b = [other.col(j) for j in range(other.cols)]
+        # Terms with an exactly zero factor are skipped: they add nothing to an
+        # exact sum, and triangular factors make about half of them zero.
+        cols_b = [{k: x for k, x in enumerate(other.col(j)) if not x.is_zero()}
+                  for j in range(other.cols)]
+        zero = Scalar.zero(self.ctx)
         out = []
-        for i in range(self.rows):
-            ra = self._e[i]
+        for ra in self._e:
+            terms_a = [(k, x) for k, x in enumerate(ra) if not x.is_zero()]
             out_row = []
-            for j in range(other.cols):
-                cb = cols_b[j]
-                acc = ra[0] * cb[0]
-                for k in range(1, self.cols):
-                    acc = acc + ra[k] * cb[k]
-                out_row.append(acc)
+            for cb in cols_b:
+                acc = None
+                for k, x in terms_a:
+                    y = cb.get(k)
+                    if y is not None:
+                        acc = x * y if acc is None else acc + x * y
+                out_row.append(zero if acc is None else acc)
             out.append(tuple(out_row))
         return ExactMatrix(self.rows, other.cols, self.ctx, tuple(out))
 

@@ -7,6 +7,15 @@ coercion is explicit.  Rationals are stdlib `fractions.Fraction`; cyclotomics ar
 residues modulo the m-th cyclotomic polynomial; q-field elements are canonical
 quotients of Laurent polynomials.
 
+Laurent polynomials over Q (order 1) are computed by one integer kernel: an
+operation converts each operand to its integer parts (q-shift, common
+denominator, dense `int` coefficient list), multiplies by Kronecker
+substitution, divides exactly and takes gcds on primitive integer parts, and
+converts the result back.  The `terms` dict (exponent -> Fraction) stays the
+canonical view that equality, hashing and printing read.  Over Q(zeta_m) the
+same operations run as plain schoolbook and Euclid loops, which also serve as
+the reference route for the kernel's tests.
+
 Canonical form of a rational function: the denominator is an ordinary monic
 polynomial with nonzero constant term (all q-power content is pushed into the
 numerator, which may be a genuine Laurent polynomial), and numerator/denominator
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 
 from .errors import (
     CoercionError,
@@ -381,22 +391,9 @@ class LaurentPoly:
     def __mul__(self, other):
         if self.order != other.order:
             raise FieldMismatch("base fields differ")
-        if not self.terms or not other.terms:
-            return LaurentPoly.zero(self.order)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                p = c1 * c2
-                s = out.get(e)
-                s = p if s is None else s + p
-                if _base_is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        if out:
-            _check_degree(min(out), max(out))
-        return LaurentPoly(self.order, out)
+        if self.order == 1:
+            return _rational_mul(self, other)
+        return _lp_mul_generic(self, other)
 
     def scale(self, coeff):
         if _base_is_zero(coeff):
@@ -451,12 +448,39 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _is_one(p):
+    """True when the Laurent polynomial p is the constant 1."""
+    terms = p.terms
+    return len(terms) == 1 and terms.get(0) == 1
+
+
 def _freeze(c):
     return (c.order, c.coeffs) if isinstance(c, Cyclotomic) else c
 
 
-def _lp_divmod(a, b):
-    """Ordinary-polynomial divmod on dense forms; inputs must have min_exp >= 0."""
+def _lp_mul_generic(a, b):
+    """Schoolbook product over any base field: the route for Q(zeta_m), and the
+    reference the integer kernel is tested against."""
+    if not a.terms or not b.terms:
+        return LaurentPoly.zero(a.order)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            p = c1 * c2
+            s = out.get(e)
+            s = p if s is None else s + p
+            if _base_is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    if out:
+        _check_degree(min(out), max(out))
+    return LaurentPoly(a.order, out)
+
+
+def _lp_divmod_generic(a, b):
+    """Long division over any base field; inputs must have min_exp >= 0."""
     sa, ca = a.dense()
     sb, cb = b.dense()
     if sa < 0 or sb < 0:
@@ -480,6 +504,43 @@ def _lp_divmod(a, b):
             LaurentPoly.from_dense(a.order, 0, rem))
 
 
+def _lp_monic_gcd_generic(a, b):
+    """Monic gcd over any base field by plain Euclid."""
+    while not b.is_zero():
+        _, r = _lp_divmod_generic(a, b)
+        a, b = b, r
+    if a.is_zero():
+        return a
+    lead = a.terms[a.max_exp()]
+    if isinstance(lead, Cyclotomic):
+        return a.scale(lead.inverse())
+    return a.scale(_ONE / lead)
+
+
+def _lp_divmod(a, b):
+    """Ordinary-polynomial divmod; inputs must have min_exp >= 0.
+
+    Over Q it divides the integer parts by the primitive part of b, so an
+    exact division is an integer division (Gauss's lemma).
+    """
+    if a.order != 1:
+        return _lp_divmod_generic(a, b)
+    if b.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if a.is_zero():
+        return a, a
+    sa, da, ca = _int_parts(a)
+    sb, db, cb = _int_parts(b)
+    if sa < 0 or sb < 0:
+        raise ValueError("divmod requires ordinary polynomials")
+    content, cb = _int_primitive(cb)
+    # f*A = Q*B + R with a = A/da and b = content*B/db, so
+    # a = (Q*db / (f*da*content)) * b + R/(f*da).
+    f, quo, rem = _int_pdivmod([0] * sa + ca, [0] * sb + cb)
+    return (_from_int_parts(0, f * da * content, [x * db for x in quo]),
+            _from_int_parts(0, f * da, rem))
+
+
 def laurent_exact_div(a, b, error=None):
     """Exact division of Laurent polynomials; raises if a is not a multiple of b."""
     if b.is_zero():
@@ -495,16 +556,158 @@ def laurent_exact_div(a, b, error=None):
 
 
 def _lp_monic_gcd(a, b):
-    """Monic gcd of two ordinary polynomials over the base field (plain Euclid)."""
-    while not b.is_zero():
-        _, r = _lp_divmod(a, b)
-        a, b = b, r
+    """Monic gcd of two ordinary polynomials over the base field."""
+    if a.order != 1:
+        return _lp_monic_gcd_generic(a, b)
+    if a.is_zero():
+        a, b = b, a
     if a.is_zero():
         return a
-    lead = a.terms[a.max_exp()]
-    if isinstance(lead, Cyclotomic):
-        return a.scale(lead.inverse())
-    return a.scale(_ONE / lead)
+    sa, _, ca = _int_parts(a)
+    if b.is_zero():
+        return _from_int_parts(sa, ca[-1], ca)
+    sb, _, cb = _int_parts(b)
+    if sa < 0 or sb < 0:
+        raise ValueError("gcd requires ordinary polynomials")
+    # q does not divide the shift-free parts, so the q-power of the gcd is
+    # the smaller shift.
+    g = _int_primitive_gcd(ca, cb)
+    return _from_int_parts(min(sa, sb), g[-1], g)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel for Laurent polynomials over Q.
+#
+# Integer parts of a nonzero p: (shift, den, coeffs) with
+# p = q^shift * sum(coeffs[i] * q^i) / den, den > 0 and coeffs[0] != 0.
+# ---------------------------------------------------------------------------
+
+def _int_parts(p):
+    """Integer parts of a nonzero LaurentPoly over Q."""
+    terms = p.terms
+    lo = min(terms)
+    den = 1
+    for c in terms.values():
+        if c.denominator != 1:
+            den = _int_lcm(den, c.denominator)
+    coeffs = [0] * (max(terms) - lo + 1)
+    for e, c in terms.items():
+        coeffs[e - lo] = c.numerator * (den // c.denominator)
+    return lo, den, coeffs
+
+
+def _from_int_parts(shift, den, coeffs):
+    """The LaurentPoly q^shift * sum(coeffs[i] * q^i) / den (den a nonzero int)."""
+    if den == 1:
+        terms = {shift + i: Fraction(c) for i, c in enumerate(coeffs) if c}
+    else:
+        terms = {shift + i: Fraction(c, den) for i, c in enumerate(coeffs) if c}
+    return LaurentPoly(1, terms)
+
+
+def _rational_mul(a, b):
+    """LaurentPoly product over Q."""
+    if not a.terms or not b.terms:
+        return LaurentPoly.zero(1)
+    if len(a.terms) < len(b.terms):
+        a, b = b, a
+    if len(b.terms) == 1:
+        # Monomial operand: shift the exponents and scale the coefficients.
+        (k, c), = b.terms.items()
+        _check_degree(min(a.terms) + k, max(a.terms) + k)
+        if c == 1:
+            terms = {e + k: v for e, v in a.terms.items()}
+        elif c == -1:
+            terms = {e + k: -v for e, v in a.terms.items()}
+        else:
+            terms = {e + k: v * c for e, v in a.terms.items()}
+        return LaurentPoly(1, terms)
+    sa, da, ca = _int_parts(a)
+    sb, db, cb = _int_parts(b)
+    shift = sa + sb
+    _check_degree(shift, shift + len(ca) + len(cb) - 2)
+    return _from_int_parts(shift, da * db, _kronecker_mul(ca, cb))
+
+
+def _kronecker_mul(a, b):
+    """Product of two int coefficient lists by Kronecker substitution.
+
+    Each list is packed as the digits of one integer in base 2^w, the two
+    integers are multiplied once, and the product's digits are the product's
+    coefficients.  w is a whole number of bytes with 2^(w-1) above every
+    coefficient bound, so signed digits are read back by adding 2^(w-1) to
+    every digit (no digit then borrows) and slicing `to_bytes`.
+    """
+    n = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    size = bound.bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    bias = b"\x00" * (size - 1) + b"\x80"   # the digit 2^(w-1), little-endian
+
+    def pack(coeffs):
+        digits = b"".join((c + half).to_bytes(size, "little") for c in coeffs)
+        return (int.from_bytes(digits, "little")
+                - int.from_bytes(bias * len(coeffs), "little"))
+
+    buf = (pack(a) * pack(b) + int.from_bytes(bias * n, "little")).to_bytes(n * size, "little")
+    return [int.from_bytes(buf[i:i + size], "little") - half
+            for i in range(0, n * size, size)]
+
+
+def _int_pdivmod(a, b):
+    """Pseudo-division of int coefficient lists: (f, quo, rem) with
+    f * a == quo * b + rem, f a positive int and len(rem) < len(b).
+
+    Each step multiplies by the least factor that makes the leading
+    coefficient divisible by lead(b), so f == 1 whenever every step divides
+    exactly, which it does when b is primitive and divides a (Gauss's lemma).
+    """
+    lead, nb = b[-1], len(b)
+    rem, quo, f = list(a), [0] * max(len(a) - nb + 1, 0), 1
+    for k in range(len(a) - nb, -1, -1):
+        c = rem[k + nb - 1]
+        if not c:
+            continue
+        g = _int_gcd(c, lead)
+        if lead < 0:
+            g = -g
+        s, c = lead // g, c // g
+        if s != 1:
+            rem = [s * x for x in rem]
+            quo = [s * x for x in quo]
+            f *= s
+        quo[k] = c
+        for j in range(nb):
+            rem[k + j] -= c * b[j]
+    del rem[nb - 1:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return f, quo, rem
+
+
+def _int_primitive(coeffs):
+    """(content, primitive part) of a nonzero int list; the primitive part has
+    a positive leading coefficient."""
+    g = _int_gcd(*coeffs)
+    if coeffs[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, coeffs
+    return g, [c // g for c in coeffs]
+
+
+def _int_primitive_gcd(a, b):
+    """Primitive gcd (positive leading coefficient) of two nonzero int lists,
+    by the primitive pseudo-remainder sequence."""
+    a, b = _int_primitive(a)[1], _int_primitive(b)[1]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _int_pdivmod(a, b)[2]
+        if not rem:
+            return b
+        a, b = b, _int_primitive(rem)[1]
+    return [1]
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +757,10 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return self.den.max_exp() == 0 if not self.den.is_zero() else False
+        return _is_one(self.den)
 
     def _poly_fast(self, other):
-        return self.is_polynomial() and other.is_polynomial() \
-            and self.den == LaurentPoly.one(self.order) and other.den == LaurentPoly.one(self.order)
+        return _is_one(self.den) and _is_one(other.den)
 
     def __add__(self, other):
         if self.order != other.order:
@@ -693,7 +895,7 @@ class Scalar:
     def is_polynomial(self):
         if not self.ctx.with_q:
             return True
-        return self.val.is_zero() or self.val.den == LaurentPoly.one(self.ctx.order)
+        return self.val.is_zero() or self.val.is_polynomial()
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -784,7 +986,7 @@ class Scalar:
         if isinstance(v, RatFunc):
             if v.is_zero():
                 return _ZERO
-            if v.den == LaurentPoly.one(v.order) and set(v.num.terms) == {0}:
+            if _is_one(v.den) and set(v.num.terms) == {0}:
                 c = v.num.terms[0]
                 return c.rational_part() if isinstance(c, Cyclotomic) else c
         return None
@@ -804,8 +1006,6 @@ class Scalar:
         if den.is_zero():
             raise PoleAtPoint("denominator vanishes at the substitution point")
         return num / den
-
-    evaluate = substitute
 
     def __str__(self):
         return format_scalar(self)
@@ -885,7 +1085,7 @@ def is_plain_q(s):
     if not s.ctx.with_q:
         return False
     v = s.val
-    return v.den == LaurentPoly.one(v.order) and list(v.num.terms.items()) == [(1, _base_one(v.order))]
+    return _is_one(v.den) and list(v.num.terms.items()) == [(1, _base_one(v.order))]
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +1180,7 @@ def format_laurent(p):
 
 
 def format_ratfunc(r):
-    if r.den == LaurentPoly.one(r.order):
+    if _is_one(r.den):
         return format_laurent(r.num)
     return f"({format_laurent(r.num)})/({format_laurent(r.den)})"
 

@@ -13,7 +13,16 @@ from qbraid.linalg import (
 )
 from qbraid.qcomb import concrete_q, symbolic_q
 from qbraid.rep import lambda_canonical, s_matrix, sigma1_matrix, sigma2_matrix
-from qbraid.scalar import QQ, Scalar, integer, q_symbol, rational
+from qbraid.scalar import (
+    QQ,
+    Scalar,
+    cyclotomic_field,
+    function_field,
+    integer,
+    q_symbol,
+    rational,
+    zeta,
+)
 
 from conftest import rand_scalar
 
@@ -66,6 +75,41 @@ def test_involutions_need_square():
 def test_product_with_identity(rng):
     a = rand_matrix(rng, 3)
     assert a * ExactMatrix.identity(3, QQ) == a
+
+
+def _sparse_entry(rng, ctx):
+    """A random entry that is exactly zero about half the time."""
+    if rng.random() < 0.5:
+        return Scalar.zero(ctx)
+    x = rand_scalar(rng, ctx, nonzero=True)
+    if ctx.order == 6:
+        return x + rand_scalar(rng, ctx) * zeta(6)
+    if ctx.with_q:
+        q = q_symbol()
+        return x * q ** rng.randint(-2, 2) / (Scalar.one(ctx) + rand_scalar(rng, ctx) * q)
+    return x
+
+
+@pytest.mark.parametrize("ctx", [QQ, cyclotomic_field(6), function_field()],
+                         ids=["QQ", "QQ(zeta6)", "QQ(q)"])
+def test_product_matches_triple_loop(rng, ctx):
+    # Row 1 of a and column 2 of b are all zero, and so is column 3 of a.
+    a = ExactMatrix.from_fn(4, 5, ctx, lambda i, j: Scalar.zero(ctx) if i == 1 or j == 3
+                            else _sparse_entry(rng, ctx))
+    b = ExactMatrix.from_fn(5, 3, ctx, lambda i, j: Scalar.zero(ctx) if j == 2
+                            else _sparse_entry(rng, ctx))
+    prod = a * b
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a[i, 0] * b[0, j]
+            for k in range(1, a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            assert prod[i, j] == acc
+            assert prod[i, j].ctx == ctx
+    zero = Scalar.zero(ctx)
+    assert prod.row(1) == (zero,) * 3
+    assert prod.col(2) == (zero,) * 4
+    assert ExactMatrix.zeros(2, 3, ctx) * ExactMatrix.zeros(3, 2, ctx) == ExactMatrix.zeros(2, 2, ctx)
 
 
 def test_braid_word_in_sl2():

@@ -4,7 +4,7 @@ functions, canonical strings."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbraid.errors import (
@@ -12,6 +12,7 @@ from qbraid.errors import (
     DegreeCapExceeded,
     DivisionByZero,
     FieldMismatch,
+    NonPolynomialQuotient,
     ParseError,
     PoleAtPoint,
     ZeroSubstitution,
@@ -28,11 +29,19 @@ from qbraid.scalar import (
     function_field,
     integer,
     join_context,
+    laurent_exact_div,
     parse_scalar,
     q_symbol,
     rational,
     set_degree_cap,
     zeta,
+)
+from qbraid.scalar import (
+    _lp_divmod,
+    _lp_divmod_generic,
+    _lp_monic_gcd,
+    _lp_monic_gcd_generic,
+    _lp_mul_generic,
 )
 
 ONE = Fraction(1)
@@ -324,10 +333,155 @@ def test_parse_errors_carry_position():
 
 def test_degree_cap():
     q = q_symbol()
+    one = Scalar.one(q.ctx)
     set_degree_cap(5)
     try:
         with pytest.raises(DegreeCapExceeded):
             (q ** 3) * (q ** 3)
+        with pytest.raises(DegreeCapExceeded):   # monomial times polynomial
+            (q ** 3) * (one + q ** 3)
+        with pytest.raises(DegreeCapExceeded):   # negative degrees count too
+            (q ** -3) * (one + q ** -3)
+        with pytest.raises(DegreeCapExceeded):   # multi-term product
+            (one + q ** 3) * (one - q ** 3)
     finally:
         set_degree_cap(None)
     assert (q ** 3) * (q ** 3) == q ** 6
+    assert (q ** 3) * (one + q ** 3) == q ** 3 + q ** 6
+    assert (q ** -3) * (one + q ** -3) == q ** -3 + q ** -6
+    assert (one + q ** 3) * (one - q ** 3) == one - q ** 6
+
+
+# --- the integer kernel over Q against the generic route -------------------------
+
+# Small rationals, and large numerators over non-trivial denominators.
+kernel_coeffs = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 12)),
+).filter(bool)
+
+
+def laurent_st(lo=-8, hi=8, max_size=7):
+    """Laurent polynomials over Q: zero, monomials and longer sums."""
+    return st.dictionaries(st.integers(lo, hi), kernel_coeffs, max_size=max_size) \
+        .map(lambda terms: LaurentPoly(1, terms))
+
+
+ordinary_st = laurent_st(lo=0, hi=6, max_size=5)
+ZERO_POLY = LaurentPoly(1, {})
+MONOMIAL = LaurentPoly(1, {-3: Fraction(-7, 2)})
+TRINOMIAL = LaurentPoly(1, {-2: Fraction(10 ** 30 + 1, 9), 0: Fraction(-1), 4: Fraction(5, 3)})
+ONE_PLUS_Q = LaurentPoly(1, {0: ONE, 1: ONE})
+
+
+class CallerError(Exception):
+    pass
+
+
+@given(laurent_st(), laurent_st())
+@example(ZERO_POLY, TRINOMIAL)
+@example(MONOMIAL, TRINOMIAL)
+@example(TRINOMIAL, TRINOMIAL)
+@settings(max_examples=150, deadline=None)
+def test_kernel_mul_matches_schoolbook(a, b):
+    got = a * b
+    assert got.terms == _lp_mul_generic(a, b).terms
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("c, n", [(11, 2), (-11, 2), (2 ** 31 - 1, 5), (3 ** 40, 30), (1, 300)])
+def test_kernel_mul_worst_case_digits(c, n):
+    # Equal coefficients make every overlap add up to the full digit bound.
+    a = LaurentPoly(1, {i: Fraction(c) for i in range(-1, n - 1)})
+    for b in (a, -a, a.scale(Fraction(1, 3))):
+        assert (a * b).terms == _lp_mul_generic(a, b).terms
+
+
+@given(laurent_st(), laurent_st())
+@example(TRINOMIAL, MONOMIAL)
+@example(ZERO_POLY, TRINOMIAL)
+@settings(max_examples=100, deadline=None)
+def test_kernel_exact_division_inverts_product(a, b):
+    if b.is_zero():
+        return
+    assert laurent_exact_div(_lp_mul_generic(a, b), b).terms == a.terms
+
+
+@given(laurent_st(), laurent_st(max_size=4))
+@example(TRINOMIAL, ONE_PLUS_Q)
+@settings(max_examples=100, deadline=None)
+def test_kernel_exact_division_matches_long_division(a, b):
+    if a.is_zero() or b.is_zero():
+        return
+    sa, sb = a.min_exp(), b.min_exp()
+    quo, rem = _lp_divmod_generic(a.shifted(-sa), b.shifted(-sb))
+    if rem.is_zero():
+        assert laurent_exact_div(a, b).terms == quo.shifted(sa - sb).terms
+    else:
+        with pytest.raises(NonPolynomialQuotient):
+            laurent_exact_div(a, b)
+        with pytest.raises(CallerError):
+            laurent_exact_div(a, b, CallerError)
+
+
+@given(ordinary_st, ordinary_st)
+@settings(max_examples=100, deadline=None)
+def test_kernel_divmod_matches_long_division(a, b):
+    if b.is_zero():
+        with pytest.raises(DivisionByZero):
+            _lp_divmod(a, b)
+        return
+    quo, rem = _lp_divmod(a, b)
+    ref_quo, ref_rem = _lp_divmod_generic(a, b)
+    assert (quo.terms, rem.terms) == (ref_quo.terms, ref_rem.terms)
+
+
+@given(ordinary_st, ordinary_st, ordinary_st)
+@example(ONE_PLUS_Q, MONOMIAL.shifted(5), TRINOMIAL.shifted(2))
+@settings(max_examples=80, deadline=None)
+def test_kernel_gcd_matches_euclid(g, x, y):
+    a, b = _lp_mul_generic(g, x), _lp_mul_generic(g, y)
+    assert _lp_monic_gcd(a, b).terms == _lp_monic_gcd_generic(a, b).terms
+
+
+def test_kernel_division_rejects_non_multiples():
+    with pytest.raises(NonPolynomialQuotient):
+        laurent_exact_div(LaurentPoly(1, {0: ONE, 1: ONE, 2: ONE}), ONE_PLUS_Q)
+    with pytest.raises(CallerError):
+        laurent_exact_div(LaurentPoly(1, {-1: Fraction(2), 0: ONE}), ONE_PLUS_Q, CallerError)
+    assert laurent_exact_div(LaurentPoly(1, {-1: Fraction(2), 0: Fraction(2)}), ONE_PLUS_Q) \
+        == LaurentPoly(1, {-1: Fraction(2)})
+
+
+def _to_sympy(p, sympy, x):
+    return sum((sympy.Rational(c.numerator, c.denominator) * x ** e
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def test_kernel_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+
+    def sym(p):
+        return _to_sympy(p, sympy, x)
+
+    a = LaurentPoly(1, {-1: ONE, 0: Fraction(2, 3), 2: Fraction(-10 ** 25, 7), 5: Fraction(3)})
+    b = LaurentPoly(1, {0: Fraction(-5, 2), 1: ONE, 3: Fraction(10 ** 18 + 1, 4)})
+    assert sympy.expand(sym(a * b) - sym(a) * sym(b)) == 0
+
+    # The Gaussian polynomial [6 choose 3]_q as an exact quotient.
+    num = LaurentPoly.one(1)
+    den = LaurentPoly.one(1)
+    for i in range(1, 4):
+        num = num * LaurentPoly(1, {0: Fraction(-1), 3 + i: ONE})
+        den = den * LaurentPoly(1, {0: Fraction(-1), i: ONE})
+    assert sympy.expand(sym(laurent_exact_div(num, den)) - sympy.cancel(sym(num) / sym(den))) == 0
+
+    # A monic gcd over Q with a rational, non-monic common factor.
+    g = LaurentPoly(1, {0: Fraction(3), 1: Fraction(-2, 5), 2: Fraction(7, 4)})
+    u = LaurentPoly(1, {1: Fraction(10 ** 20), 3: Fraction(-1, 3), 4: ONE})
+    v = LaurentPoly(1, {1: Fraction(5, 6), 2: Fraction(-9)})
+    got = _lp_monic_gcd(g * u, g * v)
+    ref = sympy.Poly(sym(g * u), x, domain="QQ").gcd(sympy.Poly(sym(g * v), x, domain="QQ"))
+    assert sympy.Poly(sym(got), x, domain="QQ") == ref.monic()
+    assert got.max_exp() == 3   # g times the common factor q
