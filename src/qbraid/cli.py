@@ -1,8 +1,9 @@
 """Command-line surface: exact construction, verification and analysis with
 machine-readable JSON reports.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage error, 4 symbolic-degree
-cap exceeded (QBRAID_MAX_DEGREE).
+Exit codes: 0 pass, 1 fail, 2 inconclusive (only `irr equiv` when no
+invertible intertwiner is found among those tried), 3 usage error, 4
+symbolic-degree cap exceeded (QBRAID_MAX_DEGREE).
 """
 
 from __future__ import annotations
@@ -153,24 +154,21 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, sweep=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON reports")
+        if sweep:
+            p.add_argument("--n", type=_size)
+            p.add_argument("--max-n", type=_size)
         return p
 
-    p = add("triangle", "print q-Pascal triangle rows")
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
+    add("triangle", "print q-Pascal triangle rows", sweep=True)
 
-    p = add("identities", "verify the q-binomial identities")
+    p = add("identities", "verify the q-binomial identities", sweep=True)
     p.add_argument("--id", default="all", choices=list(IDENTITY_NAMES) + ["all"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
 
-    p = add("rep", "build or verify a dressed representation")
+    p = add("rep", "build or verify a dressed representation", sweep=True)
     p.add_argument("action", choices=["build", "verify"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
     p.add_argument("--q", default="q", help="q spec (default: symbolic q)")
     p.add_argument("--lambda", dest="lam", help="raw diagonal, CSV of scalar specs")
     p.add_argument("--lambda-prime", dest="lam_prime",
@@ -181,7 +179,7 @@ def _build_parser():
     p = add("irr", "irreducibility and equivalence analysis")
     p.add_argument("action", choices=["minors", "commutant", "burnside",
                                       "catalog", "equiv"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--q", default="1")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--lambda-prime", dest="lam_prime")
@@ -190,20 +188,14 @@ def _build_parser():
     p.add_argument("--lambda2-prime", dest="lam2_prime",
                    help="second factored diagonal (equiv)")
 
-    p = add("exp", "q-exponential realization of the triangle")
+    p = add("exp", "q-exponential realization of the triangle", sweep=True)
     p.add_argument("action", choices=["check"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
 
-    p = add("sym", "symmetric powers of the SL(2,Z) generators")
+    p = add("sym", "symmetric powers of the SL(2,Z) generators", sweep=True)
     p.add_argument("action", choices=["check"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
 
-    p = add("ferrand", "polynomial-space operators Phi(q), Psi(q)")
+    p = add("ferrand", "polynomial-space operators Phi(q), Psi(q)", sweep=True)
     p.add_argument("action", choices=["check"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
 
     p = add("tw", "normal forms and explicit equivalences, sizes 2..5")
     p.add_argument("action", choices=["check"])
@@ -216,10 +208,17 @@ def _build_parser():
     return parser
 
 
+def _size(text):
+    """argparse type of --n and --max-n: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _sweep(args):
     if args.max_n is not None:
-        if args.max_n < 0:
-            raise UsageError("--max-n must be nonnegative")
+        if args.max_n < 1:
+            raise UsageError("--max-n must be at least 1")
         return list(range(1, args.max_n + 1))
     if args.n is None:
         raise UsageError("one of --n or --max-n is required")
@@ -309,8 +308,7 @@ def _cmd_irr(args):
     report = analyze(rep)
     status = {"operator-irreducible": "pass",
               "operator-reducible": "fail",
-              "subspace-reducible-witnessed": "fail",
-              "inconclusive": "inconclusive"}[report.verdict]
+              "subspace-reducible-witnessed": "fail"}[report.verdict]
     yield Report(f"irr {args.action} --n {n}", status, report.to_payload())
 
 

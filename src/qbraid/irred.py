@@ -10,7 +10,7 @@ is nonzero; G_r is the antidiagonal reflection of the shifted q-exponential
     F_(r,n)(q,lambda) = exp_(q)(sum (k+1)_q E_(k,k+1))
                         - q_(n-r) lambda_r (D_n(q) Lambda^#)^(-1),
 
-and both routes are built and compared.  Two exact oracles accompany the
+and a test proves the two routes agree.  Two exact oracles accompany the
 criterion: the commutant dimension (nullity of the stacked commutation system;
 1 iff operator irreducible) and the dimension of the unital algebra generated
 by the pair (full iff subspace irreducible over the algebraic closure).  Both
@@ -66,24 +66,14 @@ class FMatrixSpec:
 
 
 def f_matrix(spec):
-    """F_(r,n)(q,lambda) by the q-exponential route, validated against the
-    reflected sigma route."""
+    """F_(r,n)(q,lambda) by the q-exponential route."""
     n, r, ctx = spec.n, spec.r, spec.ctx
     lam_sharp = [spec.lam[n - k] for k in range(n + 1)]
     d_diag = [q_tri(k, ctx) for k in range(n + 1)]
     scale = q_tri(n - r, ctx) * spec.lam[r]
     shift = ExactMatrix.diagonal(
         [scale / (d_diag[k] * lam_sharp[k]) for k in range(n + 1)])
-    exp_route = q_exp_nilpotent(t_matrix(n, ctx), ctx) - shift
-    sigma_route = _criterion_matrix_from(n, ctx, spec.lam, r).transpose_s()
-    if exp_route != sigma_route:
-        raise AssertionError("F matrix routes disagree")
-    return exp_route
-
-
-def _criterion_matrix_from(n, ctx, lam_factored, r):
-    lam_raw = [q_tri(n - k, ctx) * lam_factored[k] for k in range(n + 1)]
-    return _criterion_matrix_raw(n, ctx, lam_raw, r)
+    return q_exp_nilpotent(t_matrix(n, ctx), ctx) - shift
 
 
 def _criterion_matrix_raw(n, ctx, lam_raw, r):
@@ -124,9 +114,9 @@ def minor_criterion(rep, r):
     """Search row subsets of size n-r against columns {r+1..n} of G_r.
 
     Subsets are tried in lexicographic order, so the distinguished minor with
-    rows {0..n-r-1} acts as the fast path; the full search decides exhaustion.
-    The two-minor reduction (distinguished minor and entry (n,n)) is evaluated
-    alongside and reported for consistency.
+    rows {0..n-r-1} comes first and acts as the fast path; the full search
+    decides exhaustion.  The two-minor reduction (distinguished minor and entry
+    (n,n)) is evaluated alongside and reported for consistency.
     """
     n = rep.n
     if not 0 <= r <= n // 2:
@@ -135,14 +125,13 @@ def minor_criterion(rep, r):
     cols = list(range(r + 1, n + 1))
     witness = None
     value = None
-    checked = 0
-    for rows in combinations(range(n + 1), n - r):
-        checked += 1
+    for checked, rows in enumerate(combinations(range(n + 1), n - r), 1):
         m = g.minor(list(rows), cols)
+        if checked == 1:
+            distinguished = m
         if not m.is_zero():
             witness, value = rows, m
             break
-    distinguished = g.minor(list(range(n - r)), cols)
     corner = g[n, n]
     reduced_says_exhausted = distinguished.is_zero() and corner.is_zero()
     consistent = reduced_says_exhausted == (witness is None)
@@ -154,39 +143,13 @@ def minor_criterion(rep, r):
 # Exact oracles: commutant and generated-algebra dimensions.
 # ---------------------------------------------------------------------------
 
-def _commutation_system(mats, size, ctx):
-    zero = Scalar.zero(ctx)
-    rows = []
-    for s in mats:
-        for i in range(size):
-            for j in range(size):
-                row = [zero] * (size * size)
-                for a in range(size):
-                    # coefficient of X_(a,j) from (S X)_(i,j)
-                    row[a * size + j] = row[a * size + j] + s[i, a]
-                for b in range(size):
-                    # coefficient of X_(i,b) from (X S)_(i,j)
-                    row[i * size + b] = row[i * size + b] - s[b, j]
-                rows.append(row)
-    return ExactMatrix.from_rows(rows)
-
-
 def commutant_dimension(rep):
     """Dimension and basis of {A : A sigma_i = sigma_i A, i = 1, 2}.
 
     Dimension 1 means operator irreducible.  Every returned basis element is
     re-verified to commute with both generators.
     """
-    size = rep.n + 1
-    ctx = rep.sigma1.ctx
-    system = _commutation_system([rep.sigma1, rep.sigma2], size, ctx)
-    basis = []
-    for vec in system.nullspace():
-        mat = ExactMatrix.from_rows([[vec[i * size + j] for j in range(size)]
-                                     for i in range(size)])
-        if mat * rep.sigma1 != rep.sigma1 * mat or mat * rep.sigma2 != rep.sigma2 * mat:
-            raise AssertionError("commutant basis element fails to commute")
-        basis.append(mat)
+    basis = _intertwiner_basis(rep, rep)
     return len(basis), basis
 
 
@@ -435,21 +398,32 @@ def n1_subspace_test(lam0, lam1):
 # Intertwiners and equivalence.
 # ---------------------------------------------------------------------------
 
-def _intertwiner_system(rep_a, rep_b):
+def _intertwiner_basis(rep_a, rep_b):
+    """Exact basis of {C : sigma_i^A C = C sigma_i^B, i = 1, 2}: the nullspace
+    of the stacked linear system in the entries of C, each basis vector
+    rebuilt as a matrix and re-checked against both equations."""
     size = rep_a.n + 1
-    ctx = rep_a.sigma1.ctx
-    zero = Scalar.zero(ctx)
+    zero = Scalar.zero(rep_a.sigma1.ctx)
     rows = []
     for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)):
         for i in range(size):
             for j in range(size):
                 row = [zero] * (size * size)
                 for a in range(size):
+                    # coefficient of C_(a,j) from (S^A C)_(i,j)
                     row[a * size + j] = row[a * size + j] + sa[i, a]
                 for b in range(size):
+                    # coefficient of C_(i,b) from (C S^B)_(i,j)
                     row[i * size + b] = row[i * size + b] - sb[b, j]
                 rows.append(row)
-    return ExactMatrix.from_rows(rows)
+    basis = []
+    for vec in ExactMatrix.from_rows(rows).nullspace():
+        mat = ExactMatrix.from_rows([[vec[i * size + j] for j in range(size)]
+                                     for i in range(size)])
+        if mat * rep_b.sigma1 != rep_a.sigma1 * mat or mat * rep_b.sigma2 != rep_a.sigma2 * mat:
+            raise AssertionError("intertwiner basis element fails its equations")
+        basis.append(mat)
+    return basis
 
 
 def intertwiner_space(rep_a, rep_b):
@@ -466,14 +440,7 @@ def intertwiner_space(rep_a, rep_b):
     if rep_a.sigma1.ctx != rep_b.sigma1.ctx:
         raise ShapeMismatch("intertwiners need one common field; coerce first")
     size = rep_a.n + 1
-    system = _intertwiner_system(rep_a, rep_b)
-    basis = []
-    for vec in system.nullspace():
-        mat = ExactMatrix.from_rows([[vec[i * size + j] for j in range(size)]
-                                     for i in range(size)])
-        if mat * rep_b.sigma1 != rep_a.sigma1 * mat or mat * rep_b.sigma2 != rep_a.sigma2 * mat:
-            raise AssertionError("intertwiner basis element fails its equations")
-        basis.append(mat)
+    basis = _intertwiner_basis(rep_a, rep_b)
     dim = len(basis)
     invertible = None
     if dim:
@@ -522,24 +489,24 @@ class IrreducibilityReport:
 def analyze(rep):
     """Run the minor criterion for every r with both oracles and classify.
 
-    Verdicts: commutant dimension > 1 is operator-reducible; otherwise a
-    deficient algebra dimension is subspace-reducible-witnessed (reducible over
-    the closure even when operator irreducible); otherwise all-r witnesses give
-    operator-irreducible; anything else is inconclusive.
+    The two oracles decide the verdict: commutant dimension > 1 is
+    operator-reducible; otherwise a deficient algebra dimension is
+    subspace-reducible-witnessed (reducible over the closure even when operator
+    irreducible); otherwise the commutant is the scalars (it always contains
+    I) and the verdict is operator-irreducible.  The minor criterion is
+    reported per r but does not decide the verdict: it is only generically
+    equivalent to operator irreducibility.
     """
     n = rep.n
     per_r = [minor_criterion(rep, r) for r in range(n // 2 + 1)]
     cdim, _ = commutant_dimension(rep)
     bdim = burnside_dimension(rep)
     full = (n + 1) ** 2
-    all_witnessed = all(o.witness is not None for o in per_r)
     if cdim > 1:
         verdict = "operator-reducible"
     elif bdim < full:
         verdict = "subspace-reducible-witnessed"
-    elif all_witnessed or cdim == 1:
-        verdict = "operator-irreducible"
     else:
-        verdict = "inconclusive"
+        verdict = "operator-irreducible"
     return IrreducibilityReport(n, str(rep.ctx.q), [str(v) for v in rep.lam_raw],
                                 per_r, cdim, bdim, verdict)

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over any Scalar field.
 
 Matrices are immutable, 0-indexed, row-major grids of Scalars sharing one
-FieldContext.  Elimination uses plain Gauss-Jordan over the field with the
-first nonzero entry down each column as pivot, so every basis and inverse is
-deterministic and reproducible.
+FieldContext.  One Gauss-Jordan routine over the field, with the first
+nonzero entry down each column as pivot, serves rref, nullspace, inverse and
+determinant, so every basis and inverse is deterministic and reproducible.
 
 Index conventions for the three involutions on an (n+1)x(n+1) matrix:
 t is the ordinary transpose, s reflects in the antidiagonal
@@ -80,17 +80,8 @@ class ExactMatrix:
     def col(self, j):
         return tuple(self._e[i][j] for i in range(self.rows))
 
-    def entries(self):
-        return self._e
-
-    def to_lists(self):
-        return [list(r) for r in self._e]
-
     def to_strs(self):
         return [[str(x) for x in r] for r in self._e]
-
-    def diagonal_entries(self):
-        return tuple(self._e[i][i] for i in range(min(self.rows, self.cols)))
 
     # -- structure predicates ---------------------------------------------------
 
@@ -187,12 +178,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self._e))
 
-    def map_entries(self, fn):
-        return ExactMatrix.from_rows([[fn(x) for x in r] for r in self._e])
-
-    def coerce(self, ctx):
-        return self.map_entries(lambda x: x.coerce(ctx))
-
     # -- involutions -----------------------------------------------------------
 
     def transpose_t(self):
@@ -217,49 +202,27 @@ class ExactMatrix:
     # -- elimination-based operations ------------------------------------------
 
     def inverse(self):
-        """Gauss-Jordan inverse with first-nonzero pivoting."""
+        """Gauss-Jordan inverse: the right half of [A | I] after elimination."""
         if not self.is_square():
             raise NonSquare("inverse needs a square matrix")
         n = self.rows
-        ctx = self.ctx
-        aug = [list(self._e[i]) + list(ExactMatrix.identity(n, ctx).row(i))
-               for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            if piv != col:
-                aug[col], aug[piv] = aug[piv], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        eye = ExactMatrix.identity(n, self.ctx)
+        aug = [list(self._e[i]) + list(eye.row(i)) for i in range(n)]
+        pivots, _ = _gauss_jordan(aug)
+        if pivots != list(range(n)):
+            raise Singular("matrix is singular")
         return ExactMatrix.from_rows([row[n:] for row in aug])
 
     def determinant(self):
-        """Exact elimination determinant; the empty 0x0 determinant is 1."""
+        """Signed product of the elimination pivots; the empty 0x0 determinant is 1."""
         if not self.is_square():
             raise NonSquare("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return Scalar.one(self.ctx)
-        a = [list(r) for r in self._e]
+        pivots, values = _gauss_jordan([list(r) for r in self._e])
+        if len(pivots) < self.rows:
+            return Scalar.zero(self.ctx)
         det = Scalar.one(self.ctx)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                return Scalar.zero(self.ctx)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = a[col][col].inverse()
-            for r in range(col + 1, n):
-                if not a[r][col].is_zero():
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        for value in values:
+            det = det * value
         return det
 
     def submatrix(self, rows, cols):
@@ -294,23 +257,7 @@ class ExactMatrix:
     def rref(self):
         """(reduced rows, pivot column list); rows include the zero tail."""
         m = [list(r) for r in self._e]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if not m[i][col].is_zero()), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = m[r][col].inverse()
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and not m[i][col].is_zero():
-                    f = m[i][col]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
+        pivots, _ = _gauss_jordan(m)
         return m, pivots
 
     def rank(self):
@@ -345,6 +292,51 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ctx.describe()})\n{self}"
 
 
+def _gauss_jordan(m):
+    """Reduce the row list m in place to reduced row echelon form, taking the
+    first nonzero entry down each column as pivot.
+
+    Returns the pivot columns and, for each, its pivot value before the pivot
+    row was normalized, negated when the pivot row was swapped into place; the
+    product of these values is the determinant of a square m of full rank.
+    """
+    pivots, values = [], []
+    if not m:
+        return pivots, values
+    rows, r = len(m), 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(r, rows) if not m[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        value = m[piv][col]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            value = -value
+        inv = m[r][col].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(rows):
+            if i != r and not m[i][col].is_zero():
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        values.append(value)
+        r += 1
+        if r == rows:
+            break
+    return pivots, values
+
+
+def first_mismatch(a, b):
+    """The first entry of equally shaped a and b, in row-major order, where
+    they differ, as {"entry": [i, j], "lhs": str(a_ij), "rhs": str(b_ij)};
+    None when every entry agrees."""
+    for i in range(a.rows):
+        for j in range(a.cols):
+            if a[i, j] != b[i, j]:
+                return {"entry": [i, j], "lhs": str(a[i, j]), "rhs": str(b[i, j])}
+    return None
+
+
 def _index_subset(indices, bound):
     out = list(indices)
     if any(not 0 <= i < bound for i in out):
@@ -355,26 +347,14 @@ def _index_subset(indices, bound):
 
 
 def generalized_charpoly(c, lam):
-    """det(C + sum_k lam_k E_kk), computed directly and by the cofactor-sum
-    expansion over diagonal index subsets; the two routes must agree."""
+    """det(C + sum_k lam_k E_kk)."""
     if not c.is_square():
         raise NonSquare("generalized characteristic polynomial needs a square matrix")
     m = c.rows
     if len(lam) != m:
         raise ShapeMismatch("diagonal shift length must match the matrix size")
     shifted = c + ExactMatrix.diagonal(list(lam)) if m else c
-    direct = shifted.determinant()
-    total = Scalar.zero(c.ctx)
-    for mask in range(1 << m):
-        subset = [k for k in range(m) if mask >> k & 1]
-        coeff = Scalar.one(c.ctx)
-        for k in subset:
-            coeff = coeff * lam[k]
-        complement = [k for k in range(m) if not mask >> k & 1]
-        total = total + coeff * c.minor(complement, complement)
-    if total != direct:
-        raise AssertionError("generalized charpoly expansion disagrees with direct determinant")
-    return direct
+    return shifted.determinant()
 
 
 def superdiagonal_component(a, k):

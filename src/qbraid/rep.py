@@ -3,8 +3,11 @@
 For size n+1, the bare generators are
     sigma_1(q,n)_km = C_(n-k)^(n-m)(q)           (upper triangular),
     sigma_2(q,n)    = (sigma_1(q^-1,n)^-1)^#     (lower triangular),
-dressed by a diagonal parameter matrix Lambda.  Two parameter forms are
-supported and cross-validated:
+dressed by a diagonal parameter matrix Lambda.  sigma_2, S(q) and Lambda_n(q)
+are built from their closed forms; that these agree with the constructions
+they stand for (the involution route for sigma_2, S(q) = D_n(q)^-1 S(1),
+Lambda_n(q) = q_n^-1 D_n D_n^#) is proved in the tests, not on every build.
+Two parameter forms are supported:
 
   raw       sigma_1 -> sigma_1(q,n) L,  sigma_2 -> L^# sigma_2(q,n), where L
             satisfies lambda_0 lambda_n q_r q_(n-r)/q_n = lambda_r lambda_(n-r)
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CondQViolated, NotUnitUpperTriangular
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, first_mismatch
 from .qcomb import QContext, q_binomial, q_tri
 from .scalar import Scalar
 
@@ -52,8 +55,9 @@ def sigma1_inverse_closed(n, ctx):
 
 
 @lru_cache(maxsize=256)
-def sigma2_closed(n, ctx):
-    """Closed form sigma_2(q,n)_km = (-1)^(k+m) q_(k-m)^-1 C_k^m(q^-1), k >= m."""
+def sigma2_matrix(n, ctx):
+    """sigma_2(q,n) = (sigma_1(q^-1,n)^-1)^#, by its closed form
+    sigma_2(q,n)_km = (-1)^(k+m) q_(k-m)^-1 C_k^m(q^-1), k >= m."""
     zero = ctx.zero()
     qinv = QContext(ctx.q.inverse())
 
@@ -67,18 +71,6 @@ def sigma2_closed(n, ctx):
 
 
 @lru_cache(maxsize=256)
-def sigma2_matrix(n, ctx):
-    """sigma_2(q,n), built by the involution route (sigma_1(q^-1,n)^-1)^# and
-    checked against the closed form; the two must agree entrywise."""
-    qinv = QContext(ctx.q.inverse())
-    via_involution = sigma1_matrix(n, qinv).inverse().sharp()
-    closed = sigma2_closed(n, ctx)
-    if via_involution != closed:
-        raise AssertionError("sigma_2 involution route disagrees with closed form")
-    return closed
-
-
-@lru_cache(maxsize=256)
 def sigma2_inverse_closed(n, ctx):
     """Closed form sigma_2^-1(q,n)_km = C_k^m(q^-1)."""
     qinv = QContext(ctx.q.inverse())
@@ -89,7 +81,7 @@ def sigma2_inverse_closed(n, ctx):
 
 @lru_cache(maxsize=256)
 def s_matrix(n, ctx):
-    """S(q)_km = q_k^-1 (-1)^k delta_(k+m,n); validates S(q) = D_n(q)^-1 S(1)."""
+    """S(q)_km = q_k^-1 (-1)^k delta_(k+m,n), that is S(q) = D_n(q)^-1 S(1)."""
     zero = ctx.zero()
 
     def entry(k, m):
@@ -98,13 +90,7 @@ def s_matrix(n, ctx):
         val = q_tri(k, ctx).inverse()
         return -val if k % 2 else val
 
-    out = ExactMatrix.from_fn(n + 1, n + 1, ctx.q.ctx, entry)
-    plain = ExactMatrix.from_fn(
-        n + 1, n + 1, ctx.q.ctx,
-        lambda k, m: zero if k + m != n else (-ctx.one() if k % 2 else ctx.one()))
-    if d_matrix(n, ctx).inverse() * plain != out:
-        raise AssertionError("S(q) != D_n(q)^-1 S")
-    return out
+    return ExactMatrix.from_fn(n + 1, n + 1, ctx.q.ctx, entry)
 
 
 @lru_cache(maxsize=256)
@@ -115,12 +101,8 @@ def d_matrix(n, ctx):
 
 @lru_cache(maxsize=256)
 def lambda_canonical(n, ctx):
-    """Lambda_n(q) = diag(q^(-(n-r)r)); validates Lambda(q) = q_n^-1 D_n D_n^#."""
-    out = ExactMatrix.diagonal([ctx.q ** (-(n - r) * r) for r in range(n + 1)])
-    d = d_matrix(n, ctx)
-    if q_tri(n, ctx).inverse() * (d * d.sharp()) != out:
-        raise AssertionError("Lambda(q) != q_n^-1 D_n D_n^#")
-    return out
+    """Lambda_n(q) = diag(q^(-(n-r)r)), that is q_n^-1 D_n D_n^#."""
+    return ExactMatrix.diagonal([ctx.q ** (-(n - r) * r) for r in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -227,14 +209,6 @@ class BraidReport:
         return out
 
 
-def _first_mismatch(a, b):
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return {"entry": [i, j], "lhs": str(a[i, j]), "rhs": str(b[i, j])}
-    return None
-
-
 def verify_braid(rep):
     """Check s1 s2 s1 = s2 s1 s2 = lambda_0 lambda_n S(q) L exactly, plus the
     bare equivalent forms; failures are reported, never raised."""
@@ -250,7 +224,7 @@ def verify_braid(rep):
         ok = lhs == want
         checks.append({"check": name, "passed": ok})
         if not ok and first is None:
-            first = {"check": name, **_first_mismatch(lhs, want)}
+            first = {"check": name, **first_mismatch(lhs, want)}
     s1 = sigma1_matrix(n, ctx)
     s2 = sigma2_matrix(n, ctx)
     core = s1 * rep.lambda_canonical * s2
@@ -261,7 +235,7 @@ def verify_braid(rep):
         ok = core == want
         checks.append({"check": name, "passed": ok})
         if not ok and first is None:
-            first = {"check": name, **_first_mismatch(core, want)}
+            first = {"check": name, **first_mismatch(core, want)}
     return BraidReport(n, all(c["passed"] for c in checks), checks, first)
 
 

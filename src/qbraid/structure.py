@@ -3,10 +3,11 @@ triangle as a truncated q-exponential, symmetric powers of the SL(2,Z)
 generators, the polynomial-space operators Phi(q)/Psi(q), and the explicit
 size-2..5 normal forms with their diagonal conjugators.
 
-Everything here is double-routed where the source constructions admit two
-descriptions: the exponential route against the closed triangle, the operator
-action on monomials against the matrix products, and the normal forms against
-the dressed generators.
+The checks here compare two descriptions of one object and report the
+result: the exponential route against the closed triangle (pas_exp_check) and
+the normal forms against the dressed generators (tw_equivalence_check).
+Phi(q) and Psi(q) are still built by their matrix products and compared with
+the operator action on monomials on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     QFactorialZero,
     UnsupportedDimension,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, first_mismatch
 from .qcomb import QContext, q_factorial, q_int, q_tri
 from .rep import d_matrix, sigma1_matrix, sigma2_matrix
 from .scalar import QQ, Scalar, integer
@@ -197,16 +198,8 @@ def verify_braid_like(a, b):
     lhs = a * b * a
     rhs = b * a * b
     ok = lhs == rhs
-    detail = {}
-    if not ok:
-        for i in range(lhs.rows):
-            for j in range(lhs.cols):
-                if lhs[i, j] != rhs[i, j]:
-                    detail = {"entry": [i, j], "lhs": str(lhs[i, j]), "rhs": str(rhs[i, j])}
-                    break
-            if detail:
-                break
-    return LemmaReport("braid-like", a.rows - 1, ok, detail)
+    return LemmaReport("braid-like", a.rows - 1, ok,
+                       {} if ok else first_mismatch(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +324,7 @@ def _conj_check(name, lhs, rhs, checks, first):
     ok = lhs == rhs
     checks.append({"check": name, "passed": ok})
     if not ok and first[0] is None:
-        for i in range(lhs.rows):
-            for j in range(lhs.cols):
-                if lhs[i, j] != rhs[i, j]:
-                    first[0] = {"check": name, "entry": [i, j],
-                                "lhs": str(lhs[i, j]), "rhs": str(rhs[i, j])}
-                    return
+        first[0] = {"check": name, **first_mismatch(lhs, rhs)}
 
 
 def tw_equivalence_check(params):

@@ -212,3 +212,23 @@ def test_main_reads_degree_cap_env(monkeypatch, capsys):
         set_degree_cap(None)
     monkeypatch.setenv("QBRAID_MAX_DEGREE", "not-an-int")
     assert main() == EXIT_USAGE
+
+
+# --- size arguments ------------------------------------------------------------------------
+
+SWEEP_COMMANDS = [["triangle"], ["identities"], ["rep", "build"], ["rep", "verify"],
+                  ["exp", "check"], ["sym", "check"], ["ferrand", "check"]]
+OTHER_N_COMMANDS = [["irr", action] for action in
+                    ("minors", "commutant", "burnside", "catalog", "equiv")] + [["tw", "check"]]
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS + OTHER_N_COMMANDS, ids=" ".join)
+def test_size_arguments_are_checked(command):
+    bad = [("--n", "-1"), ("--n", "-2"), ("--n", "x")]
+    if command in SWEEP_COMMANDS:
+        bad += [("--max-n", "0"), ("--max-n", "-1")]
+    for flag, value in bad:
+        assert run_cli(*command, flag, value) == (EXIT_USAGE, ""), (flag, value)
+    if command[0] != "tw" and command[-1] != "catalog":   # --n 0 stays valid
+        code, reports = run_json(*command, "--n", "0")
+        assert code == EXIT_PASS and reports[0]["payload"]["n"] == 0

@@ -84,15 +84,24 @@ def test_minor_criterion_examples():
     rep3 = rep_q1([1, 1, 1, 1])
     outcome = minor_criterion(rep3, 1)
     assert outcome.witness == (0, 1) and outcome.minor_value == "1"
+    # the distinguished minor (the first subset) and entry (n,n) both vanish at
+    # lambda = I, n = 4, r = 1, so the reduction disagrees with the later witness
+    outcome = minor_criterion(rep_q1([1, 1, 1, 1, 1]), 1)
+    assert (outcome.witness, outcome.subsets_checked, outcome.reduction_consistent) == \
+        ((0, 1, 3), 2, False)
 
 
-def test_criterion_matrix_matches_f_sharp():
-    qctx = symbolic_q()
-    one = Scalar.one(qctx.q.ctx)
-    rep = build_representation(factored_spec(3, qctx, (one, one, one, one)))
-    for r in range(2):
-        spec = FMatrixSpec(r, 3, qctx, (one, one, one, one))
-        assert criterion_matrix(rep, r) == f_matrix(spec).transpose_s()
+def test_criterion_matrix_matches_f_sharp(rng):
+    # the sigma route G_r against the q-exponential route F_(r,n), at lambda' = I
+    # and at a generic factored lambda'
+    for qctx in (symbolic_q(), concrete_q(integer(2)), concrete_q(integer(1))):
+        one = Scalar.one(qctx.q.ctx)
+        for n in range(1, 6):
+            for lam in ((one,) * (n + 1), random_factored_lambda(rng, n, qctx.q.ctx)):
+                rep = build_representation(factored_spec(n, qctx, lam))
+                for r in range(n // 2 + 1):
+                    spec = FMatrixSpec(r, n, qctx, lam)
+                    assert criterion_matrix(rep, r) == f_matrix(spec).transpose_s(), (n, lam)
 
 
 # --- exact oracles ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from qbraid.errors import NonSquare, ShapeMismatch, Singular
 from qbraid.linalg import (
     ExactMatrix,
     det_by_permutations,
+    first_mismatch,
     generalized_charpoly,
     superdiagonal_component,
 )
@@ -179,6 +180,8 @@ def test_inverse_properties(rng):
 def test_singular_raises():
     with pytest.raises(Singular):
         int_matrix([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(Singular):
+        int_matrix([[0, 1], [0, 2]]).inverse()
 
 
 # --- determinants, minors, cofactors ---------------------------------------------
@@ -190,6 +193,10 @@ def test_determinant_against_permutation_oracle(rng):
     for n in (2, 3, 4):
         a = rand_matrix(rng, n)
         assert a.determinant() == det_by_permutations(a)
+    # the pivot search swaps rows here, or finds no pivot in some column
+    for rows in ([[0, 2], [1, 0]], [[0, 1, 0], [0, 0, 2], [3, 0, 0]],
+                 [[0, 1, 1], [0, 2, 2], [1, 0, 5]], [[0, 0], [0, 1]]):
+        assert int_matrix(rows).determinant() == det_by_permutations(int_matrix(rows))
 
 
 def test_upper_triangular_determinant(rng):
@@ -224,6 +231,20 @@ def test_minor_requires_increasing_indices(rng):
         a.minor([1, 0], [0, 1])
     with pytest.raises(ShapeMismatch):
         a.minor([0], [0, 1])
+
+
+# --- first mismatch ------------------------------------------------------------------
+
+def test_first_mismatch_row_major():
+    a = int_matrix([[1, 2, 3], [4, 5, 6]])
+    assert first_mismatch(a, int_matrix([[1, 2, 3], [4, 5, 6]])) is None
+    # (1, 0) and (0, 2) differ; (0, 2) comes first in row-major order
+    b = int_matrix([[1, 2, 9], [7, 5, 6]])
+    assert first_mismatch(a, b) == {"entry": [0, 2], "lhs": "3", "rhs": "9"}
+    assert first_mismatch(a, int_matrix([[1, 2, 3], [4, 5, -6]])) == \
+        {"entry": [1, 2], "lhs": "6", "rhs": "-6"}
+    s2 = s_matrix(2, symbolic_q())
+    assert first_mismatch(s2.sharp(), s2) == {"entry": [0, 2], "lhs": "q^-1", "rhs": "1"}
 
 
 # --- nullspaces --------------------------------------------------------------------
@@ -277,6 +298,30 @@ def test_generalized_charpoly_d2_submatrix():
     c = int_matrix([[1, 2], [1, 1]])
     value = generalized_charpoly(c, [Scalar.zero(QQ), -nu])
     assert value == -(integer(1) + nu)
+
+
+def charpoly_by_cofactors(c, lam):
+    """Reference route: the sum over diagonal index subsets K of
+    prod_(k in K) lam_k times the principal minor of C on the complement of K."""
+    m = c.rows
+    total = Scalar.zero(c.ctx)
+    for mask in range(1 << m):
+        coeff = Scalar.one(c.ctx)
+        for k in range(m):
+            if mask >> k & 1:
+                coeff = coeff * lam[k]
+        complement = [k for k in range(m) if not mask >> k & 1]
+        total = total + coeff * c.minor(complement, complement)
+    return total
+
+
+def test_generalized_charpoly_matches_cofactor_expansion(rng):
+    q = q_symbol()
+    for m in range(1, 6):
+        for ctx, shift in ((QQ, integer(1)), (q.ctx, q)):
+            c = rand_matrix(rng, m, ctx=ctx)
+            lam = [rand_scalar(rng, ctx) * shift ** k for k in range(m)]
+            assert generalized_charpoly(c, lam) == charpoly_by_cofactors(c, lam), (m, ctx)
 
 
 def test_generalized_charpoly_matches_direct(rng):

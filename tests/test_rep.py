@@ -4,7 +4,7 @@ import pytest
 
 from qbraid.errors import CondQViolated, NotUnitUpperTriangular
 from qbraid.linalg import ExactMatrix
-from qbraid.qcomb import concrete_q, symbolic_q
+from qbraid.qcomb import QContext, concrete_q, q_tri, symbolic_q
 from qbraid.rep import (
     build_representation,
     check_cond_q,
@@ -15,13 +15,12 @@ from qbraid.rep import (
     s_matrix,
     sigma1_inverse_closed,
     sigma1_matrix,
-    sigma2_closed,
     sigma2_inverse_closed,
     sigma2_matrix,
     unipotent_inverse,
     verify_braid,
 )
-from qbraid.scalar import QQ, Scalar, integer, parse_scalar
+from qbraid.scalar import QQ, Scalar, integer, parse_scalar, rational, zeta
 
 from conftest import random_factored_lambda
 
@@ -77,10 +76,16 @@ def test_sigma2_at_q1_is_signed_pascal():
             assert s2[k, m] == integer(want)
 
 
+CONCRETE_QS = [concrete_q(integer(2)), concrete_q(rational(-1, 3)),
+               concrete_q(integer(1)), concrete_q(zeta(6))]
+
+
 def test_sigma2_involution_route_is_validated(ctx):
-    # sigma2_matrix internally compares the involution route with the closed form
-    for n in range(5):
-        assert sigma2_matrix(n, ctx) == sigma2_closed(n, ctx)
+    # the closed form returned by sigma2_matrix against (sigma_1(q^-1,n)^-1)^#
+    for qc, top in [(ctx, 5)] + [(c, 6) for c in CONCRETE_QS]:
+        qinv = QContext(qc.q.inverse())
+        for n in range(top + 1):
+            assert sigma2_matrix(n, qc) == sigma1_matrix(n, qinv).inverse().sharp(), (qc.q, n)
 
 
 def test_closed_inverses_invert(ctx):
@@ -95,6 +100,17 @@ def test_closed_inverses_invert(ctx):
 def test_s_matrix_display(ctx):
     assert s_matrix(2, ctx) == rows_of(
         [["0", "0", "1"], ["0", "-1", "0"], ["q^-1", "0", "0"]], ctx)
+
+
+def test_s_matrix_and_lambda_canonical_from_d(ctx):
+    # S(q) = D_n(q)^-1 S(1) and Lambda_n(q) = q_n^-1 D_n D_n^#
+    for qc in [ctx] + CONCRETE_QS:
+        for n in range(7):
+            d = d_matrix(n, qc)
+            plain = ExactMatrix.from_fn(n + 1, n + 1, qc.q.ctx, lambda k, m: integer(
+                (-1) ** k if k + m == n else 0, qc.q.ctx))
+            assert s_matrix(n, qc) == d.inverse() * plain, (qc.q, n)
+            assert lambda_canonical(n, qc) == q_tri(n, qc).inverse() * (d * d.sharp()), (qc.q, n)
 
 
 def test_lambda_canonical_displays(ctx):
