@@ -283,6 +283,8 @@ def _cmd_rep(args):
 def _cmd_irr(args):
     n = args.n
     if args.action == "catalog":
+        if n < 2:
+            raise UsageError("irr catalog needs --n 2 or more")
         entries = suspected_catalog(n)
         yield Report(f"irr catalog --n {n}", "pass",
                      {"n": n, "entries": [e.to_payload() for e in entries]})

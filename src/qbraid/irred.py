@@ -154,31 +154,34 @@ def commutant_dimension(rep):
 
 
 class _EchelonSpan:
-    """Incremental exact span with echelon reduction (deterministic pivots)."""
+    """Incremental exact span with echelon reduction (deterministic pivots).
 
-    def __init__(self, ctx, width):
-        self.ctx = ctx
-        self.width = width
-        self.rows = []   # list of (pivot index, vector) sorted by pivot
+    Each stored row keeps its support, the columns where it is nonzero, so
+    reducing a vector and normalizing a new row touch only nonzero entries.
+    """
+
+    def __init__(self):
+        self.rows = []   # list of (pivot index, vector, support) sorted by pivot
         self.dim = 0
 
     def reduce(self, vec):
         vec = list(vec)
-        for pivot, row in self.rows:
+        for pivot, row, support in self.rows:
             c = vec[pivot]
             if not c.is_zero():
-                for k in range(pivot, self.width):
+                for k in support:
                     vec[k] = vec[k] - c * row[k]
         return vec
 
     def insert(self, vec):
         vec = self.reduce(vec)
-        pivot = next((k for k, x in enumerate(vec) if not x.is_zero()), None)
-        if pivot is None:
+        support = [k for k, x in enumerate(vec) if not x.is_zero()]
+        if not support:
             return False
-        inv = vec[pivot].inverse()
-        vec = [inv * x for x in vec]
-        self.rows.append((pivot, vec))
+        inv = vec[support[0]].inverse()
+        for k in support:
+            vec[k] = inv * vec[k]
+        self.rows.append((support[0], vec, support))
         self.rows.sort(key=lambda pr: pr[0])
         self.dim += 1
         return True
@@ -196,7 +199,7 @@ def burnside_dimension(rep, cap=None):
     def flat(m):
         return [m[i, j] for i in range(size) for j in range(size)]
 
-    span = _EchelonSpan(ctx, full)
+    span = _EchelonSpan()
     queue = []
     for seed in (ExactMatrix.identity(size, ctx), rep.sigma1, rep.sigma2):
         if span.insert(flat(seed)):

@@ -1,9 +1,12 @@
 """Dense exact linear algebra over any Scalar field.
 
 Matrices are immutable, 0-indexed, row-major grids of Scalars sharing one
-FieldContext.  One Gauss-Jordan routine over the field, with the first
-nonzero entry down each column as pivot, serves rref, nullspace, inverse and
-determinant, so every basis and inverse is deterministic and reproducible.
+FieldContext.  One sparsity-aware Gauss-Jordan routine over the field serves
+rref, nullspace, inverse and determinant.  It pivots on the sparsest candidate
+row and updates only the pivot row's nonzero columns; since the reduced row
+echelon form, the determinant and the inverse of a matrix are unique, every
+basis, inverse and determinant is independent of the pivot choice and
+reproducible.
 
 Index conventions for the three involutions on an (n+1)x(n+1) matrix:
 t is the ordinary transpose, s reflects in the antidiagonal
@@ -293,31 +296,46 @@ class ExactMatrix:
 
 
 def _gauss_jordan(m):
-    """Reduce the row list m in place to reduced row echelon form, taking the
-    first nonzero entry down each column as pivot.
+    """Reduce the row list m in place to reduced row echelon form.
+
+    The pivot in each column is taken from the candidate row with the fewest
+    nonzero entries from that column on (ties go to the first such row), and
+    each elimination step touches only the pivot row's nonzero columns, so
+    zeros are never updated.  The RREF of a matrix is unique, so the reduced
+    rows and pivot columns do not depend on this choice.
 
     Returns the pivot columns and, for each, its pivot value before the pivot
     row was normalized, negated when the pivot row was swapped into place; the
-    product of these values is the determinant of a square m of full rank.
+    product of these values is the determinant of a square m of full rank,
+    whichever rows were chosen.
     """
     pivots, values = [], []
     if not m:
         return pivots, values
-    rows, r = len(m), 0
-    for col in range(len(m[0])):
-        piv = next((i for i in range(r, rows) if not m[i][col].is_zero()), None)
+    rows, width, r = len(m), len(m[0]), 0
+    for col in range(width):
+        piv, support = None, None
+        for i in range(r, rows):
+            if not m[i][col].is_zero():
+                nonzero = [k for k in range(col, width) if not m[i][k].is_zero()]
+                if support is None or len(nonzero) < len(support):
+                    piv, support = i, nonzero
         if piv is None:
             continue
         value = m[piv][col]
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             value = -value
-        inv = m[r][col].inverse()
-        m[r] = [inv * x for x in m[r]]
+        prow = m[r]
+        inv = prow[col].inverse()
+        for k in support:
+            prow[k] = inv * prow[k]
         for i in range(rows):
-            if i != r and not m[i][col].is_zero():
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and not row[col].is_zero():
+                f = row[col]
+                for k in support:
+                    row[k] = row[k] - f * prow[k]
         pivots.append(col)
         values.append(value)
         r += 1

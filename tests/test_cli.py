@@ -229,6 +229,9 @@ def test_size_arguments_are_checked(command):
         bad += [("--max-n", "0"), ("--max-n", "-1")]
     for flag, value in bad:
         assert run_cli(*command, flag, value) == (EXIT_USAGE, ""), (flag, value)
-    if command[0] != "tw" and command[-1] != "catalog":   # --n 0 stays valid
+    if command[-1] == "catalog":   # the catalog starts at n = 2
+        for value in ("0", "1"):
+            assert run_cli(*command, "--n", value) == (EXIT_USAGE, ""), value
+    elif command[0] != "tw":   # --n 0 stays valid
         code, reports = run_json(*command, "--n", "0")
         assert code == EXIT_PASS and reports[0]["payload"]["n"] == 0

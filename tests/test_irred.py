@@ -150,6 +150,41 @@ def test_full_dimensions_small():
         assert commutant_dimension(rep)[0] == 1
 
 
+def algebra_rank_by_words(rep):
+    """Reference route for the algebra dimension: the rank of the flattened
+    matrices of all words in sigma_1, sigma_2, taken level by level (words of
+    length k) until a level adds nothing to the rank."""
+    size = rep.n + 1
+    ident = ExactMatrix.identity(size, rep.sigma1.ctx)
+    seen, level, rank = {ident}, [ident], 1
+    while True:
+        level = [m for m in {g * w for w in level for g in (rep.sigma1, rep.sigma2)}
+                 if m not in seen]
+        seen.update(level)
+        grown = ExactMatrix.from_rows([[m[i, j] for i in range(size) for j in range(size)]
+                                       for m in seen]).rank()
+        if grown == rank:
+            return rank
+        rank = grown
+
+
+def test_burnside_matches_rank_of_word_matrices(rng):
+    one = Scalar.one(QQ)
+    z6 = zeta(6)
+    reps = [rep_q1([1, 1]), rep_q1([1, -1, 1]), rep_q1([1, 2, 1, 2]),
+            rep_q1([Scalar.one(z6.ctx), z6]),
+            build_representation(factored_spec(2, concrete_q(integer(-1)), (one,) * 3)),
+            build_representation(factored_spec(
+                2, symbolic_q(), (Scalar.one(q_symbol().ctx),) * 3))]
+    reps += [catalog_rep(e) for n in (2, 3) for e in suspected_catalog(n)]
+    for n in (0, 1, 2, 3):
+        lam = random_factored_lambda(rng, n, QQ)
+        reps.append(build_representation(factored_spec(n, concrete_q(integer(2)), lam)))
+    dims = [burnside_dimension(rep) for rep in reps]
+    assert dims == [algebra_rank_by_words(rep) for rep in reps]
+    assert any(d < (rep.n + 1) ** 2 for d, rep in zip(dims, reps))
+
+
 # --- catalog -----------------------------------------------------------------------------
 
 def test_catalog_n2():

@@ -1,6 +1,9 @@
 """Exact linear algebra: involutions, elimination, minors, nullspaces."""
 
+from fractions import Fraction
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,6 +285,147 @@ def test_rank_nullity(seed):
     assert a.rank() + len(a.nullspace()) == 4
     for v in a.nullspace():
         assert a.apply(v) == (Scalar.zero(QQ),) * 3
+
+
+# --- sparse elimination against a dense reference ----------------------------------
+
+def dense_gauss_jordan(m):
+    """Reference route: reduce the row list m in place, pivoting on the first
+    nonzero entry down each column and updating every entry of every row.
+    Returns the pivot columns and the signed pivot values, as the production
+    routine does."""
+    pivots, values = [], []
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if not m[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        value = m[piv][col]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            value = -value
+        inv = m[r][col].inverse()
+        m[r] = [inv * x for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        values.append(value)
+        r += 1
+        if r == len(m):
+            break
+    return pivots, values
+
+
+def reference_nullspace(rows, pivots, width, ctx):
+    zero, one = Scalar.zero(ctx), Scalar.one(ctx)
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        vec = [zero] * width
+        vec[f] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][f]
+        lead = next(x for x in vec if not x.is_zero()).inverse()
+        basis.append(tuple(lead * x for x in vec))
+    return basis
+
+
+def check_against_dense(a):
+    """rref, rank, nullspace, determinant and inverse of a against the dense
+    first-nonzero route."""
+    ref = [list(a.row(i)) for i in range(a.rows)]
+    ref_pivots, ref_values = dense_gauss_jordan(ref)
+    rows, pivots = a.rref()
+    assert pivots == ref_pivots
+    assert rows == ref
+    assert a.rank() == len(ref_pivots)
+    assert a.nullspace() == reference_nullspace(ref, ref_pivots, a.cols, a.ctx)
+    if not a.is_square():
+        return
+    det = Scalar.zero(a.ctx)
+    if len(ref_pivots) == a.rows:
+        det = Scalar.one(a.ctx)
+        for value in ref_values:
+            det = det * value
+    assert a.determinant() == det
+    n = a.rows
+    aug = [list(a.row(i)) + list(ExactMatrix.identity(n, a.ctx).row(i)) for i in range(n)]
+    if dense_gauss_jordan(aug)[0] == list(range(n)):
+        assert a.inverse() == ExactMatrix.from_rows([row[n:] for row in aug])
+    else:
+        with pytest.raises(Singular):
+            a.inverse()
+
+
+FIELDS = {"QQ": QQ, "QQ(zeta6)": cyclotomic_field(6), "QQ(q)": function_field()}
+
+
+def field_entry(a, b, ctx):
+    """The entry coded by two small integers: a + b/2 over Q, a + b zeta_6 over
+    Q(zeta_6), and (a + b q)/(1 + q^2) over Q(q)."""
+    if ctx == QQ:
+        return rational(2 * a + b, 2)
+    if ctx.order == 6:
+        return integer(a, ctx) + integer(b, ctx) * zeta(6)
+    q = q_symbol()
+    return (integer(a, ctx) + integer(b, ctx) * q) / (Scalar.one(ctx) + q * q)
+
+
+# (0, 0) codes zero: about two entries in three are zero
+ENTRY_CODES = st.one_of(st.just((0, 0)), st.just((0, 0)),
+                        st.tuples(st.integers(-3, 3), st.integers(-2, 2)))
+
+
+@st.composite
+def zero_heavy_matrices(draw, ctx):
+    rows = draw(st.integers(1, 5))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 6))
+    codes = draw(st.lists(st.lists(ENTRY_CODES, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    return ExactMatrix.from_rows([[field_entry(a, b, ctx) for a, b in row] for row in codes])
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_elimination_matches_dense_route(name, data):
+    check_against_dense(data.draw(zero_heavy_matrices(FIELDS[name])))
+
+
+# Each of these has a candidate pivot row sparser than the first one, so the
+# sparse route swaps rows that the dense route leaves in place, or the reverse.
+SPARSEST_NOT_FIRST = [
+    [[1, 1, 1], [1, 0, 0], [0, 1, 0]],
+    [[2, 3, 0, 1], [0, 1, 1, 1], [5, 0, 0, 0], [0, 0, 0, 3]],
+    [[0, 1, 1], [0, 2, 0], [1, 1, 1]],
+    [[1, 2, 3], [2, 4, 6], [1, 0, 0]],
+    [[1, 1, 1, 1], [2, 2, 0, 0], [3, 0, 0, 0]],
+    [[1, 1], [1, 0], [2, 0]],
+]
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_sparsest_pivot_row_is_not_the_first(name):
+    ctx = FIELDS[name]
+    for rows in SPARSEST_NOT_FIRST:
+        a = ExactMatrix.from_rows([[field_entry(v, v % 2, ctx) for v in row] for row in rows])
+        check_against_dense(a)
+
+
+def test_rref_matches_sympy():
+    for rows in SPARSEST_NOT_FIRST + [
+            [[0, 2, -1, 4], [3, 0, 0, 1], [6, 2, -1, 6], [0, 0, 5, 0]],
+            [[1, -2, 0, 3, 0], [0, 0, 1, -1, 0], [2, -4, 3, 3, 0]],
+            [[0, 0], [0, 0]]]:
+        entries = [[Fraction(v, 1 + abs(v) % 3) for v in row] for row in rows]
+        reduced, pivots = ExactMatrix.from_rows(
+            [[Scalar.of_fraction(f) for f in row] for row in entries]).rref()
+        want, want_pivots = sympy.Matrix(
+            [[sympy.Rational(f.numerator, f.denominator) for f in row] for row in entries]).rref()
+        assert pivots == list(want_pivots), rows
+        assert [[x.as_fraction() for x in row] for row in reduced] == \
+            [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)], rows
 
 
 # --- generalized characteristic polynomial ----------------------------------------

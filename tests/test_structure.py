@@ -10,9 +10,9 @@ from qbraid.errors import (
     UnsupportedDimension,
 )
 from qbraid.linalg import ExactMatrix
-from qbraid.qcomb import concrete_q, symbolic_q
+from qbraid.qcomb import concrete_q, gauss_expand, q_tri, symbolic_q
 from qbraid.rep import d_matrix, sigma1_matrix, sigma2_matrix
-from qbraid.scalar import QQ, Scalar, integer, parse_scalar, q_symbol, zeta
+from qbraid.scalar import QQ, Scalar, integer, parse_scalar, q_symbol, rational, zeta
 from qbraid.structure import (
     TWParams,
     exp_nilpotent,
@@ -162,6 +162,46 @@ def test_phi_psi_are_s_images_of_dressed_generators(ctx):
         s2d = d_matrix(n, ctx) * sigma2_matrix(n, ctx)
         assert ferrand_phi(n, ctx) == s1d.transpose_s()
         assert ferrand_psi(n, ctx) == s2d.transpose_s()
+
+
+def phi_by_action(n, ctx):
+    """Reference route: column k holds the coefficients of (1+X)^k_q."""
+    zero = ctx.zero()
+    cols = []
+    for k in range(n + 1):
+        coeffs = gauss_expand(k, ctx)
+        cols.append([coeffs[r] if r < len(coeffs) else zero for r in range(n + 1)])
+    return ExactMatrix.from_fn(n + 1, n + 1, ctx.q.ctx, lambda r, k: cols[k][r])
+
+
+def psi_by_action(n, ctx):
+    """Reference route: column k holds the coefficients of
+    q_(n-k) (1-X)(1-X q^-1)...(1-X q^-(n-k-1)) X^k."""
+    zero, one, qinv = ctx.zero(), ctx.one(), ctx.q.inverse()
+    cols = []
+    for k in range(n + 1):
+        coeffs = [one]
+        power = one
+        for _ in range(n - k):
+            nxt = coeffs + [zero]
+            for r in range(len(nxt) - 1, 0, -1):
+                nxt[r] = nxt[r] - power * coeffs[r - 1]
+            coeffs = nxt
+            power = power * qinv
+        col = [zero] * (n + 1)
+        for s, cval in enumerate(coeffs):
+            col[s + k] = q_tri(n - k, ctx) * cval
+        cols.append(col)
+    return ExactMatrix.from_fn(n + 1, n + 1, ctx.q.ctx, lambda r, k: cols[k][r])
+
+
+def test_phi_psi_match_monomial_action(ctx):
+    points = [concrete_q(integer(2)), concrete_q(rational(-1, 3)),
+              concrete_q(integer(1)), concrete_q(zeta(6))]
+    for qc in [ctx] + points:
+        for n in range(7):
+            assert ferrand_phi(n, qc) == phi_by_action(n, qc), (qc.q, n)
+            assert ferrand_psi(n, qc) == psi_by_action(n, qc), (qc.q, n)
 
 
 def test_phi_psi_braid_like(ctx):
