@@ -187,13 +187,12 @@ class _EchelonSpan:
         return True
 
 
-def burnside_dimension(rep, cap=None):
+def burnside_dimension(rep):
     """Dimension of the unital algebra generated by the two dressed generators,
     by breadth-first span growth (words explored in insertion order, left
     multiplication by sigma_1 then sigma_2)."""
     size = rep.n + 1
     full = size * size
-    cap = full if cap is None else cap
     ctx = rep.sigma1.ctx
 
     def flat(m):
@@ -204,7 +203,7 @@ def burnside_dimension(rep, cap=None):
     for seed in (ExactMatrix.identity(size, ctx), rep.sigma1, rep.sigma2):
         if span.insert(flat(seed)):
             queue.append(seed)
-    while queue and span.dim < cap:
+    while queue and span.dim < full:
         current = queue.pop(0)
         for gen in (rep.sigma1, rep.sigma2):
             product = gen * current

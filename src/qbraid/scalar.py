@@ -7,14 +7,19 @@ coercion is explicit.  Rationals are stdlib `fractions.Fraction`; cyclotomics ar
 residues modulo the m-th cyclotomic polynomial; q-field elements are canonical
 quotients of Laurent polynomials.
 
-Laurent polynomials over Q (order 1) are computed by one integer kernel: an
-operation converts each operand to its integer parts (q-shift, common
-denominator, dense `int` coefficient list), multiplies by Kronecker
-substitution, divides exactly and takes gcds on primitive integer parts, and
-converts the result back.  The `terms` dict (exponent -> Fraction) stays the
-canonical view that equality, hashing and printing read.  Over Q(zeta_m) the
-same operations run as plain schoolbook and Euclid loops, which also serve as
-the reference route for the kernel's tests.
+Laurent polynomials over Q (order 1) and cyclotomic numbers share one integer
+kernel: an operation converts each operand to its integer parts (common
+denominator and dense `int` coefficient list, plus a q-shift for Laurent
+polynomials), multiplies them (schoolbook for short lists, Kronecker
+substitution for long ones), divides exactly and takes gcds on primitive
+integer parts, and converts the result back.  A cyclotomic product is reduced
+modulo the monic Phi_m by the same integer division; a Galois conjugate or an
+embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; an
+inverse is the product of the other conjugates over the rational norm.  The
+`terms` dict (exponent -> Fraction) and the `coeffs` tuple of Fractions stay
+the canonical views that equality, hashing and printing read.  Laurent
+polynomials with coefficients in Q(zeta_m) run as plain schoolbook and Euclid
+loops, which also serve as the reference route for the kernel's tests.
 
 Canonical form of a rational function: the denominator is an ordinary monic
 polynomial with nonzero constant term (all q-power content is pushed into the
@@ -24,6 +29,7 @@ are coprime.  Equality is componentwise equality of canonical forms.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,103 +51,79 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # Safety valve for runaway symbolic degrees (set from QBRAID_MAX_DEGREE by the CLI).
-_degree_cap = None
+# It is scoped per context: a thread starts without a cap, whatever others set.
+_degree_cap = ContextVar("qbraid_degree_cap", default=None)
 
 
 def set_degree_cap(cap):
-    """Set (or clear, with None) the global symbolic-degree cap."""
-    global _degree_cap
-    _degree_cap = cap
+    """Set (or clear, with None) the symbolic-degree cap of the current context."""
+    _degree_cap.set(cap)
 
 
 def _check_degree(lo, hi):
-    cap = _degree_cap
+    cap = _degree_cap.get()
     if cap is not None and max(abs(lo), abs(hi)) > cap:
         raise DegreeCapExceeded(f"symbolic degree {max(abs(lo), abs(hi))} exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials over Q (internal helpers for the cyclotomic layer).
-# Representation: list of Fractions, ascending degree, no trailing zeros.
+# Cyclotomic numbers: residues modulo Phi_m, computed on the integer kernel.
 # ---------------------------------------------------------------------------
-
-def _ptrim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    rem = list(a)
-    quo = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] / lead
-        k = len(rem) - len(b)
-        quo[k] = c
-        for j, bj in enumerate(b):
-            rem[k + j] -= c * bj
-        _ptrim(rem)
-    return _ptrim(quo), rem
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
-    """The m-th cyclotomic polynomial over Q, as an ascending coefficient tuple.
+    """The m-th cyclotomic polynomial, as an ascending tuple of ints.
 
     Computed by exact division of x^m - 1 by Phi_d for all proper divisors d of m.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    if m == 1:
-        return (Fraction(-1), _ONE)
-    num = [_ZERO] * (m + 1)
-    num[0], num[m] = Fraction(-1), _ONE
-    p = num
+    p = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = _pdivmod(p, list(cyclotomic_polynomial(d)))
+            _, p, r = _int_pdivmod(p, cyclotomic_polynomial(d))
             if r:
                 raise AssertionError("cyclotomic division left a remainder")
-            p = q
     return tuple(p)
 
 
 def euler_phi(m):
-    return len(cyclotomic_polynomial(m)) - 1 if m > 1 else 1
+    return len(cyclotomic_polynomial(m)) - 1
 
 
-@lru_cache(maxsize=None)
-def _reduction_rows(m):
-    # x^k mod Phi_m for phi(m) <= k <= 2*phi(m) - 2, as coefficient tuples.
-    phi = euler_phi(m)
-    mod = cyclotomic_polynomial(m)
-    rows = []
-    cur = [-c for c in mod[:phi]]  # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        nxt = [_ZERO] + cur[:-1]
-        top = cur[-1]
-        if top:
-            for i in range(phi):
-                nxt[i] += top * rows[0][i]
-        cur = nxt
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _cyclotomic_from(order, den, ints):
+    """The Cyclotomic sum(ints[i] * zeta^i) / den, reduced modulo Phi_order.
+
+    Phi_order is monic, so the pseudo-division never scales and is exact.
+    """
+    mod = cyclotomic_polynomial(order)
+    phi = len(mod) - 1
+    if len(ints) > phi:
+        ints = _int_pdivmod(ints, mod)[2]
+    if den == 1:
+        coeffs = [Fraction(c) if c else _ZERO for c in ints]
+    else:
+        coeffs = [Fraction(c, den) if c else _ZERO for c in ints]
+    return Cyclotomic(order, tuple(coeffs) + (_ZERO,) * (phi - len(coeffs)))
+
+
+def _cyclotomic_ints(c):
+    """(den, ints) with c = sum(ints[i] * zeta^i) / den."""
+    den = _common_den(c.coeffs)
+    return den, [a.numerator * (den // a.denominator) for a in c.coeffs]
+
+
+def _relabel(c, order, step):
+    """The image of c under zeta^i -> zeta_order^(i*step), reduced modulo
+    Phi_order: the Galois conjugate sigma_step when order == c.order and step
+    is coprime to it, the embedding Q(zeta_a) -> Q(zeta_order) when
+    step == order / a."""
+    den, ints = _cyclotomic_ints(c)
+    out = [0] * order
+    for i, a in enumerate(ints):
+        if a:
+            out[i * step % order] += a
+    return _cyclotomic_from(order, den, out)
 
 
 class Cyclotomic:
@@ -163,28 +145,7 @@ class Cyclotomic:
 
     @classmethod
     def zeta_power(cls, order, k):
-        phi = euler_phi(order)
-        k %= order
-        if k < phi:
-            coeffs = [_ZERO] * phi
-            coeffs[k] = _ONE
-            return cls(order, tuple(coeffs))
-        # reduce zeta^k by repeated multiplication with zeta
-        val = cls.zeta_power(order, phi - 1)
-        for _ in range(k - phi + 1):
-            val = val._shift()
-        return val
-
-    def _shift(self):
-        # multiply by zeta
-        phi = euler_phi(self.order)
-        out = [_ZERO] + list(self.coeffs[:-1])
-        top = self.coeffs[-1]
-        if top:
-            red = _reduction_rows(self.order)[0]
-            for i in range(phi):
-                out[i] += top * red[i]
-        return Cyclotomic(self.order, tuple(out))
+        return _cyclotomic_from(order, 1, [0] * (k % order) + [1])
 
     def is_zero(self):
         return all(not c for c in self.coeffs)
@@ -226,46 +187,23 @@ class Cyclotomic:
             return NotImplemented
         if other.order != self.order:
             raise FieldMismatch("cyclotomic orders differ")
-        phi = len(self.coeffs)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        out = list(conv[:phi])
-        rows = _reduction_rows(self.order)
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - phi]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyclotomic(self.order, tuple(out))
+        da, ia = _cyclotomic_ints(self)
+        db, ib = _cyclotomic_ints(other)
+        return _cyclotomic_from(self.order, da * db, _int_mul(ia, ib))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse via the extended Euclidean algorithm modulo Phi_m."""
+        """Inverse as the product of the other Galois conjugates over the
+        rational norm."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero cyclotomic")
-        mod = list(cyclotomic_polynomial(self.order))
-        a = _ptrim(list(self.coeffs))
-        # extended gcd of a and mod over Q[x]
-        r0, r1 = a, mod
-        s0, s1 = [_ONE], []
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if len(r0) != 1:
-            raise DivisionByZero("element not invertible (unexpected)")
-        inv = [c / r0[0] for c in s0]
-        _, rem = _pdivmod(inv, mod)
-        phi = euler_phi(self.order)
-        rem = rem + [_ZERO] * (phi - len(rem))
-        return Cyclotomic(self.order, tuple(rem[:phi]))
+        m = self.order
+        conj = Cyclotomic.from_rational(m, 1)
+        for k in range(2, m):
+            if _int_gcd(k, m) == 1:
+                conj = conj * _relabel(self, m, k)
+        return conj * (_ONE / (self * conj).coeffs[0])
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -309,12 +247,6 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"
-
-
-def _psub(a, b):
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO)
-           for i in range(max(len(a), len(b)))]
-    return _ptrim(out)
 
 
 def _base_zero(order):
@@ -576,20 +508,34 @@ def _lp_monic_gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel for Laurent polynomials over Q.
+# The integer kernel for Laurent polynomials over Q and for Q(zeta_m).
 #
 # Integer parts of a nonzero p: (shift, den, coeffs) with
 # p = q^shift * sum(coeffs[i] * q^i) / den, den > 0 and coeffs[0] != 0.
 # ---------------------------------------------------------------------------
 
+# The longest shorter operand that `_int_mul` multiplies by schoolbook.  Two
+# 2-term lists take about 2 us by schoolbook and 10 us by Kronecker
+# substitution, whose packing dominates; measured on one Xeon core with
+# CPython 3.11 and small coefficients, Kronecker wins once the shorter list has
+# more than about 10 terms.
+_SCHOOLBOOK_MAX = 10
+
+
+def _common_den(fracs):
+    """The least common denominator of some Fractions."""
+    den = 1
+    for c in fracs:
+        if c.denominator != 1:
+            den = _int_lcm(den, c.denominator)
+    return den
+
+
 def _int_parts(p):
     """Integer parts of a nonzero LaurentPoly over Q."""
     terms = p.terms
     lo = min(terms)
-    den = 1
-    for c in terms.values():
-        if c.denominator != 1:
-            den = _int_lcm(den, c.denominator)
+    den = _common_den(terms.values())
     coeffs = [0] * (max(terms) - lo + 1)
     for e, c in terms.items():
         coeffs[e - lo] = c.numerator * (den // c.denominator)
@@ -626,7 +572,22 @@ def _rational_mul(a, b):
     sb, db, cb = _int_parts(b)
     shift = sa + sb
     _check_degree(shift, shift + len(ca) + len(cb) - 2)
-    return _from_int_parts(shift, da * db, _kronecker_mul(ca, cb))
+    return _from_int_parts(shift, da * db, _int_mul(ca, cb))
+
+
+def _int_mul(a, b):
+    """Product of two nonempty int coefficient lists: schoolbook while the
+    shorter has at most _SCHOOLBOOK_MAX terms, Kronecker substitution above."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > _SCHOOLBOOK_MAX:
+        return _kronecker_mul(a, b)
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
 
 
 def _kronecker_mul(a, b):
@@ -640,6 +601,8 @@ def _kronecker_mul(a, b):
     """
     n = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * n
     size = bound.bit_length() // 8 + 1
     half = 1 << (8 * size - 1)
     bias = b"\x00" * (size - 1) + b"\x80"   # the digit 2^(w-1), little-endian
@@ -1027,12 +990,7 @@ def _lift_base(c, order_from, order_to):
         return c
     if order_from == 1:
         return Fraction(c) if order_to == 1 else Cyclotomic.from_rational(order_to, c)
-    step = order_to // order_from
-    out = Cyclotomic.from_rational(order_to, 0)
-    for k, a in enumerate(c.coeffs):
-        if a:
-            out = out + Cyclotomic.zeta_power(order_to, k * step) * a
-    return out
+    return _relabel(c, order_to, order_to // order_from)
 
 
 def _lift_laurent(p, order_from, order_to):

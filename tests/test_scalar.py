@@ -1,6 +1,7 @@
 """Exact field tower: rationals, cyclotomics, Laurent polynomials, rational
 functions, canonical strings."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,9 @@ from qbraid.scalar import (
     zeta,
 )
 from qbraid.scalar import (
+    _SCHOOLBOOK_MAX,
+    _int_mul,
+    _kronecker_mul,
     _lp_divmod,
     _lp_divmod_generic,
     _lp_monic_gcd,
@@ -97,6 +101,23 @@ def ext_gcd_poly(a, b):
     return r0, s0, t0
 
 
+def phi_oracle(m):
+    """Phi_m by naive division of x^m - 1 by Phi_d for the proper divisors d."""
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [ONE]
+    for d in range(1, m):
+        if m % d == 0:
+            num, rem = poly_divmod(num, phi_oracle(d))
+            assert rem == []
+    return num
+
+
+def reduce_oracle(a, m):
+    """a modulo Phi_m, padded to phi(m) coefficients."""
+    mod = phi_oracle(m)
+    rem = poly_divmod(list(a), mod)[1] if len(a) >= len(mod) else list(a)
+    return tuple(Fraction(c) for c in rem) + (Fraction(0),) * (len(mod) - 1 - len(rem))
+
+
 # --- cyclotomic polynomials ---------------------------------------------------
 
 def test_cyclotomic_polynomial_order_1():
@@ -117,6 +138,11 @@ def test_cyclotomic_polynomial_order_12_against_division_oracle():
     assert rem == []
     assert tuple(quo) == cyclotomic_polynomial(12)
     assert cyclotomic_polynomial(12) == (ONE, Fraction(0), Fraction(-1), Fraction(0), ONE)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 7, 8, 9, 12, 17])
+def test_cyclotomic_polynomial_matches_oracle(m):
+    assert cyclotomic_polynomial(m) == tuple(phi_oracle(m))
 
 
 # --- field operations ----------------------------------------------------------
@@ -352,6 +378,38 @@ def test_degree_cap():
     assert (one + q ** 3) * (one - q ** 3) == one - q ** 6
 
 
+def test_degree_cap_is_scoped_per_thread():
+    q = q_symbol()
+    one = Scalar.one(q.ctx)
+    capped, computed = threading.Event(), threading.Event()
+    seen = {}
+
+    def capping():
+        set_degree_cap(5)
+        capped.set()
+        computed.wait(30)
+        try:
+            (q ** 3) * (q ** 3)
+        except DegreeCapExceeded:
+            seen["capping"] = "raised"
+
+    def other():
+        capped.wait(30)
+        try:
+            seen["other"] = (one + q ** 5) * (one - q ** 5)   # degree 10
+        finally:
+            computed.set()
+
+    threads = [threading.Thread(target=capping), threading.Thread(target=other)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive()
+    assert seen == {"capping": "raised", "other": one - q ** 10}
+    assert (q ** 5) * (q ** 5) == q ** 10   # nor does it leak into this thread
+
+
 # --- the integer kernel over Q against the generic route -------------------------
 
 # Small rationals, and large numerators over non-trivial denominators.
@@ -389,12 +447,20 @@ def test_kernel_mul_matches_schoolbook(a, b):
     assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
-@pytest.mark.parametrize("c, n", [(11, 2), (-11, 2), (2 ** 31 - 1, 5), (3 ** 40, 30), (1, 300)])
+@pytest.mark.parametrize("c, n", [(11, 2), (-11, 2), (2 ** 31 - 1, 5), (3 ** 40, 30), (1, 300),
+                                  (-(2 ** 63 - 1), _SCHOOLBOOK_MAX),
+                                  (2 ** 63 - 1, _SCHOOLBOOK_MAX + 1)])
 def test_kernel_mul_worst_case_digits(c, n):
     # Equal coefficients make every overlap add up to the full digit bound.
     a = LaurentPoly(1, {i: Fraction(c) for i in range(-1, n - 1)})
     for b in (a, -a, a.scale(Fraction(1, 3))):
         assert (a * b).terms == _lp_mul_generic(a, b).terms
+    # Short lists go to schoolbook in `_int_mul`; the packing is checked directly.
+    ints = [c] * n
+    for other in (ints, [-x for x in ints], [c] * (n + 1), [0] * n):
+        want = poly_mul(ints, other)
+        assert _kronecker_mul(ints, other) == want
+        assert _int_mul(ints, other) == want
 
 
 @given(laurent_st(), laurent_st())
@@ -485,3 +551,85 @@ def test_kernel_against_sympy():
     ref = sympy.Poly(sym(g * u), x, domain="QQ").gcd(sympy.Poly(sym(g * v), x, domain="QQ"))
     assert sympy.Poly(sym(got), x, domain="QQ") == ref.monic()
     assert got.max_exp() == 3   # g times the common factor q
+
+
+# --- cyclotomic arithmetic against the list-of-Fraction oracles ----------------
+
+CYCLOTOMIC_ORDERS = [3, 4, 5, 7, 8, 9, 12, 17]   # phi(17) = 16: Kronecker side
+large_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                            st.integers(1, 10 ** 15)).filter(bool)
+
+
+def cyclotomic_st(m):
+    """Elements of Q(zeta_m): zero, single-term, dense, and dense with large
+    denominators."""
+    phi = len(phi_oracle(m)) - 1
+    zero = st.just([Fraction(0)] * phi)
+    single = st.tuples(st.integers(0, phi - 1), kernel_coeffs).map(
+        lambda t: [t[1] if i == t[0] else Fraction(0) for i in range(phi)])
+    dense = st.lists(fractions_st.filter(bool), min_size=phi, max_size=phi)
+    large = st.lists(large_fractions, min_size=phi, max_size=phi)
+    return st.one_of(zero, single, dense, large).map(lambda c: Cyclotomic(m, tuple(c)))
+
+
+cyclotomic_pairs = st.sampled_from(CYCLOTOMIC_ORDERS).flatmap(
+    lambda m: st.tuples(cyclotomic_st(m), cyclotomic_st(m)))
+
+
+@given(cyclotomic_pairs)
+@settings(max_examples=120, deadline=None)
+def test_cyclotomic_mul_matches_convolution_then_reduction(pair):
+    x, y = pair
+    got = x * y
+    assert got.coeffs == reduce_oracle(poly_mul(x.coeffs, y.coeffs), x.order)
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@given(st.sampled_from(CYCLOTOMIC_ORDERS).flatmap(cyclotomic_st))
+@settings(max_examples=80, deadline=None)
+def test_cyclotomic_inverse_matches_ext_gcd(x):
+    if x.is_zero():
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+        return
+    a = list(x.coeffs)
+    while a[-1] == 0:
+        a.pop()
+    g, s, _ = ext_gcd_poly(a, phi_oracle(x.order))
+    assert len(g) == 1
+    inv = x.inverse()
+    assert inv.coeffs == reduce_oracle([c / g[0] for c in s], x.order)
+    assert x * inv == Cyclotomic.from_rational(x.order, 1)
+
+
+@pytest.mark.parametrize("m", CYCLOTOMIC_ORDERS)
+def test_zeta_power_matches_reduction(m):
+    one = Cyclotomic.from_rational(m, 1)
+    for k in range(-2 * m, 2 * m + 1):
+        z = Cyclotomic.zeta_power(m, k)
+        assert z.coeffs == reduce_oracle([Fraction(0)] * (k % m) + [ONE], m), k
+        assert z * Cyclotomic.zeta_power(m, -k) == one, k
+
+
+EMBEDDINGS = [(3, 6), (3, 9), (3, 12), (4, 8), (4, 12), (5, 10), (5, 15), (12, 24)]
+
+
+@given(st.sampled_from(EMBEDDINGS).flatmap(
+    lambda ab: st.tuples(st.just(ab[1]), cyclotomic_st(ab[0]), cyclotomic_st(ab[0]))))
+@settings(max_examples=80, deadline=None)
+def test_coerce_between_cyclotomic_fields_is_a_ring_map(case):
+    b, x, y = case
+    a = x.order
+    source, target = cyclotomic_field(a), cyclotomic_field(b)
+
+    def lift(v):
+        return Scalar(source, v).coerce(target)
+
+    sx, sy = Scalar(source, x), Scalar(source, y)
+    assert (sx + sy).coerce(target) == lift(x) + lift(y)
+    assert (sx * sy).coerce(target) == lift(x) * lift(y)
+    # zeta_a^i goes to zeta_b^(i*b/a), reduced modulo Phi_b.
+    image = [Fraction(0)] * b
+    for i, c in enumerate(x.coeffs):
+        image[i * (b // a)] += c
+    assert lift(x).val.coeffs == reduce_oracle(image, b)
