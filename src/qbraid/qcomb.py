@@ -24,6 +24,7 @@ from .scalar import (
     LaurentPoly,
     RatFunc,
     Scalar,
+    _check_degree,
     is_plain_q,
     laurent_exact_div,
 )
@@ -93,12 +94,17 @@ def _qbinom_poly(n, k):
 
 
 def _eval_poly(p, ctx):
-    """Evaluate an integer-coefficient symbolic polynomial at ctx.q."""
+    """Evaluate an integer-coefficient symbolic polynomial at ctx.q.
+
+    p may come from a cache, so its degree is checked against the degree cap
+    here, not only where it was multiplied out.
+    """
     q = ctx.q
-    if is_plain_q(q) and q.ctx.order == 1:
-        return Scalar(q.ctx, RatFunc.from_laurent(p))
     if p.is_zero():
         return Scalar.zero(q.ctx)
+    _check_degree(p.min_exp(), p.max_exp())
+    if is_plain_q(q) and q.ctx.order == 1:
+        return Scalar(q.ctx, RatFunc.from_laurent(p))
     return Scalar(FieldContext(1, True), RatFunc.from_laurent(p)).substitute(q)
 
 
@@ -144,13 +150,9 @@ def q_tri(j, ctx):
 
 
 def q_triangular_power(n, ctx):
-    """q_n = q^(n(n-1)/2) for natural n; also validates the exponent identity
-    q_r q_(n-r) / q_n = q^(-(n-r)r) for every 0 <= r <= n."""
+    """q_n = q^(n(n-1)/2) for natural n."""
     if n < 0:
         raise ValueError("defined for n >= 0")
-    for r in range(n + 1):
-        if tri_exponent(r) + tri_exponent(n - r) - tri_exponent(n) != -(n - r) * r:
-            raise AssertionError("triangular exponent identity failed")
     return q_tri(n, ctx)
 
 
@@ -208,26 +210,14 @@ def gauss_expand(k, ctx):
 
 @dataclass(frozen=True)
 class QTriangleRow:
-    """One row of the q-Pascal triangle, validated against both recursions."""
+    """One row of the q-Pascal triangle."""
 
     n: int
     entries: tuple
 
-    def __post_init__(self):
-        if not (self.entries[0].is_one() and self.entries[self.n].is_one()):
-            raise AssertionError("triangle row must start and end with 1")
-
 
 def triangle_row(n, ctx):
-    row = tuple(q_binomial(n, k, ctx) for k in range(n + 1))
-    if n >= 1:
-        prev = [q_binomial(n - 1, k, ctx) for k in range(n)]
-        for k in range(1, n):
-            first = prev[k - 1] + ctx.q ** k * prev[k]
-            second = ctx.q ** (n - k) * prev[k - 1] + prev[k]
-            if row[k] != first or row[k] != second:
-                raise AssertionError("triangle row fails a Pascal recursion")
-    return QTriangleRow(n, row)
+    return QTriangleRow(n, tuple(q_binomial(n, k, ctx) for k in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ together with its bare equivalents
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CondQViolated, NotUnitUpperTriangular
@@ -145,9 +145,7 @@ class Representation:
     sigma2: ExactMatrix
     s_matrix: ExactMatrix
     lambda_canonical: ExactMatrix
-    d_matrix: ExactMatrix
     lam_raw: tuple
-    c: Scalar | None = field(default=None)
 
     @property
     def n(self):
@@ -173,7 +171,6 @@ def check_cond_q(n, ctx, lam):
 def build_representation(spec):
     """Realize a RepSpec as the dressed generator pair."""
     n, ctx = spec.n, spec.ctx
-    d = d_matrix(n, ctx)
     if spec.form == "factored":
         c = spec.lam[0] * spec.lam[n]
         for k in range(n + 1):
@@ -185,12 +182,11 @@ def build_representation(spec):
     else:
         check_cond_q(n, ctx, spec.lam)
         lam_raw = spec.lam
-        c = None
     lam_m = ExactMatrix.diagonal(list(lam_raw))
     sigma1 = sigma1_matrix(n, ctx) * lam_m
     sigma2 = lam_m.sharp() * sigma2_matrix(n, ctx)
     return Representation(spec, sigma1, sigma2, s_matrix(n, ctx),
-                          lambda_canonical(n, ctx), d, lam_raw, c)
+                          lambda_canonical(n, ctx), lam_raw)
 
 
 @dataclass

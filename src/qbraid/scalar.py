@@ -8,18 +8,19 @@ residues modulo the m-th cyclotomic polynomial; q-field elements are canonical
 quotients of Laurent polynomials.
 
 Laurent polynomials over Q (order 1) and cyclotomic numbers share one integer
-kernel: an operation converts each operand to its integer parts (common
-denominator and dense `int` coefficient list, plus a q-shift for Laurent
-polynomials), multiplies them (schoolbook for short lists, Kronecker
-substitution for long ones), divides exactly and takes gcds on primitive
-integer parts, and converts the result back.  A cyclotomic product is reduced
-modulo the monic Phi_m by the same integer division; a Galois conjugate or an
-embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; an
-inverse is the product of the other conjugates over the rational norm.  The
-`terms` dict (exponent -> Fraction) and the `coeffs` tuple of Fractions stay
-the canonical views that equality, hashing and printing read.  Laurent
-polynomials with coefficients in Q(zeta_m) run as plain schoolbook and Euclid
-loops, which also serve as the reference route for the kernel's tests.
+kernel on dense `int` coefficient lists: products (schoolbook for short lists,
+Kronecker substitution for long ones), exact division and gcds of primitive
+parts.  A Laurent polynomial over Q is stored in the kernel's form, a q-shift,
+a positive denominator and a tuple of ints, kept canonical so that equality
+and hashing compare the stored fields; every operation reads and writes that
+form, and its `terms` dict (exponent -> Fraction) is derived for printing.  A
+cyclotomic number converts its Fractions to a common denominator and ints per
+operation; a product is reduced modulo the monic Phi_m by the same integer
+division; a Galois conjugate or an embedding Q(zeta_a) -> Q(zeta_b) relabels
+the powers of zeta and reduces; an inverse is the product of the other
+conjugates over the rational norm.  Laurent polynomials with coefficients in
+Q(zeta_m) store a tuple of `Cyclotomic`s and run as plain schoolbook and
+Euclid loops, which also serve as the reference route for the kernel's tests.
 
 Canonical form of a rational function: the denominator is an ordinary monic
 polynomial with nonzero constant term (all q-power content is pushed into the
@@ -150,6 +151,9 @@ class Cyclotomic:
     def is_zero(self):
         return all(not c for c in self.coeffs)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def _lift(self, other):
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
@@ -250,15 +254,7 @@ class Cyclotomic:
 
 
 def _base_zero(order):
-    return _ZERO if order == 1 else Cyclotomic.from_rational(order, 0)
-
-
-def _base_one(order):
-    return _ONE if order == 1 else Cyclotomic.from_rational(order, 1)
-
-
-def _base_is_zero(c):
-    return c.is_zero() if isinstance(c, Cyclotomic) else not c
+    return 0 if order == 1 else Cyclotomic.from_rational(order, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,56 +262,95 @@ def _base_is_zero(c):
 # ---------------------------------------------------------------------------
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: exponent -> nonzero base-field coefficient."""
+    """Laurent polynomial q^shift * sum(coeffs[i] * q^i) / den, in canonical form.
 
-    __slots__ = ("order", "terms")
+    Over Q the coeffs are ints, den > 0 and gcd(den, *coeffs) == 1.  Over
+    Q(zeta_m) the coeffs are `Cyclotomic`s and den == 1.  The first and last
+    coefficients are nonzero, and zero is (shift 0, den 1, ()).  The form is
+    unique, so equality and hashing compare the stored fields.
+    """
+
+    __slots__ = ("order", "shift", "den", "coeffs")
 
     def __init__(self, order, terms):
-        self.order = order
-        self.terms = terms
+        """sum(c * q^e for e, c in terms.items()), c in the base field Q(zeta_order)."""
+        lo = min(terms, default=0)
+        dense = [0] * (max(terms, default=lo - 1) - lo + 1)
+        for e, c in terms.items():
+            dense[e - lo] = c
+        p = LaurentPoly.from_dense(order, lo, dense)
+        self.order, self.shift, self.den, self.coeffs = order, p.shift, p.den, p.coeffs
 
     @classmethod
     def zero(cls, order=1):
-        return cls(order, {})
+        return _laurent(order, 0, 1, ())
 
     @classmethod
     def one(cls, order=1):
-        return cls(order, {0: _base_one(order)})
+        return _laurent(order, 0, 1, (1,))
 
     @classmethod
     def constant(cls, coeff, order=1):
-        if _base_is_zero(coeff):
-            return cls.zero(order)
-        return cls(order, {0: coeff})
+        return cls.from_dense(order, 0, [coeff])
 
     @classmethod
     def q_power(cls, k, order=1):
-        return cls(order, {k: _base_one(order)})
+        return _laurent(order, k, 1, (1,))
+
+    @classmethod
+    def from_dense(cls, order, shift, coeffs):
+        """q^shift * sum(coeffs[i] * q^i), coeffs in the base field."""
+        if order != 1:
+            return _laurent(order, shift, 1, coeffs)
+        den = _common_den(coeffs)
+        return _laurent(1, shift, den, [c.numerator * (den // c.denominator) for c in coeffs])
+
+    def dense(self):
+        """(shift, ascending list of base-field coefficients)."""
+        if self.order == 1:
+            return self.shift, [Fraction(c, self.den) for c in self.coeffs]
+        return self.shift, list(self.coeffs)
+
+    @property
+    def terms(self):
+        """A derived view, exponent -> nonzero base-field coefficient."""
+        shift, coeffs = self.dense()
+        return {shift + i: c for i, c in enumerate(coeffs) if c}
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def min_exp(self):
-        return min(self.terms)
+        return self.shift
 
     def max_exp(self):
-        return max(self.terms)
+        return self.shift + len(self.coeffs) - 1
+
+    def lead(self):
+        """The coefficient of the highest power of q, in the base field."""
+        c = self.coeffs[-1]
+        return Fraction(c, self.den) if self.order == 1 else c
 
     def __add__(self, other):
         if self.order != other.order:
             raise FieldMismatch("base fields differ")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if _base_is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return LaurentPoly(self.order, terms)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        lo = min(self.shift, other.shift)
+        hi = max(self.shift + len(self.coeffs), other.shift + len(other.coeffs))
+        den = _int_lcm(self.den, other.den)
+        out = [_base_zero(self.order)] * (hi - lo)
+        for p in (self, other):
+            f = den // p.den
+            coeffs = p.coeffs if f == 1 else [c * f for c in p.coeffs]
+            for i, c in enumerate(coeffs, p.shift - lo):
+                out[i] += c
+        return _laurent(self.order, lo, den, out)
 
     def __neg__(self):
-        return LaurentPoly(self.order, {e: -c for e, c in self.terms.items()})
+        return _laurent(self.order, self.shift, self.den, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -323,19 +358,26 @@ class LaurentPoly:
     def __mul__(self, other):
         if self.order != other.order:
             raise FieldMismatch("base fields differ")
-        if self.order == 1:
-            return _rational_mul(self, other)
-        return _lp_mul_generic(self, other)
+        if self.order != 1:
+            return _lp_mul_generic(self, other)
+        if not self.coeffs or not other.coeffs:
+            return LaurentPoly.zero(1)
+        shift = self.shift + other.shift
+        _check_degree(shift, shift + len(self.coeffs) + len(other.coeffs) - 2)
+        return _laurent(1, shift, self.den * other.den, _int_mul(self.coeffs, other.coeffs))
 
     def scale(self, coeff):
-        if _base_is_zero(coeff):
-            return LaurentPoly.zero(self.order)
-        return LaurentPoly(self.order, {e: c * coeff for e, c in self.terms.items()})
+        """The product with a base-field coefficient."""
+        if self.order != 1:
+            return _laurent(self.order, self.shift, 1, [c * coeff for c in self.coeffs])
+        coeff = Fraction(coeff)
+        return _laurent(1, self.shift, self.den * coeff.denominator,
+                        [c * coeff.numerator for c in self.coeffs])
 
     def shifted(self, k):
-        if k == 0 or not self.terms:
+        if k == 0 or not self.coeffs:
             return self
-        return LaurentPoly(self.order, {e + k: c for e, c in self.terms.items()})
+        return _laurent(self.order, self.shift + k, self.den, self.coeffs)
 
     def __pow__(self, n):
         if n < 0:
@@ -352,26 +394,11 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return (self.order == other.order and self.shift == other.shift
+                and self.den == other.den and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted((e, _freeze(c)) for e, c in self.terms.items()))))
-
-    def dense(self):
-        """(shift, ascending coefficient list) with the shift removed."""
-        if not self.terms:
-            return 0, []
-        lo, hi = self.min_exp(), self.max_exp()
-        zero = _base_zero(self.order)
-        coeffs = [zero] * (hi - lo + 1)
-        for e, c in self.terms.items():
-            coeffs[e - lo] = c
-        return lo, coeffs
-
-    @classmethod
-    def from_dense(cls, order, shift, coeffs):
-        terms = {shift + i: c for i, c in enumerate(coeffs) if not _base_is_zero(c)}
-        return cls(order, terms)
+        return hash((self.order, self.shift, self.den, self.coeffs))
 
     def __str__(self):
         return format_laurent(self)
@@ -380,49 +407,69 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _laurent(order, shift, den, coeffs):
+    """The canonical LaurentPoly q^shift * sum(coeffs[i] * q^i) / den.
+
+    Over Q, coeffs are ints and den is a nonzero int.  Over Q(zeta_m), den is 1
+    and coeffs are base-field values; rationals among them are lifted to
+    `Cyclotomic`, so equal polynomials hash equally.
+    """
+    if order != 1:
+        coeffs = [c if isinstance(c, Cyclotomic) else Cyclotomic.from_rational(order, c)
+                  for c in coeffs]
+    lo, hi = 0, len(coeffs)
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    while hi > lo and not coeffs[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        shift, den, coeffs = 0, 1, ()
+    else:
+        shift += lo
+        coeffs = tuple(coeffs[lo:hi])
+    if den != 1:
+        g = _int_gcd(den, *coeffs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            coeffs = tuple(c // g for c in coeffs)
+    p = object.__new__(LaurentPoly)
+    p.order, p.shift, p.den, p.coeffs = order, shift, den, coeffs
+    return p
+
+
 def _is_one(p):
     """True when the Laurent polynomial p is the constant 1."""
-    terms = p.terms
-    return len(terms) == 1 and terms.get(0) == 1
-
-
-def _freeze(c):
-    return (c.order, c.coeffs) if isinstance(c, Cyclotomic) else c
+    return p.shift == 0 and p.den == 1 and p.coeffs == (1,)
 
 
 def _lp_mul_generic(a, b):
     """Schoolbook product over any base field: the route for Q(zeta_m), and the
     reference the integer kernel is tested against."""
-    if not a.terms or not b.terms:
+    if a.is_zero() or b.is_zero():
         return LaurentPoly.zero(a.order)
-    out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = e1 + e2
-            p = c1 * c2
-            s = out.get(e)
-            s = p if s is None else s + p
-            if _base_is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    if out:
-        _check_degree(min(out), max(out))
-    return LaurentPoly(a.order, out)
+    sa, ca = a.dense()
+    sb, cb = b.dense()
+    _check_degree(sa + sb, sa + sb + len(ca) + len(cb) - 2)
+    out = [_base_zero(a.order)] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb, i):
+                out[j] += x * y
+    return LaurentPoly.from_dense(a.order, sa + sb, out)
 
 
 def _lp_divmod_generic(a, b):
     """Long division over any base field; inputs must have min_exp >= 0."""
-    sa, ca = a.dense()
-    sb, cb = b.dense()
-    if sa < 0 or sb < 0:
+    if a.shift < 0 or b.shift < 0:
         raise ValueError("divmod requires ordinary polynomials")
-    ca = ([_base_zero(a.order)] * sa) + ca
-    cb = ([_base_zero(b.order)] * sb) + cb
-    if not cb:
+    if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    rem = list(ca)
-    quo = [_base_zero(a.order)] * max(len(ca) - len(cb) + 1, 0)
+    zero = _base_zero(a.order)
+    rem = [zero] * a.shift + a.dense()[1]
+    cb = [zero] * b.shift + b.dense()[1]
+    quo = [zero] * max(len(rem) - len(cb) + 1, 0)
     lead = cb[-1]
     while len(rem) >= len(cb):
         c = rem[-1] / lead
@@ -430,7 +477,7 @@ def _lp_divmod_generic(a, b):
         quo[k] = c
         for j, bj in enumerate(cb):
             rem[k + j] = rem[k + j] - c * bj
-        while rem and _base_is_zero(rem[-1]):
+        while rem and not rem[-1]:
             rem.pop()
     return (LaurentPoly.from_dense(a.order, 0, quo),
             LaurentPoly.from_dense(a.order, 0, rem))
@@ -443,16 +490,14 @@ def _lp_monic_gcd_generic(a, b):
         a, b = b, r
     if a.is_zero():
         return a
-    lead = a.terms[a.max_exp()]
-    if isinstance(lead, Cyclotomic):
-        return a.scale(lead.inverse())
-    return a.scale(_ONE / lead)
+    lead = a.lead()
+    return a.scale(lead.inverse() if isinstance(lead, Cyclotomic) else 1 / lead)
 
 
 def _lp_divmod(a, b):
     """Ordinary-polynomial divmod; inputs must have min_exp >= 0.
 
-    Over Q it divides the integer parts by the primitive part of b, so an
+    Over Q it divides the stored ints by the primitive part of b, so an
     exact division is an integer division (Gauss's lemma).
     """
     if a.order != 1:
@@ -461,16 +506,14 @@ def _lp_divmod(a, b):
         raise DivisionByZero("polynomial division by zero")
     if a.is_zero():
         return a, a
-    sa, da, ca = _int_parts(a)
-    sb, db, cb = _int_parts(b)
-    if sa < 0 or sb < 0:
+    if a.shift < 0 or b.shift < 0:
         raise ValueError("divmod requires ordinary polynomials")
-    content, cb = _int_primitive(cb)
-    # f*A = Q*B + R with a = A/da and b = content*B/db, so
-    # a = (Q*db / (f*da*content)) * b + R/(f*da).
-    f, quo, rem = _int_pdivmod([0] * sa + ca, [0] * sb + cb)
-    return (_from_int_parts(0, f * da * content, [x * db for x in quo]),
-            _from_int_parts(0, f * da, rem))
+    content, cb = _int_primitive(b.coeffs)
+    # f*A = Q*B + R with a = A/a.den and b = content*B/b.den, so
+    # a = (Q*b.den / (f*a.den*content)) * b + R/(f*a.den).
+    f, quo, rem = _int_pdivmod([0] * a.shift + list(a.coeffs), [0] * b.shift + list(cb))
+    return (_laurent(1, 0, f * a.den * content, [x * b.den for x in quo]),
+            _laurent(1, 0, f * a.den, rem))
 
 
 def laurent_exact_div(a, b, error=None):
@@ -495,23 +538,19 @@ def _lp_monic_gcd(a, b):
         a, b = b, a
     if a.is_zero():
         return a
-    sa, _, ca = _int_parts(a)
     if b.is_zero():
-        return _from_int_parts(sa, ca[-1], ca)
-    sb, _, cb = _int_parts(b)
-    if sa < 0 or sb < 0:
+        return _laurent(1, a.shift, a.coeffs[-1], a.coeffs)
+    if a.shift < 0 or b.shift < 0:
         raise ValueError("gcd requires ordinary polynomials")
     # q does not divide the shift-free parts, so the q-power of the gcd is
     # the smaller shift.
-    g = _int_primitive_gcd(ca, cb)
-    return _from_int_parts(min(sa, sb), g[-1], g)
+    g = _int_primitive_gcd(a.coeffs, b.coeffs)
+    return _laurent(1, min(a.shift, b.shift), g[-1], g)
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel for Laurent polynomials over Q and for Q(zeta_m).
-#
-# Integer parts of a nonzero p: (shift, den, coeffs) with
-# p = q^shift * sum(coeffs[i] * q^i) / den, den > 0 and coeffs[0] != 0.
+# The integer kernel for Laurent polynomials over Q and for Q(zeta_m): dense
+# int coefficient lists, ascending.
 # ---------------------------------------------------------------------------
 
 # The longest shorter operand that `_int_mul` multiplies by schoolbook.  Two
@@ -529,50 +568,6 @@ def _common_den(fracs):
         if c.denominator != 1:
             den = _int_lcm(den, c.denominator)
     return den
-
-
-def _int_parts(p):
-    """Integer parts of a nonzero LaurentPoly over Q."""
-    terms = p.terms
-    lo = min(terms)
-    den = _common_den(terms.values())
-    coeffs = [0] * (max(terms) - lo + 1)
-    for e, c in terms.items():
-        coeffs[e - lo] = c.numerator * (den // c.denominator)
-    return lo, den, coeffs
-
-
-def _from_int_parts(shift, den, coeffs):
-    """The LaurentPoly q^shift * sum(coeffs[i] * q^i) / den (den a nonzero int)."""
-    if den == 1:
-        terms = {shift + i: Fraction(c) for i, c in enumerate(coeffs) if c}
-    else:
-        terms = {shift + i: Fraction(c, den) for i, c in enumerate(coeffs) if c}
-    return LaurentPoly(1, terms)
-
-
-def _rational_mul(a, b):
-    """LaurentPoly product over Q."""
-    if not a.terms or not b.terms:
-        return LaurentPoly.zero(1)
-    if len(a.terms) < len(b.terms):
-        a, b = b, a
-    if len(b.terms) == 1:
-        # Monomial operand: shift the exponents and scale the coefficients.
-        (k, c), = b.terms.items()
-        _check_degree(min(a.terms) + k, max(a.terms) + k)
-        if c == 1:
-            terms = {e + k: v for e, v in a.terms.items()}
-        elif c == -1:
-            terms = {e + k: -v for e, v in a.terms.items()}
-        else:
-            terms = {e + k: v * c for e, v in a.terms.items()}
-        return LaurentPoly(1, terms)
-    sa, da, ca = _int_parts(a)
-    sb, db, cb = _int_parts(b)
-    shift = sa + sb
-    _check_degree(shift, shift + len(ca) + len(cb) - 2)
-    return _from_int_parts(shift, da * db, _int_mul(ca, cb))
 
 
 def _int_mul(a, b):
@@ -705,9 +700,9 @@ class RatFunc:
             if g.max_exp() > 0:
                 n_ord = laurent_exact_div(n_ord, g)
                 d_ord = laurent_exact_div(d_ord, g)
-        lead = d_ord.terms[d_ord.max_exp()]
-        if not (lead == _base_one(order)):
-            inv = lead.inverse() if isinstance(lead, Cyclotomic) else _ONE / lead
+        lead = d_ord.lead()
+        if lead != 1:
+            inv = lead.inverse() if isinstance(lead, Cyclotomic) else 1 / lead
             d_ord = d_ord.scale(inv)
             n_ord = n_ord.scale(inv)
         return cls(order, n_ord.shifted(a - b), d_ord)
@@ -949,8 +944,8 @@ class Scalar:
         if isinstance(v, RatFunc):
             if v.is_zero():
                 return _ZERO
-            if _is_one(v.den) and set(v.num.terms) == {0}:
-                c = v.num.terms[0]
+            if _is_one(v.den) and v.num.max_exp() == v.num.min_exp() == 0:
+                c = v.num.lead()
                 return c.rational_part() if isinstance(c, Cyclotomic) else c
         return None
 
@@ -996,21 +991,21 @@ def _lift_base(c, order_from, order_to):
 def _lift_laurent(p, order_from, order_to):
     if order_from == order_to:
         return p
-    return LaurentPoly(order_to, {e: _lift_base(c, order_from, order_to)
-                                  for e, c in p.terms.items()})
+    shift, coeffs = p.dense()
+    return LaurentPoly.from_dense(order_to, shift, [_lift_base(c, order_from, order_to)
+                                                    for c in coeffs])
 
 
 def _eval_laurent(p, q0, target):
+    """p(q0) by Horner's rule on the dense coefficients."""
+    shift, coeffs = p.dense()
+    base = FieldContext(p.order, False)
     acc = Scalar.zero(target)
-    powers = {}
-    for e, c in sorted(p.terms.items()):
-        pw = powers.get(e)
-        if pw is None:
-            pw = q0 ** e
-            powers[e] = pw
-        coeff = Scalar(FieldContext(p.order, False), c).coerce(target)
-        acc = acc + coeff * pw
-    return acc
+    for c in reversed(coeffs):
+        acc = acc * q0
+        if c:
+            acc = acc + Scalar(base, c).coerce(target)
+    return acc * q0 ** shift if shift else acc
 
 
 def integer(n, ctx=QQ):
@@ -1043,7 +1038,7 @@ def is_plain_q(s):
     if not s.ctx.with_q:
         return False
     v = s.val
-    return _is_one(v.den) and list(v.num.terms.items()) == [(1, _base_one(v.order))]
+    return _is_one(v.den) and _is_one(v.num.shifted(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,15 @@ def test_degree_cap_exit_code():
         set_degree_cap(None)
 
 
+def test_degree_cap_holds_when_the_polynomials_are_cached():
+    assert run(["triangle", "--n", "9"]) == EXIT_PASS   # fills the q-binomial cache
+    set_degree_cap(3)
+    try:
+        assert run(["triangle", "--n", "9"]) == 4
+    finally:
+        set_degree_cap(None)
+
+
 def test_exit_codes_are_deterministic():
     first = run_cli("irr", "minors", "--n", "2", "--q", "1", "--lambda", "1,-1,1")
     second = run_cli("irr", "minors", "--n", "2", "--q", "1", "--lambda", "1,-1,1")
@@ -191,6 +200,18 @@ def test_json_reports_match_golden_files():
         got = dict(reports[0])
         del got["timing_ms"]
         assert got == json.loads((golden_dir / name).read_text()), name
+
+
+def test_function_field_reports_match_golden_file():
+    """`rep` and `irr` over Q(zeta_m)(q) and at non-monomial q, replayed
+    against recorded reports with their exit codes."""
+    import pathlib
+    path = pathlib.Path(__file__).parent / "golden" / "function_field_zeta_q.json"
+    for case in json.loads(path.read_text()):
+        code, reports = run_json(*case["argv"])
+        for report in reports:
+            del report["timing_ms"]
+        assert (code, reports) == (case["exit"], case["reports"]), case["argv"]
 
 
 def test_irr_analysis_at_symbolic_q():

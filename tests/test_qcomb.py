@@ -61,6 +61,13 @@ def test_q_triangular_power(ctx):
     assert lhs == sym("q^-2") == ctx.q ** (-(3 - 1) * 1)
 
 
+def test_triangular_exponent_identity():
+    # q_r q_(n-r) / q_n = q^(-(n-r)r), the identity behind cond_q.
+    for n in range(41):
+        for r in range(n + 1):
+            assert tri_exponent(r) + tri_exponent(n - r) - tri_exponent(n) == -(n - r) * r
+
+
 def test_tri_exponent_negative_indices():
     assert tri_exponent(-1) == 1
     assert tri_exponent(-2) == 3

@@ -3,6 +3,7 @@ functions, canonical strings."""
 
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -633,3 +634,113 @@ def test_coerce_between_cyclotomic_fields_is_a_ring_map(case):
     for i, c in enumerate(x.coeffs):
         image[i * (b // a)] += c
     assert lift(x).val.coeffs == reduce_oracle(image, b)
+
+
+# --- the stored form of LaurentPoly against a dict-of-base-field reference --------
+
+STORED_ORDERS = [1, 3, 4]
+
+
+def base_coeff_st(order):
+    """Base-field coefficients of Q(zeta_order), zero included."""
+    fractions = st.one_of(fractions_st, kernel_coeffs)
+    if order == 1:
+        return fractions
+    phi = len(phi_oracle(order)) - 1
+    return st.lists(st.one_of(st.just(Fraction(0)), fractions), min_size=phi, max_size=phi) \
+        .map(lambda c: Cyclotomic(order, tuple(c)))
+
+
+def terms_st(order, max_size=6):
+    return st.dictionaries(st.integers(-6, 6), base_coeff_st(order), max_size=max_size)
+
+
+def ref_trim(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return ref_trim(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return ref_trim(out)
+
+
+def assert_canonical(p):
+    assert type(p.coeffs) is tuple
+    if not p.coeffs:
+        assert (p.shift, p.den) == (0, 1)
+        return
+    assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    if p.order == 1:
+        assert all(type(c) is int for c in p.coeffs)
+        assert type(p.den) is int and p.den > 0
+        assert gcd(p.den, *p.coeffs) == 1
+    else:
+        assert p.den == 1
+        assert all(type(c) is Cyclotomic and c.order == p.order for c in p.coeffs)
+
+
+stored_case = st.sampled_from(STORED_ORDERS).flatmap(
+    lambda m: st.tuples(terms_st(m), terms_st(m), base_coeff_st(m), st.integers(-5, 5)))
+
+
+@given(stored_case)
+@settings(max_examples=150, deadline=None)
+def test_stored_form_operations_match_dict_reference(case):
+    ta, tb, c, k = case
+    order = c.order if isinstance(c, Cyclotomic) else 1
+    a, b = LaurentPoly(order, ta), LaurentPoly(order, tb)
+    ra, rb = ref_trim(ta), ref_trim(tb)
+    results = {
+        "a": (a, ra),
+        "+": (a + b, ref_add(ra, rb)),
+        "-": (a - b, ref_add(ra, {e: -v for e, v in rb.items()})),
+        "neg": (-a, {e: -v for e, v in ra.items()}),
+        "scale": (a.scale(c), ref_trim({e: v * c for e, v in ra.items()})),
+        "shifted": (a.shifted(k), {e + k: v for e, v in ra.items()}),
+        "*": (a * b, ref_mul(ra, rb)),
+    }
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert got.terms == want, name
+        again = LaurentPoly(order, got.terms)
+        assert again == got and hash(again) == hash(got), name
+    # Equal values reached by different routes are equal and hash equally.
+    for x, y in (((a + b) - b, a), (a * b, b * a), (a + a, a.scale(2))):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_function_field_one_hashes_like_an_equal_product():
+    ctx = function_field(3)
+    z = zeta(3).coerce(ctx)
+    one = Scalar.one(ctx)
+    assert one == z * z.inverse()
+    assert len({one, z * z.inverse()}) == 1
+    assert LaurentPoly(3, {0: ONE}) == LaurentPoly.one(3)
+    assert hash(LaurentPoly(3, {0: ONE, 2: Fraction(0)})) == hash(LaurentPoly.one(3))
+
+
+ratfunc_case = st.sampled_from(STORED_ORDERS).flatmap(
+    lambda m: st.tuples(st.just(m), terms_st(m, 4), terms_st(m, 3)))
+
+
+@given(ratfunc_case)
+@settings(max_examples=120, deadline=None)
+def test_parse_round_trip_of_random_rational_functions(case):
+    order, tn, td = case
+    den = LaurentPoly(order, td)
+    if den.is_zero():
+        return
+    ctx = function_field(order)
+    x = Scalar(ctx, RatFunc.make(LaurentPoly(order, tn), den))
+    assert parse_scalar(str(x)).coerce(ctx) == x
