@@ -10,15 +10,25 @@ is nonzero; G_r is the antidiagonal reflection of the shifted q-exponential
     F_(r,n)(q,lambda) = exp_(q)(sum (k+1)_q E_(k,k+1))
                         - q_(n-r) lambda_r (D_n(q) Lambda^#)^(-1),
 
-and a test proves the two routes agree.  Two exact oracles accompany the
+and a test proves the two routes agree.  Two oracles accompany the
 criterion: the commutant dimension (nullity of the stacked commutation system;
 1 iff operator irreducible) and the dimension of the unital algebra generated
 by the pair (full iff subspace irreducible over the algebraic closure).  Both
 are ranks of linear systems, hence independent of field extension.
+
+Each oracle tries a mod-p certificate before its exact route.  The generators
+are reduced to F_p by the ring map `scalar.residue` at the first (q0, p) pair
+of `_CERTIFICATE_PAIRS` where every entry reduces, and the rank is taken over
+F_p.  Rank never rises under a ring map, so a full algebra image proves the
+algebra full, and a zero (or, for a commutant, one-dimensional) nullity image
+proves the exact nullity.  Any other image, or no pair that reduces, leaves
+the answer to the exact route over the field, which is unchanged; reducibility
+is never concluded from an image.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,7 +39,7 @@ from .errors import (
     ShapeMismatch,
     SingularDiagonal,
 )
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, ModpSpan
 from .qcomb import QContext, concrete_q, q_int, q_tri
 from .rep import (
     build_representation,
@@ -38,7 +48,7 @@ from .rep import (
     sigma1_matrix,
     sigma2_matrix,
 )
-from .scalar import Scalar, integer, zeta
+from .scalar import Scalar, integer, residue, zeta
 from .structure import q_exp_nilpotent, t_matrix
 
 
@@ -140,8 +150,33 @@ def minor_criterion(rep, r):
 
 
 # ---------------------------------------------------------------------------
-# Exact oracles: commutant and generated-algebra dimensions.
+# Oracles: commutant and generated-algebra dimensions, certified mod p first.
 # ---------------------------------------------------------------------------
+
+# The (q0, p) pairs of the mod-p certificates, tried in order: the first pair
+# at which every generator entry reduces (`residue`) is the one used.  Each p
+# is a prime that is 1 modulo lcm(1..20) = 232792560, so Q(zeta_m) reduces for
+# every m <= 20 (and every m dividing that lcm); each q0 is a primitive root
+# mod p, so no q-integer (k)_q0 with 0 < k < p - 1 vanishes.  The later pairs
+# serve where an entry has a pole at an earlier q0 or a denominator that an
+# earlier p divides.
+_CERTIFICATE_PAIRS = ((100008, 1862340481), (100005, 1163962801), (100002, 232792561))
+
+
+def _reduced(matrices):
+    """(p, images as lists of int rows) at the first certificate pair where
+    every entry of every matrix reduces; None when no pair does."""
+    for q0, p in _CERTIFICATE_PAIRS:
+        images = []
+        for m in matrices:
+            image = [[residue(x, p, q0) for x in m.row(i)] for i in range(m.rows)]
+            if any(None in row for row in image):
+                break
+            images.append(image)
+        else:
+            return p, images
+    return None
+
 
 def commutant_dimension(rep):
     """Dimension and basis of {A : A sigma_i = sigma_i A, i = 1, 2}.
@@ -187,29 +222,59 @@ class _EchelonSpan:
         return True
 
 
-def burnside_dimension(rep):
-    """Dimension of the unital algebra generated by the two dressed generators,
-    by breadth-first span growth (words explored in insertion order, left
-    multiplication by sigma_1 then sigma_2)."""
-    size = rep.n + 1
-    full = size * size
-    ctx = rep.sigma1.ctx
-
-    def flat(m):
-        return [m[i, j] for i in range(size) for j in range(size)]
-
-    span = _EchelonSpan()
-    queue = []
-    for seed in (ExactMatrix.identity(size, ctx), rep.sigma1, rep.sigma2):
+def _span_of_words(one, gens, mul, flat, span, full):
+    """Grow `span` by the words in `gens` breadth-first (words explored in
+    insertion order, left multiplication by each generator in turn) until it
+    reaches dimension `full` or no word adds to it; returns its dimension."""
+    queue = deque()
+    for seed in (one, *gens):
         if span.insert(flat(seed)):
             queue.append(seed)
     while queue and span.dim < full:
-        current = queue.pop(0)
-        for gen in (rep.sigma1, rep.sigma2):
-            product = gen * current
+        current = queue.popleft()
+        for gen in gens:
+            product = mul(gen, current)
             if span.insert(flat(product)):
                 queue.append(product)
     return span.dim
+
+
+def burnside_dimension(rep):
+    """Dimension of the unital algebra generated by the two dressed generators.
+
+    The certificate comes first: the span of the words in sigma_1 and sigma_2
+    is grown mod p, at the first pair of `_CERTIFICATE_PAIRS` where both
+    generators reduce.  Rank never rises under that ring map, so an image that
+    reaches (n+1)^2 proves the algebra full.  Otherwise, or when no pair
+    reduces, the exact span over the field decides (`_burnside_exact`); a
+    deficient image never does.
+    """
+    size = rep.n + 1
+    full = size * size
+    reduced = _reduced((rep.sigma1, rep.sigma2))
+    if reduced is not None:
+        p, gens = reduced
+
+        def mul(a, b):
+            cols = list(zip(*b))
+            return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+        one = [[int(i == j) for j in range(size)] for i in range(size)]
+        dim = _span_of_words(one, gens, mul, lambda m: [x for row in m for x in row],
+                             ModpSpan(p, full), full)
+        if dim == full:
+            return full
+    return _burnside_exact(rep)
+
+
+def _burnside_exact(rep):
+    """The algebra dimension by exact span growth over the field of the
+    generators, in the order of `_span_of_words`."""
+    size = rep.n + 1
+    return _span_of_words(ExactMatrix.identity(size, rep.sigma1.ctx),
+                          (rep.sigma1, rep.sigma2), lambda a, b: a * b,
+                          lambda m: [m[i, j] for i in range(size) for j in range(size)],
+                          _EchelonSpan(), size * size)
 
 
 # ---------------------------------------------------------------------------
@@ -401,31 +466,74 @@ def n1_subspace_test(lam0, lam1):
 # ---------------------------------------------------------------------------
 
 def _intertwiner_basis(rep_a, rep_b):
-    """Exact basis of {C : sigma_i^A C = C sigma_i^B, i = 1, 2}: the nullspace
-    of the stacked linear system in the entries of C, each basis vector
-    rebuilt as a matrix and re-checked against both equations."""
+    """Exact basis of {C : sigma_i^A C = C sigma_i^B, i = 1, 2}.
+
+    The certificate comes first: the stacked linear system in the entries of
+    C is built from the generators reduced mod p (`_reduced`).  Its nullity
+    mod p bounds the exact nullity from above, so nullity 0 gives the empty
+    basis, and nullity 1 with sigma^A = sigma^B, where I is a solution, gives
+    [I].  Every other case runs the exact solver (`_intertwiner_basis_exact`).
+    """
     size = rep_a.n + 1
-    zero = Scalar.zero(rep_a.sigma1.ctx)
-    rows = []
-    for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)):
+    same = rep_a.sigma1 == rep_b.sigma1 and rep_a.sigma2 == rep_b.sigma2
+    gens = (rep_a.sigma1, rep_a.sigma2) if same else \
+        (rep_a.sigma1, rep_a.sigma2, rep_b.sigma1, rep_b.sigma2)
+    reduced = _reduced(gens)
+    if reduced is not None:
+        p, images = reduced
+        # images holds sigma_1, sigma_2 of A, then of B unless they are A's
+        pairs = tuple(zip(images[:2], images[-2:]))
+        # I solves the system when sigma^A = sigma^B, so its rank is at most
+        # size^2 - 1 there and the search stops on reaching that bound.
+        target = size * size - same
+        span = ModpSpan(p, size * size)
+        for row in _intertwiner_system(pairs, size, 0):
+            if span.insert(row) and span.dim == target:
+                break
+        if span.dim == size * size:
+            return []
+        if same and span.dim == target:
+            return [_checked_intertwiner(ExactMatrix.identity(size, rep_a.sigma1.ctx),
+                                         rep_a, rep_b)]
+    return _intertwiner_basis_exact(rep_a, rep_b)
+
+
+def _intertwiner_system(pairs, size, zero):
+    """The rows of the stacked system S^A C - C S^B = 0 in the entries of C,
+    C_(a,b) at column a*size + b, for each pair (S^A, S^B) of generator
+    matrices given as row lists."""
+    for sa, sb in pairs:
         for i in range(size):
             for j in range(size):
                 row = [zero] * (size * size)
                 for a in range(size):
                     # coefficient of C_(a,j) from (S^A C)_(i,j)
-                    row[a * size + j] = row[a * size + j] + sa[i, a]
+                    row[a * size + j] = row[a * size + j] + sa[i][a]
                 for b in range(size):
                     # coefficient of C_(i,b) from (C S^B)_(i,j)
-                    row[i * size + b] = row[i * size + b] - sb[b, j]
-                rows.append(row)
-    basis = []
-    for vec in ExactMatrix.from_rows(rows).nullspace():
-        mat = ExactMatrix.from_rows([[vec[i * size + j] for j in range(size)]
-                                     for i in range(size)])
-        if mat * rep_b.sigma1 != rep_a.sigma1 * mat or mat * rep_b.sigma2 != rep_a.sigma2 * mat:
-            raise AssertionError("intertwiner basis element fails its equations")
-        basis.append(mat)
-    return basis
+                    row[i * size + b] = row[i * size + b] - sb[b][j]
+                yield row
+
+
+def _checked_intertwiner(mat, rep_a, rep_b):
+    """mat, once checked against both intertwining equations."""
+    if mat * rep_b.sigma1 != rep_a.sigma1 * mat or mat * rep_b.sigma2 != rep_a.sigma2 * mat:
+        raise AssertionError("intertwiner basis element fails its equations")
+    return mat
+
+
+def _intertwiner_basis_exact(rep_a, rep_b):
+    """Exact basis of the intertwiners: the nullspace of the stacked system
+    over the field, each basis vector rebuilt as a matrix and re-checked
+    against both equations."""
+    size = rep_a.n + 1
+    pairs = tuple(([sa.row(i) for i in range(size)], [sb.row(i) for i in range(size)])
+                  for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)))
+    rows = list(_intertwiner_system(pairs, size, Scalar.zero(rep_a.sigma1.ctx)))
+    return [_checked_intertwiner(
+                ExactMatrix.from_rows([[vec[i * size + j] for j in range(size)]
+                                       for i in range(size)]), rep_a, rep_b)
+            for vec in ExactMatrix.from_rows(rows).nullspace()]
 
 
 def intertwiner_space(rep_a, rep_b):

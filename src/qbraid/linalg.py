@@ -344,6 +344,41 @@ def _gauss_jordan(m):
     return pivots, values
 
 
+class ModpSpan:
+    """Incremental row-echelon span of int vectors of one width over F_p.
+
+    `insert` reduces a vector by the stored rows in pivot order and keeps it,
+    scaled to a leading 1, when a nonzero entry is left; `dim` is then the
+    rank over F_p of everything inserted.  Each stored row keeps its support,
+    so reducing a vector touches only the row's nonzero entries; an entry is
+    taken mod p only when its column is reached, and reduction stops at the
+    first column without a pivot, which becomes the new row's pivot.
+    """
+
+    def __init__(self, p, width):
+        self.p = p
+        self.dim = 0
+        self._rows = [None] * width   # pivot column -> (row, support)
+
+    def insert(self, vec):
+        p, rows = self.p, self._rows
+        vec = list(vec)
+        for k, stored in enumerate(rows):
+            c = vec[k] % p
+            if not c:
+                continue
+            if stored is None:
+                inv = pow(c, -1, p)
+                row = [0] * k + [x * inv % p for x in vec[k:]]
+                rows[k] = (row, [j for j in range(k, len(row)) if row[j]])
+                self.dim += 1
+                return True
+            row, support = stored
+            for j in support:
+                vec[j] -= c * row[j]
+        return False
+
+
 def first_mismatch(a, b):
     """The first entry of equally shaped a and b, in row-major order, where
     they differ, as {"entry": [i, j], "lhs": str(a_ij), "rhs": str(b_ij)};

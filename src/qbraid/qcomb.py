@@ -149,13 +149,6 @@ def q_tri(j, ctx):
     return ctx.q ** tri_exponent(j)
 
 
-def q_triangular_power(n, ctx):
-    """q_n = q^(n(n-1)/2) for natural n."""
-    if n < 0:
-        raise ValueError("defined for n >= 0")
-    return q_tri(n, ctx)
-
-
 def q_binomial(n, k, ctx):
     """Gaussian polynomial C_n^k(q); zero outside 0 <= k <= n."""
     if n < 0:

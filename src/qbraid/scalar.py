@@ -22,6 +22,10 @@ conjugates over the rational norm.  Laurent polynomials with coefficients in
 Q(zeta_m) store a tuple of `Cyclotomic`s and run as plain schoolbook and
 Euclid loops, which also serve as the reference route for the kernel's tests.
 
+`residue` maps a scalar to F_p (q -> q0 over Q(zeta_m)(q), zeta -> a fixed
+primitive m-th root of unity mod p), the ring map behind the rank
+certificates of `irred`.
+
 Canonical form of a rational function: the denominator is an ordinary monic
 polynomial with nonzero constant term (all q-power content is pushed into the
 numerator, which may be a genuine Laurent polynomial), and numerator/denominator
@@ -65,6 +69,18 @@ def _check_degree(lo, hi):
     cap = _degree_cap.get()
     if cap is not None and max(abs(lo), abs(hi)) > cap:
         raise DegreeCapExceeded(f"symbolic degree {max(abs(lo), abs(hi))} exceeds cap {cap}")
+
+
+def _power(x, n, one):
+    """x^n for an int n >= 0 by square-and-multiply, from the identity `one`."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +237,7 @@ class Cyclotomic:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyclotomic.from_rational(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Cyclotomic.from_rational(self.order, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -382,14 +391,7 @@ class LaurentPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("LaurentPoly power must be nonnegative; invert via RatFunc")
-        result = LaurentPoly.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly.one(self.order))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -754,14 +756,7 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc.from_laurent(LaurentPoly.one(self.order))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RatFunc.from_laurent(LaurentPoly.one(self.order)))
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -1008,6 +1003,79 @@ def _eval_laurent(p, q0, target):
     return acc * q0 ** shift if shift else acc
 
 
+# ---------------------------------------------------------------------------
+# Reduction modulo a prime: the ring map behind the rank certificates.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def root_of_unity_mod(m, p):
+    """A primitive m-th root of unity modulo the prime p, the same one on every
+    call (from the least a >= 1 whose power a^((p-1)/m) has exact order m);
+    None when m does not divide p - 1, so that F_p has none."""
+    if (p - 1) % m:
+        return None
+    primes = [d for d in range(2, m + 1) if m % d == 0 and all(d % e for e in range(2, d))]
+    for a in range(1, p):
+        r = pow(a, (p - 1) // m, p)
+        if all(pow(r, m // d, p) != 1 for d in primes):
+            return r
+    return None
+
+
+def residue(x, p, q0):
+    """The image of the Scalar x in F_p, as an int in 0..p-1, or None when x
+    does not reduce.
+
+    Over Q a Fraction reduces unless p divides its denominator.  Over Q(zeta_m)
+    zeta goes to `root_of_unity_mod(m, p)`, so p must be 1 modulo m.  Over
+    Q(zeta_m)(q) q goes to q0 as well, and the residues of the numerator and
+    the denominator are divided; a zero denominator residue (a pole) or q0 = 0
+    gives None.  On the elements that reduce this is a ring homomorphism, so
+    the rank of a matrix of them is at least the rank of its image.
+    """
+    v = x.val
+    if not isinstance(v, RatFunc):
+        return _base_residue(v, p)
+    if q0 % p == 0:
+        return None
+    den = _laurent_residue(v.den, p, q0)
+    if not den:
+        return None
+    num = _laurent_residue(v.num, p, q0)
+    return None if num is None else num * pow(den, -1, p) % p
+
+
+def _base_residue(c, p):
+    """The residue of a Fraction or a Cyclotomic; None when it does not reduce."""
+    if isinstance(c, Cyclotomic):
+        root = root_of_unity_mod(c.order, p)
+        if root is None:
+            return None
+        den, ints = _cyclotomic_ints(c)
+        acc = 0
+        for a in reversed(ints):
+            acc = (acc * root + a) % p
+    else:
+        den, acc = c.denominator, c.numerator
+    if den % p == 0:
+        return None
+    return acc * pow(den, -1, p) % p
+
+
+def _laurent_residue(lp, p, q0):
+    """The residue of a Laurent polynomial at q = q0 (q0 a unit mod p)."""
+    acc = 0
+    for c in reversed(lp.coeffs):
+        if lp.order != 1:
+            c = _base_residue(c, p)
+            if c is None:
+                return None
+        acc = (acc * q0 + c) % p
+    if lp.den % p == 0:
+        return None
+    return acc * pow(q0, lp.shift, p) * pow(lp.den, -1, p) % p
+
+
 def integer(n, ctx=QQ):
     return Scalar.of_fraction(Fraction(n), ctx)
 
@@ -1147,6 +1215,9 @@ def format_scalar(s):
     return format_ratfunc(v)
 
 
+_DIGITS = "0123456789"
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
@@ -1162,16 +1233,16 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < n and t[j].isdigit():
+                while j < n and t[j] in _DIGITS:
                     j += 1
                 self.toks.append(("INT", int(t[i:j]), i))
                 i = j
                 continue
             if ch.isalpha():
                 j = i
-                while j < n and (t[j].isalpha() or t[j].isdigit()):
+                while j < n and (t[j].isalpha() or t[j] in _DIGITS):
                     j += 1
                 self.toks.append(("NAME", t[i:j], i))
                 i = j
@@ -1221,7 +1292,11 @@ def _scan_context(toks):
 
 
 def parse_scalar(text):
-    """Parse the canonical scalar grammar into a Scalar in its minimal context."""
+    """Parse the canonical scalar grammar into a Scalar in its minimal context.
+
+    Any text that is not a well-formed spec, a division by zero or a negative
+    power of zero included, raises ParseError.
+    """
     toks = _Tokens(text)
     ctx = _scan_context(toks)
 
@@ -1246,10 +1321,10 @@ def parse_scalar(text):
                 toks.next()
                 node = node * parse_unary()
             elif kind == "/":
-                toks.next()
+                _, _, pos = toks.next()
                 d = parse_unary()
                 if d.is_zero():
-                    raise DivisionByZero("division by zero in scalar spec")
+                    raise ParseError("division by zero", pos)
                 node = node / d
             else:
                 return node
@@ -1265,7 +1340,7 @@ def parse_scalar(text):
         node = parse_atom()
         kind, _, _ = toks.peek()
         if kind == "^":
-            toks.next()
+            _, _, caret = toks.next()
             sign = 1
             kind, value, pos = toks.next()
             if kind == "-":
@@ -1273,6 +1348,8 @@ def parse_scalar(text):
                 kind, value, pos = toks.next()
             if kind != "INT":
                 raise ParseError("exponent must be an integer", pos)
+            if sign < 0 and value and node.is_zero():
+                raise ParseError("negative power of zero", caret)
             node = node ** (sign * value)
         return node
 
@@ -1305,7 +1382,10 @@ def parse_scalar(text):
             raise ParseError(f"unknown name {value!r}", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
 
-    node = parse_expr()
+    try:
+        node = parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
     kind, value, pos = toks.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {value!r}", pos)

@@ -145,6 +145,11 @@ def test_usage_errors():
     assert run(["rep", "verify", "--n", "1", "--q", "q%"]) == EXIT_USAGE
 
 
+def test_spec_that_fails_to_parse_is_a_usage_error():
+    # a non-ASCII digit used to escape the parser as a ValueError
+    assert run_cli("rep", "verify", "--n", "1", "--q", "2\u00b2") == (EXIT_USAGE, "")
+
+
 def test_cond_q_violation_is_a_failure():
     assert run(["rep", "verify", "--n", "2", "--q", "1",
                 "--lambda", "1,1,2"]) == EXIT_FAIL

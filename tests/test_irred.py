@@ -1,6 +1,7 @@
 """Irreducibility machinery: criterion matrices, minors, oracles, witnesses,
 catalogs, intertwiners."""
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,10 +13,15 @@ from qbraid.errors import (
     NotAReduciblePoint,
     ShapeMismatch,
 )
+from qbraid import irred
 from qbraid.linalg import ExactMatrix
-from qbraid.qcomb import concrete_q, symbolic_q
+from qbraid.qcomb import QContext, concrete_q, symbolic_q
 from qbraid.rep import build_representation, factored_spec, raw_spec
 from qbraid.irred import (
+    _CERTIFICATE_PAIRS,
+    _burnside_exact,
+    _intertwiner_basis,
+    _intertwiner_basis_exact,
     FMatrixSpec,
     analyze,
     burnside_dimension,
@@ -33,7 +39,17 @@ from qbraid.irred import (
     root_of_unity_reducibility,
     suspected_catalog,
 )
-from qbraid.scalar import QQ, Scalar, integer, parse_scalar, q_symbol, rational, zeta
+from qbraid.scalar import (
+    QQ,
+    Scalar,
+    integer,
+    join_context,
+    parse_scalar,
+    q_symbol,
+    rational,
+    root_of_unity_mod,
+    zeta,
+)
 
 from conftest import random_factored_lambda
 
@@ -461,3 +477,201 @@ def test_minor_criterion_degenerate_counterexample_is_pinned():
     assert witness * rep.sigma1 == rep.sigma1 * witness
     assert witness * rep.sigma2 == rep.sigma2 * witness
     assert analyze(rep).verdict == "operator-reducible"
+
+
+# --- mod-p certificates ----------------------------------------------------------------------
+
+def reps_under_test():
+    """The representations with n <= 4 that this file and the acceptance suite
+    build, plus a seeded sample of the acceptance suite's random points."""
+    one = Scalar.one(QQ)
+    sym = symbolic_q()
+    one_sym = Scalar.one(sym.q.ctx)
+    z6 = zeta(6)
+    reps = [rep_q1(v) for v in ([1], [1, 1], [1, 1, 1], [1, -1, 1], [1, 2, 1, 2], [1, 1, 1, 1],
+                                [1, -1, 1, -1], [1, -1, 1, -1, 1], [1, 1, 1, 1, 1],
+                                [1, 2, -2, 2, 4])]
+    reps.append(rep_q1([Scalar.one(z6.ctx), z6]))
+    reps += [build_representation(factored_spec(2, concrete_q(integer(q)), (one,) * 3))
+             for q in (-1, 2, 3, -2)]
+    reps += [build_representation(factored_spec(3, concrete_q(integer(q)), (one,) * 4))
+             for q in (2, 3, 4)]
+    reps += [catalog_rep(e) for n in (2, 3, 4) for e in suspected_catalog(n)]
+    for n, s in ((2, 2), (3, 3), (4, 4), (4, 2)):
+        ctx = concrete_q(zeta(s))
+        reps.append(build_representation(
+            factored_spec(n, ctx, (Scalar.one(zeta(s).ctx),) * (n + 1))))
+    rng = random.Random(20260808)
+    for qctx in (sym, concrete_q(integer(2)), concrete_q(integer(1))):
+        o = Scalar.one(qctx.q.ctx)
+        for n in range(0, 5):
+            reps.append(build_representation(factored_spec(n, qctx, (o,) * (n + 1))))
+            if n <= (2 if qctx is sym else 4):
+                reps.append(build_representation(factored_spec(
+                    n, qctx, random_factored_lambda(rng, n, qctx.q.ctx))))
+    reps.append(build_representation(factored_spec(2, sym, (one_sym, -one_sym, one_sym))))
+    rng = random.Random(1111)
+    for _ in range(8):
+        n = rng.randint(2, 4)
+        lam = random_factored_lambda(rng, n, QQ, wide=True)
+        reps.append(build_representation(raw_spec(n, concrete_q(integer(1)), lam)))
+    return reps
+
+
+def intertwiner_pairs_under_test():
+    from qbraid.structure import TWParams, tw_matrices
+    one = Scalar.one(QQ)
+
+    def ones(n, q):
+        return build_representation(factored_spec(n, concrete_q(integer(q)), (one,) * (n + 1)))
+
+    pairs = [(ones(2, a), ones(2, b)) for a, b in ((1, 2), (2, 3), (1, -1), (2, -2))]
+    pairs += [(ones(3, a), ones(3, b)) for a, b in ((2, 3), (2, 4), (2, -2))]
+    lam = (integer(1), integer(2), integer(4))
+    tw1, tw2 = tw_matrices(TWParams(3, lam))
+    ours = build_representation(raw_spec(2, QContext(lam[0] * lam[2] / (lam[1] * lam[1])), lam))
+    pairs.append((PairShim(2, tw1, tw2), ours))
+    rep = rep_q1([1, -1, 1])
+    pairs.append((rep, rep_q1([1, -1, 1])))
+    return pairs
+
+
+def exact_route(monkeypatch):
+    """Make the oracles skip the certificate, so they run the exact route."""
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ())
+
+
+def test_certified_and_exact_routes_agree(monkeypatch):
+    reps = reps_under_test()
+    certified = [(burnside_dimension(rep), commutant_dimension(rep), analyze(rep).to_payload())
+                 for rep in reps]
+    for rep, (bdim, (cdim, basis), _) in zip(reps, certified):
+        assert bdim == _burnside_exact(rep)
+        assert basis == _intertwiner_basis_exact(rep, rep) and cdim == len(basis)
+    pairs = intertwiner_pairs_under_test()
+    certified_pairs = [_intertwiner_basis(a, b) for a, b in pairs]
+    for (a, b), basis in zip(pairs, certified_pairs):
+        assert basis == _intertwiner_basis_exact(a, b)
+    exact_route(monkeypatch)
+    assert [analyze(rep).to_payload() for rep in reps] == [c[2] for c in certified]
+    verdicts = {c[2]["verdict"] for c in certified}
+    assert verdicts == {"operator-irreducible", "operator-reducible",
+                        "subspace-reducible-witnessed"}
+
+
+def test_certificate_decides_irreducible_points_alone(monkeypatch):
+    # At irreducible points over Q, Q(q) and Q(zeta_5) the certificate decides
+    # both oracles, and the exact commutant basis there is exactly [I].
+    one = Scalar.one(QQ)
+    z5 = zeta(5)
+    sym = symbolic_q()
+    reps = [build_representation(factored_spec(3, concrete_q(integer(2)), (one,) * 4)),
+            build_representation(factored_spec(2, sym, (Scalar.one(sym.q.ctx),) * 3)),
+            build_representation(factored_spec(3, concrete_q(z5), (Scalar.one(z5.ctx),) * 4))]
+    for rep in reps:
+        eye = ExactMatrix.identity(rep.n + 1, rep.sigma1.ctx)
+        assert _intertwiner_basis_exact(rep, rep) == [eye]
+
+    def refuse(*args):
+        raise AssertionError("the exact route ran")
+
+    monkeypatch.setattr(irred, "_burnside_exact", refuse)
+    monkeypatch.setattr(irred, "_intertwiner_basis_exact", refuse)
+    for rep in reps:
+        eye = ExactMatrix.identity(rep.n + 1, rep.sigma1.ctx)
+        assert commutant_dimension(rep) == (1, [eye])
+        assert analyze(rep).verdict == "operator-irreducible"
+        assert analyze(rep).burnside_dim == (rep.n + 1) ** 2
+    a, b = (build_representation(factored_spec(2, concrete_q(integer(q)), (one,) * 3))
+            for q in (1, 2))
+    assert intertwiner_space(a, b)["status"] == "inequivalent"
+
+
+def pole_rep():
+    # lambda' = (1, t, t^2) with t = 1/(q - 3): every pair with q0 = 3 is a pole
+    sym = symbolic_q()
+    q = sym.q
+    t = (q - integer(3, q.ctx)).inverse()
+    return build_representation(factored_spec(2, sym, (Scalar.one(q.ctx), t, t * t)))
+
+
+P0 = _CERTIFICATE_PAIRS[0][1]
+
+
+@pytest.mark.parametrize("make_rep,pairs", [
+    (pole_rep, ((3, P0),)),
+    (lambda: rep_q1([integer(1), rational(1, 7)]), ((2, 7),)),
+    (lambda: rep_q1([integer(1), rational(1, 7), rational(1, 49)]), ((2, 7),)),
+    # deficient images: q0 = 1 is the reducible point lambda = (1, -1, 1) of
+    # the symbolic family, and mod 2 both images of the q = 1 point drop rank
+    (lambda: build_representation(factored_spec(
+        2, symbolic_q(), tuple(integer(v, q_symbol().ctx) for v in (1, -1, 1)))), ((1, P0),)),
+    (lambda: rep_q1([1, 1, 1]), ((2, 2),)),
+], ids=["pole", "denominator-1", "denominator-2", "deficient-symbolic", "deficient-mod-2"])
+def test_bad_certificate_pairs_fall_back_to_the_exact_answer(monkeypatch, make_rep, pairs):
+    rep = make_rep()
+    exact_route(monkeypatch)
+    expected = analyze(rep).to_payload(), commutant_dimension(rep)
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", pairs)
+    assert (analyze(rep).to_payload(), commutant_dimension(rep)) == expected
+    assert expected[0]["verdict"] == "operator-irreducible"
+
+
+def test_first_pair_that_reduces_is_used(monkeypatch):
+    # a pole at the first pair moves the certificate to the second, which
+    # decides alone
+    rep = pole_rep()
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((3, P0), _CERTIFICATE_PAIRS[0]))
+
+    def refuse(*args):
+        raise AssertionError("the exact route ran")
+
+    monkeypatch.setattr(irred, "_burnside_exact", refuse)
+    monkeypatch.setattr(irred, "_intertwiner_basis_exact", refuse)
+    assert analyze(rep).verdict == "operator-irreducible"
+
+
+def test_certificate_primes_and_roots():
+    sympy = pytest.importorskip("sympy")
+    assert len({p for _, p in _CERTIFICATE_PAIRS}) == len(_CERTIFICATE_PAIRS)
+    for q0, p in _CERTIFICATE_PAIRS:
+        assert sympy.isprime(p)
+        assert sympy.n_order(q0, p) == p - 1
+        for m in range(1, 21):
+            root = root_of_unity_mod(m, p)
+            assert sympy.n_order(root, p) == m, (m, p)
+        assert root_of_unity_mod(23, p) is None
+
+
+TW_Q_VALUES = ["1", "-1", "2", "1/3", "-8", "zeta(3)", "zeta(4)", "zeta(6)"]
+
+
+def tw_irreducible(lam):
+    """Tuba-Wenzl: in dimension 2, irreducible iff l0^2 - l0 l1 + l1^2 != 0;
+    in dimension 3, iff li^2 + lj lk != 0 for each i."""
+    if len(lam) == 2:
+        l0, l1 = lam
+        return not (l0 * l0 - l0 * l1 + l1 * l1).is_zero()
+    return all(not (lam[i] * lam[i] + lam[j] * lam[k]).is_zero()
+               for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+
+
+def test_oracles_match_tuba_wenzl_in_dimensions_2_and_3():
+    outcomes = set()
+    for q_text in TW_Q_VALUES:
+        q = parse_scalar(q_text)
+        ctx = join_context(q.ctx, zeta(6).ctx)
+        qc = QContext(q.coerce(ctx))
+        one = Scalar.one(ctx)
+        ts = [one, -one, integer(2, ctx), integer(-4, ctx), rational(1, 2, ctx),
+              zeta(3).coerce(ctx), zeta(6).coerce(ctx), -zeta(3).coerce(ctx), qc.q]
+        reps = [build_representation(raw_spec(1, qc, (one, t))) for t in ts]
+        reps += [build_representation(factored_spec(2, qc, (one, t, t * t))) for t in ts]
+        for rep in reps:
+            irreducible = tw_irreducible(rep.lam_raw)
+            report = analyze(rep)
+            assert (report.burnside_dim == (rep.n + 1) ** 2) == irreducible, \
+                (q_text, [str(v) for v in rep.lam_raw])
+            assert (report.verdict == "operator-irreducible") == irreducible
+            outcomes.add((rep.n, irreducible))
+    assert outcomes == {(1, True), (1, False), (2, True), (2, False)}

@@ -16,7 +16,6 @@ from qbraid.qcomb import (
     q_int,
     q_pochhammer,
     q_tri,
-    q_triangular_power,
     symbolic_q,
     triangle_row,
     tri_exponent,
@@ -53,9 +52,9 @@ def test_q_pochhammer(ctx):
 
 
 def test_q_triangular_power(ctx):
-    assert q_triangular_power(0, ctx) == ctx.one()
-    assert q_triangular_power(1, ctx) == ctx.one()
-    assert q_triangular_power(3, ctx) == sym("q^3")
+    assert q_tri(0, ctx) == ctx.one()
+    assert q_tri(1, ctx) == ctx.one()
+    assert q_tri(3, ctx) == sym("q^3")
     # q_(1,3) = q_1 q_2 / q_3 = q^-2
     lhs = q_tri(1, ctx) * q_tri(2, ctx) / q_tri(3, ctx)
     assert lhs == sym("q^-2") == ctx.q ** (-(3 - 1) * 1)

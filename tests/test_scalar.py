@@ -35,6 +35,8 @@ from qbraid.scalar import (
     parse_scalar,
     q_symbol,
     rational,
+    residue,
+    root_of_unity_mod,
     set_degree_cap,
     zeta,
 )
@@ -345,6 +347,29 @@ def test_parse_examples():
     assert parse_scalar("zeta(3)") == zeta(3)
     assert parse_scalar("-1") == integer(-1)
     assert parse_scalar("(q^2-1)/(q-1)") == Scalar.one(q.ctx) + q
+
+
+SPEC_TOKENS = ["q", "zeta", "zeta3", "zeta4", "zeta(6)", "(", ")", "^", "-", "+", "*", "/",
+               "0", "1", "2", "7", "x", "\u00b2", "\u0663", "zeta\u00b2", "!"]
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(SPEC_TOKENS), max_size=14).map(" ".join)))
+@example("1/0")
+@example("0^-1")
+@example("(q-q)^-2")
+@example("\u00b2")
+@example("zeta\u00b2")
+@example("(" * 500 + "1" + ")" * 500)
+@example("-" * 5000 + "1")
+@settings(max_examples=300, deadline=None)
+def test_parser_raises_only_parse_errors(text):
+    # Every text either parses to a Scalar or raises ParseError; single-digit
+    # tokens joined by spaces keep exponents small, so no input runs for long.
+    try:
+        value = parse_scalar(text)
+    except ParseError:
+        return
+    assert isinstance(value, Scalar)
 
 
 def test_parse_errors_carry_position():
@@ -744,3 +769,54 @@ def test_parse_round_trip_of_random_rational_functions(case):
     ctx = function_field(order)
     x = Scalar(ctx, RatFunc.make(LaurentPoly(order, tn), den))
     assert parse_scalar(str(x)).coerce(ctx) == x
+
+
+# --- reduction modulo a prime --------------------------------------------------------------
+
+RESIDUE_PAIRS = [(100008, 1862340481), (5, 13)]   # 13 = 1 (mod 3) and (mod 4)
+
+
+@given(st.sampled_from(STORED_ORDERS).flatmap(lambda m: st.tuples(
+    st.just(m), terms_st(m, 3), terms_st(m, 2), terms_st(m, 3), terms_st(m, 2))),
+    st.sampled_from(RESIDUE_PAIRS))
+@settings(max_examples=80, deadline=None)
+def test_residue_is_a_ring_map(case, pair):
+    q0, p = pair
+    order, values = case[0], []
+    for tn, td in (case[1:3], case[3:5]):
+        den = LaurentPoly(order, td)
+        if den.is_zero():
+            return
+        values.append(Scalar(function_field(order), RatFunc.make(LaurentPoly(order, tn), den)))
+    x, y = values
+    rx, ry = residue(x, p, q0), residue(y, p, q0)
+    for combined, expected in ((x + y, None if None in (rx, ry) else (rx + ry) % p),
+                               (x * y, None if None in (rx, ry) else rx * ry % p)):
+        got = residue(combined, p, q0)
+        if got is not None and expected is not None:
+            assert got == expected
+    # the same map on the constant field: q plays no part
+    for c in (x, y):
+        if c.is_zero() or not c.val.is_polynomial() or c.val.num.max_exp() or c.val.num.min_exp():
+            continue
+        base = Scalar(FieldContext(c.ctx.order), c.val.num.lead())
+        assert residue(base, p, q0) == residue(c, p, q0)
+
+
+def test_residue_examples():
+    p = 13
+    assert residue(rational(3, 4), p, 5) == 3 * pow(4, -1, p) % p
+    assert residue(rational(1, 13), p, 5) is None
+    z = zeta(3)
+    root = root_of_unity_mod(3, p)
+    assert pow(root, 3, p) == 1 and root != 1
+    assert residue(z, p, 5) == root
+    assert residue(z * z + z + Scalar.one(z.ctx), p, 5) == 0
+    assert residue(zeta(5), p, 5) is None          # 5 does not divide 12
+    q = q_symbol()
+    one = Scalar.one(q.ctx)
+    assert residue(q, p, 5) == 5
+    assert residue(q ** -2, p, 5) == pow(25, -1, p)
+    assert residue(one / (q - integer(5, q.ctx)), p, 5) is None   # a pole
+    assert residue(one / (q - integer(5, q.ctx)), p, 6) == 1
+    assert residue(q, p, 13) is None               # q0 = 0 mod p
