@@ -3,11 +3,11 @@
 The benchmark in `perfbench/` times short seeded sessions; this harness runs
 the jobs at the edge of what the program can do, one process each, and
 records for every job its wall time, its exit code and whether it hit the
-deadline.  A job that hits the deadline is killed and recorded as a timeout
-(exit null), never as a pass or a failure.
+deadline of DEADLINE_S seconds.  A job that hits the deadline is killed and
+recorded as a timeout (exit null), never as a pass or a failure.
 
     python3 bench/frontier.py --out frontier.json
-    python3 bench/frontier.py --src /path/to/other/checkout/src --deadline 60 --out old.json
+    python3 bench/frontier.py --src /path/to/other/checkout/src --out old.json
 
 Run from the checkout root; --src picks the source tree whose `qbraid` runs
 (default: this checkout's src/).
@@ -26,6 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Seconds each job may run before it is killed.
+DEADLINE_S = 120.0
+
 JOBS = [
     ["irr", "minors", "--n", "8", "--q", "2"],
     ["irr", "minors", "--n", "10", "--q", "2"],
@@ -38,7 +41,7 @@ JOBS = [
 _PAYLOAD_FIELDS = ("verdict", "commutant_dim", "burnside_dim")
 
 
-def run_job(argv, src, deadline):
+def run_job(argv, src):
     """One job in a fresh interpreter; returns its record."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "qbraid.cli", *argv, "--json"]
@@ -46,7 +49,7 @@ def run_job(argv, src, deadline):
     started = time.perf_counter()
     try:
         done = subprocess.run(command, env=env, capture_output=True, text=True,
-                              timeout=deadline)
+                              timeout=DEADLINE_S)
     except subprocess.TimeoutExpired:
         record.update(wall_s=round(time.perf_counter() - started, 3), exit=None,
                       timed_out=True)
@@ -69,19 +72,17 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source tree holding the qbraid package")
-    parser.add_argument("--deadline", type=float, default=120.0,
-                        help="seconds each job may run before it is killed")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     if not (src / "qbraid" / "cli.py").is_file():
         parser.error(f"no qbraid package under {src}")
     records = []
     for job in JOBS:
-        record = run_job(job, src, args.deadline)
+        record = run_job(job, src)
         records.append(record)
         outcome = "timeout" if record["timed_out"] else f"exit {record['exit']}"
         print(f"{' '.join(job):28} {record['wall_s']:9.3f} s  {outcome}", flush=True)
-    doc = {"deadline_s": args.deadline,
+    doc = {"deadline_s": DEADLINE_S,
            "machine": {"python": platform.python_version(), "system": platform.system(),
                        "machine": platform.machine(), "cpus": os.cpu_count()},
            "jobs": records}

@@ -476,13 +476,10 @@ def _intertwiner_basis(rep_a, rep_b):
     """
     size = rep_a.n + 1
     same = rep_a.sigma1 == rep_b.sigma1 and rep_a.sigma2 == rep_b.sigma2
-    gens = (rep_a.sigma1, rep_a.sigma2) if same else \
-        (rep_a.sigma1, rep_a.sigma2, rep_b.sigma1, rep_b.sigma2)
-    reduced = _reduced(gens)
+    reduced = _reduced((rep_a.sigma1, rep_a.sigma2, rep_b.sigma1, rep_b.sigma2))
     if reduced is not None:
         p, images = reduced
-        # images holds sigma_1, sigma_2 of A, then of B unless they are A's
-        pairs = tuple(zip(images[:2], images[-2:]))
+        pairs = tuple(zip(images[:2], images[2:]))
         # I solves the system when sigma^A = sigma^B, so its rank is at most
         # size^2 - 1 there and the search stops on reaching that bound.
         target = size * size - same
