@@ -14,13 +14,15 @@ parts.  A Laurent polynomial over Q is stored in the kernel's form, a q-shift,
 a positive denominator and a tuple of ints, kept canonical so that equality
 and hashing compare the stored fields; every operation reads and writes that
 form, and its `terms` dict (exponent -> Fraction) is derived for printing.  A
-cyclotomic number converts its Fractions to a common denominator and ints per
-operation; a product is reduced modulo the monic Phi_m by the same integer
-division; a Galois conjugate or an embedding Q(zeta_a) -> Q(zeta_b) relabels
-the powers of zeta and reduces; an inverse is the product of the other
-conjugates over the rational norm.  Laurent polynomials with coefficients in
-Q(zeta_m) store a tuple of `Cyclotomic`s and run as plain schoolbook and
-Euclid loops, which also serve as the reference route for the kernel's tests.
+cyclotomic number is stored the same way, a positive denominator and a tuple
+of ints in the power basis of zeta, and its `coeffs` Fractions are derived; a
+sum aligns the denominators; a product is an integer product reduced modulo
+the monic Phi_m by the same integer division; a Galois conjugate or an
+embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; an
+inverse is the product of the other conjugates over the rational norm.
+Laurent polynomials with coefficients in Q(zeta_m) store a tuple of
+`Cyclotomic`s and run as plain schoolbook and Euclid loops, which also serve
+as the reference route for the kernel's tests.
 
 `residue` maps a scalar to F_p (q -> q0 over Q(zeta_m)(q), zeta -> a fixed
 primitive m-th root of unity mod p), the ring map behind the rank
@@ -108,26 +110,31 @@ def euler_phi(m):
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _cyclotomic_from(order, den, ints):
-    """The Cyclotomic sum(ints[i] * zeta^i) / den, reduced modulo Phi_order.
+def _cyclotomic(order, den, ints):
+    """The canonical Cyclotomic sum(ints[i] * zeta^i) / den, den a positive int.
 
-    Phi_order is monic, so the pseudo-division never scales and is exact.
+    A list longer than phi(order) is reduced modulo Phi_order, which is monic,
+    so the pseudo-division never scales and is exact.  Then trailing zeros are
+    trimmed and den is made coprime to the ints.
     """
     mod = cyclotomic_polynomial(order)
-    phi = len(mod) - 1
-    if len(ints) > phi:
+    if len(ints) >= len(mod):
         ints = _int_pdivmod(ints, mod)[2]
-    if den == 1:
-        coeffs = [Fraction(c) if c else _ZERO for c in ints]
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if not n:
+        den, ints = 1, ()
     else:
-        coeffs = [Fraction(c, den) if c else _ZERO for c in ints]
-    return Cyclotomic(order, tuple(coeffs) + (_ZERO,) * (phi - len(coeffs)))
-
-
-def _cyclotomic_ints(c):
-    """(den, ints) with c = sum(ints[i] * zeta^i) / den."""
-    den = _common_den(c.coeffs)
-    return den, [a.numerator * (den // a.denominator) for a in c.coeffs]
+        ints = tuple(ints[:n])
+        if den != 1:
+            g = _int_gcd(den, *ints)
+            if g != 1:
+                den //= g
+                ints = tuple(c // g for c in ints)
+    c = object.__new__(Cyclotomic)
+    c.order, c.den, c.ints = order, den, ints
+    return c
 
 
 def _relabel(c, order, step):
@@ -135,40 +142,52 @@ def _relabel(c, order, step):
     Phi_order: the Galois conjugate sigma_step when order == c.order and step
     is coprime to it, the embedding Q(zeta_a) -> Q(zeta_order) when
     step == order / a."""
-    den, ints = _cyclotomic_ints(c)
     out = [0] * order
-    for i, a in enumerate(ints):
+    for i, a in enumerate(c.ints):
         if a:
             out[i * step % order] += a
-    return _cyclotomic_from(order, den, out)
+    return _cyclotomic(order, c.den, out)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_m), m >= 3, reduced modulo Phi_m.
+    """An element of Q(zeta_m), m >= 3, in the integer kernel's form.
 
-    Coefficients are Fractions in the power basis 1, zeta, ..., zeta^(phi(m)-1).
+    The value is sum(ints[i] * zeta^i) / den in the power basis 1, zeta, ...,
+    zeta^(phi(m)-1): ints is a tuple of at most phi(m) ints with no trailing
+    zero, den > 0 and gcd(den, *ints) == 1, and zero is (den 1, ()).  The form
+    is unique, so equality and hashing compare the stored fields.  `coeffs`
+    is a derived view, phi(m) Fractions.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "den", "ints")
 
     def __init__(self, order, coeffs):
-        self.order = order
-        self.coeffs = coeffs
+        """sum(coeffs[i] * zeta^i), the coeffs Fractions or ints."""
+        den = _common_den(coeffs)
+        c = _cyclotomic(order, den, [a.numerator * (den // a.denominator) for a in coeffs])
+        self.order, self.den, self.ints = order, c.den, c.ints
 
     @classmethod
     def from_rational(cls, order, value):
-        phi = euler_phi(order)
-        return cls(order, (Fraction(value),) + (_ZERO,) * (phi - 1))
+        """The rational value (an int or a Fraction) in Q(zeta_order)."""
+        return _cyclotomic(order, value.denominator, (value.numerator,))
 
     @classmethod
     def zeta_power(cls, order, k):
-        return _cyclotomic_from(order, 1, [0] * (k % order) + [1])
+        return _cyclotomic(order, 1, [0] * (k % order) + [1])
+
+    @property
+    def coeffs(self):
+        """A derived view: the phi(m) power-basis coefficients as Fractions."""
+        phi = euler_phi(self.order)
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.ints) + (_ZERO,) * (phi - len(self.ints))
 
     def is_zero(self):
-        return all(not c for c in self.coeffs)
+        return not self.ints
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.ints)
 
     def _lift(self, other):
         if isinstance(other, Cyclotomic):
@@ -179,51 +198,82 @@ class Cyclotomic:
             return Cyclotomic.from_rational(self.order, other)
         return NotImplemented
 
+    def _plus(self, den, ints):
+        """self + sum(ints[i] * zeta^i) / den, over a common denominator."""
+        a = self.ints
+        if den != self.den:
+            common = _int_lcm(den, self.den)
+            if common != self.den:
+                a = [c * (common // self.den) for c in a]
+            if common != den:
+                ints = [c * (common // den) for c in ints]
+            den = common
+        if len(a) < len(ints):
+            a, ints = ints, a
+        out = list(a)
+        for i, c in enumerate(ints):
+            out[i] += c
+        return _cyclotomic(self.order, den, out)
+
     def __add__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        return self._plus(other.den, other.ints)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return _cyclotomic(self.order, self.den, [-a for a in self.ints])
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if not other.ints:
+            return self
+        return self._plus(other.den, [-a for a in other.ints])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Cyclotomic):
+            if other.order != self.order:
+                raise FieldMismatch("cyclotomic orders differ")
+            if not self.ints or not other.ints:
+                return _cyclotomic(self.order, 1, ())
+            return _cyclotomic(self.order, self.den * other.den, _int_mul(self.ints, other.ints))
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Cyclotomic(self.order, tuple(a * f for a in self.coeffs))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        if other.order != self.order:
-            raise FieldMismatch("cyclotomic orders differ")
-        da, ia = _cyclotomic_ints(self)
-        db, ib = _cyclotomic_ints(other)
-        return _cyclotomic_from(self.order, da * db, _int_mul(ia, ib))
+            num = other.numerator
+            return _cyclotomic(self.order, self.den * other.denominator,
+                               [a * num for a in self.ints])
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Inverse as the product of the other Galois conjugates over the
         rational norm."""
-        if self.is_zero():
+        if not self.ints:
             raise DivisionByZero("inverse of zero cyclotomic")
         m = self.order
-        conj = Cyclotomic.from_rational(m, 1)
+        # Conjugates of the numerator polynomial sum(ints[i] * zeta^i) alone,
+        # so no product carries a denominator.  Q(zeta_m) has no real
+        # embedding for m >= 3, so the norm, a product of |sigma(num)|^2, is
+        # positive.
+        num = _cyclotomic(m, 1, self.ints)
+        conj = None
         for k in range(2, m):
             if _int_gcd(k, m) == 1:
-                conj = conj * _relabel(self, m, k)
-        return conj * (_ONE / (self * conj).coeffs[0])
+                c = _relabel(num, m, k)
+                conj = c if conj is None else conj * c
+        norm = (num * conj).ints[0]
+        return _cyclotomic(m, norm, [self.den * a for a in conj.ints])
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -237,23 +287,24 @@ class Cyclotomic:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return _power(self, n, Cyclotomic.from_rational(self.order, 1))
+        return _power(self, n, _cyclotomic(self.order, 1, (1,)))
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic):
+            return self.order == other.order and self.den == other.den and self.ints == other.ints
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.order, other)
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+            return self.rational_part() == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.ints))
 
     def rational_part(self):
         """The value as a Fraction, if it lies in Q; otherwise None."""
-        if all(not c for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        ints = self.ints
+        if len(ints) > 1:
+            return None
+        return Fraction(ints[0], self.den) if ints else _ZERO
 
     def __str__(self):
         return format_cyclotomic(self)
@@ -1051,9 +1102,8 @@ def _base_residue(c, p):
         root = root_of_unity_mod(c.order, p)
         if root is None:
             return None
-        den, ints = _cyclotomic_ints(c)
-        acc = 0
-        for a in reversed(ints):
+        den, acc = c.den, 0
+        for a in reversed(c.ints):
             acc = (acc * root + a) % p
     else:
         den, acc = c.denominator, c.numerator
@@ -1146,12 +1196,14 @@ def _zeta_atom(m, k):
     return f"zeta{m}" if k == 1 else f"zeta{m}^{k}"
 
 
+def _cyclotomic_terms(c):
+    """(k, coefficient of zeta^k as a Fraction) for the nonzero terms of c."""
+    return [(k, Fraction(a, c.den)) for k, a in enumerate(c.ints) if a]
+
+
 def format_cyclotomic(c):
-    parts = []
-    for k, a in enumerate(c.coeffs):
-        if a:
-            parts.append(_fmt_coeff_atom(a, _zeta_atom(c.order, k)))
-    return _join_signed(parts)
+    return _join_signed([_fmt_coeff_atom(a, _zeta_atom(c.order, k))
+                         for k, a in _cyclotomic_terms(c)])
 
 
 def _join_signed(parts):
@@ -1175,7 +1227,7 @@ def _fmt_term(c, e):
         r = c.rational_part()
         if r is not None:
             return _fmt_coeff_atom(r, atom)
-        nz = [(k, a) for k, a in enumerate(c.coeffs) if a]
+        nz = _cyclotomic_terms(c)
         if len(nz) == 1:
             k, a = nz[0]
             zatom = _zeta_atom(c.order, k)

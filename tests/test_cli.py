@@ -207,16 +207,30 @@ def test_json_reports_match_golden_files():
         assert got == json.loads((golden_dir / name).read_text()), name
 
 
-def test_function_field_reports_match_golden_file():
-    """`rep` and `irr` over Q(zeta_m)(q) and at non-monomial q, replayed
-    against recorded reports with their exit codes."""
+def replay_golden_file(name):
+    """Run every recorded argv of a golden file and compare its exit code and
+    timing-stripped reports."""
     import pathlib
-    path = pathlib.Path(__file__).parent / "golden" / "function_field_zeta_q.json"
+    path = pathlib.Path(__file__).parent / "golden" / name
     for case in json.loads(path.read_text()):
         code, reports = run_json(*case["argv"])
         for report in reports:
             del report["timing_ms"]
         assert (code, reports) == (case["exit"], case["reports"]), case["argv"]
+
+
+def test_function_field_reports_match_golden_file():
+    """`rep` and `irr` over Q(zeta_m)(q) and at non-monomial q, replayed
+    against recorded reports with their exit codes."""
+    replay_golden_file("function_field_zeta_q.json")
+
+
+def test_cyclotomic_exact_route_reports_match_golden_file():
+    """`irr minors` and `irr equiv` at reducible root-of-unity points, which
+    no mod-p certificate settles, so commutant, Burnside and intertwiner
+    bases run exactly over Q(zeta_s); plus `rep build` at q = zeta5 and a
+    point with a non-integral Q(zeta3) entry."""
+    replay_golden_file("cyclotomic_exact_route.json")
 
 
 def test_irr_analysis_at_symbolic_q():

@@ -586,16 +586,21 @@ large_fractions = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
                             st.integers(1, 10 ** 15)).filter(bool)
 
 
-def cyclotomic_st(m):
-    """Elements of Q(zeta_m): zero, single-term, dense, and dense with large
-    denominators."""
+def cyclotomic_coeffs_st(m):
+    """Power-basis coefficient lists of Q(zeta_m), phi(m) Fractions: zero,
+    single-term, dense, and dense with large denominators."""
     phi = len(phi_oracle(m)) - 1
     zero = st.just([Fraction(0)] * phi)
     single = st.tuples(st.integers(0, phi - 1), kernel_coeffs).map(
         lambda t: [t[1] if i == t[0] else Fraction(0) for i in range(phi)])
     dense = st.lists(fractions_st.filter(bool), min_size=phi, max_size=phi)
     large = st.lists(large_fractions, min_size=phi, max_size=phi)
-    return st.one_of(zero, single, dense, large).map(lambda c: Cyclotomic(m, tuple(c)))
+    return st.one_of(zero, single, dense, large)
+
+
+def cyclotomic_st(m):
+    """Elements of Q(zeta_m), drawn as in `cyclotomic_coeffs_st`."""
+    return cyclotomic_coeffs_st(m).map(lambda c: Cyclotomic(m, tuple(c)))
 
 
 cyclotomic_pairs = st.sampled_from(CYCLOTOMIC_ORDERS).flatmap(
@@ -659,6 +664,89 @@ def test_coerce_between_cyclotomic_fields_is_a_ring_map(case):
     for i, c in enumerate(x.coeffs):
         image[i * (b // a)] += c
     assert lift(x).val.coeffs == reduce_oracle(image, b)
+
+
+# --- the stored form of Cyclotomic against a Fraction-tuple reference ------------
+
+def assert_cyclotomic_canonical(c):
+    """sum(ints[i] * zeta^i) / den with den > 0 coprime to the ints, at most
+    phi(m) ints and no trailing zero; zero is (1, ())."""
+    assert type(c) is Cyclotomic
+    assert type(c.den) is int and type(c.ints) is tuple
+    assert all(type(a) is int for a in c.ints)
+    assert len(c.ints) <= len(phi_oracle(c.order)) - 1
+    if not c.ints:
+        assert c.den == 1
+        return
+    assert c.ints[-1] != 0
+    assert c.den > 0 and gcd(c.den, *c.ints) == 1
+
+
+def ref_from(c):
+    """The reference value of c: its phi(m) coefficients, as Fractions."""
+    return tuple(Fraction(a, c.den) for a in c.ints) \
+        + (Fraction(0),) * (len(phi_oracle(c.order)) - 1 - len(c.ints))
+
+
+DIFFERENTIAL_ORDERS = [3, 4, 5, 12, 17]
+
+differential_case = st.sampled_from(DIFFERENTIAL_ORDERS).flatmap(
+    lambda m: st.tuples(st.just(m), cyclotomic_coeffs_st(m), cyclotomic_coeffs_st(m),
+                        st.one_of(fractions_st, large_fractions)))
+
+
+@given(differential_case)
+@settings(max_examples=150, deadline=None)
+def test_cyclotomic_stored_form_matches_fraction_reference(case):
+    m, ca, cb, f = case
+    ra, rb = tuple(ca), tuple(cb)
+    x, y = Cyclotomic(m, ra), Cyclotomic(m, rb)
+    zero = (Fraction(0),) * len(ra)
+    results = {
+        "x": (x, ra),
+        "+": (x + y, tuple(a + b for a, b in zip(ra, rb))),
+        "-": (x - y, tuple(a - b for a, b in zip(ra, rb))),
+        "neg": (-x, tuple(-a for a in ra)),
+        "*": (x * y, reduce_oracle(poly_mul(ra, rb), m)),
+        "*f": (x * f, tuple(a * f for a in ra)),
+    }
+    if x:
+        inv = x.inverse()
+        results["inverse"] = (inv, ref_from(inv))
+        assert reduce_oracle(poly_mul(ra, ref_from(inv)), m) == (ONE,) + zero[1:]
+    else:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+    for name, (got, want) in results.items():
+        assert_cyclotomic_canonical(got)
+        assert ref_from(got) == want, name
+        assert got.coeffs == want, name
+        assert all(type(a) is Fraction for a in got.coeffs), name
+        again = Cyclotomic(m, got.coeffs)
+        assert again == got and hash(again) == hash(got), name
+        rational = want[0] if not any(want[1:]) else None
+        assert got.rational_part() == rational, name
+    # Equal values reached by different routes are equal and hash equally.
+    routes = [((x + y) - y, x), (x * y, y * x), (x + x, x * 2), (-(-x), x),
+              (x * f, Cyclotomic.from_rational(m, f) * x)]
+    if y:
+        routes.append(((x * y) * y.inverse(), x))
+    for u, v in routes:
+        assert u == v and hash(u) == hash(v)
+
+
+def test_cyclotomic_stored_form_examples():
+    half = Fraction(1, 2)
+    assert (Cyclotomic(3, (half, half)) * 2).ints == (1, 1)
+    assert Cyclotomic(3, (0, 0)).ints == () and Cyclotomic(3, (0, 0)).den == 1
+    x = Cyclotomic(12, (Fraction(2, 3), 0, Fraction(-4, 9), 0))
+    assert (x.den, x.ints) == (9, (6, 0, -4))
+    assert x.coeffs == (Fraction(2, 3), 0, Fraction(-4, 9), 0)
+    # zeta3^2 = -1 - zeta3 after reduction; an int input is accepted too.
+    assert Cyclotomic(3, (0, 0, 1)) == Cyclotomic(3, (-1, -1))
+    assert Cyclotomic(4, (1, 1)) * Cyclotomic(4, (1, -1)) == 2
+    assert Cyclotomic.from_rational(5, Fraction(-3, 6)).rational_part() == Fraction(-1, 2)
+    assert (Cyclotomic(3, (half, 0)) - Cyclotomic(3, (half, 0))).den == 1
 
 
 # --- the stored form of LaurentPoly against a dict-of-base-field reference --------
