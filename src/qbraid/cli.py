@@ -58,13 +58,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_scalar_spec(text):
-    """Parse a CLI scalar spec into a Scalar in its minimal field."""
-    return parse_scalar(text)
-
-
 def _parse_q(text):
-    q = parse_scalar_spec(text)
+    q = parse_scalar(text)
     if q.is_zero():
         raise ZeroQ("q spec evaluates to 0")
     return q
@@ -74,7 +69,7 @@ def _parse_lambda_csv(text, count=None):
     parts = [p for p in text.split(",") if p.strip()]
     if count is not None and len(parts) != count:
         raise UsageError(f"expected {count} lambda entries, got {len(parts)}")
-    return [parse_scalar_spec(p.strip()) for p in parts]
+    return [parse_scalar(p.strip()) for p in parts]
 
 
 def _common_context(scalars):
@@ -84,20 +79,9 @@ def _common_context(scalars):
     return [s.coerce(ctx) for s in scalars], ctx
 
 
-def emit_matrix(matrix, mode="pretty"):
-    """Render a matrix as nested JSON arrays, aligned text, or a LaTeX body."""
-    cells = matrix.to_strs()
-    if mode == "json":
-        return json.dumps(cells)
-    if mode == "latex":
-        return " \\\\\n".join(" & ".join(row) for row in cells)
-    if mode != "pretty":
-        raise UsageError(f"unknown matrix mode {mode!r}")
-    widths = [max(len(cells[i][j]) for i in range(matrix.rows))
-              for j in range(matrix.cols)]
-    return "\n".join("  ".join(cells[i][j].rjust(widths[j])
-                               for j in range(matrix.cols))
-                     for i in range(matrix.rows))
+def latex_matrix(matrix):
+    """The LaTeX body of a matrix: cells joined by ' & ', rows by ' \\\\'."""
+    return " \\\\\n".join(" & ".join(row) for row in matrix.to_strs())
 
 
 class Report:
@@ -267,8 +251,7 @@ def _cmd_rep(args):
     for n in _sweep(args):
         rep = _rep_from_args(n, args.q, args.lam, args.lam_prime)
         if args.action == "build":
-            render = (lambda m: emit_matrix(m, "latex")) if args.latex \
-                else (lambda m: m.to_strs())
+            render = latex_matrix if args.latex else ExactMatrix.to_strs
             payload = {"n": n, "q": str(rep.ctx.q),
                        "lambda_raw": [str(v) for v in rep.lam_raw],
                        "sigma1": render(rep.sigma1),
@@ -362,7 +345,7 @@ def _cmd_tw(args):
     if args.d is not None:
         d_text = args.d
     entries = _parse_lambda_csv(lam_text, args.n)
-    scalars = entries + ([parse_scalar_spec(d_text)] if d_text is not None else [])
+    scalars = entries + ([parse_scalar(d_text)] if d_text is not None else [])
     coerced, _ = _common_context(scalars)
     lam = tuple(coerced[:args.n])
     d = coerced[args.n] if d_text is not None else None

@@ -390,6 +390,20 @@ def first_mismatch(a, b):
     return None
 
 
+def compare_all(named):
+    """Compare each (name, lhs, rhs) triple of equally shaped matrices, in order.
+
+    Returns the checks as [{"check": name, "passed": bool}, ...] and the first
+    failing one as {"check": name, **first_mismatch(lhs, rhs)}, or None."""
+    checks, first = [], None
+    for name, lhs, rhs in named:
+        ok = lhs == rhs
+        checks.append({"check": name, "passed": ok})
+        if not ok and first is None:
+            first = {"check": name, **first_mismatch(lhs, rhs)}
+    return checks, first
+
+
 def _index_subset(indices, bound):
     out = list(indices)
     if any(not 0 <= i < bound for i in out):

@@ -15,10 +15,13 @@ Two parameter forms are supported:
   factored  L = D_n^#(q) L' with L' L'^# = c I (c derived as lambda'_0
             lambda'_n, never supplied).
 
-The braid identity verified is
+A built Representation carries only the dressed generators and L.  The braid
+identity verified is
     s1 s2 s1 = s2 s1 s2 = lambda_0 lambda_n S(q) L,
 together with its bare equivalents
-    sigma_1(q) Lam(q) sigma_2(q) = S(q) sigma_1^-1(q) = sigma_2^-1(q) S(q).
+    sigma_1(q) Lam(q) sigma_2(q) = S(q) sigma_1^-1(q) = sigma_2^-1(q) S(q);
+verify_braid, the only reader of S(q) and Lambda_n(q), takes them from their
+cached builders, so building a representation never computes them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CondQViolated, NotUnitUpperTriangular
-from .linalg import ExactMatrix, first_mismatch
+from .linalg import ExactMatrix, compare_all
 from .qcomb import QContext, q_binomial, q_tri
 from .scalar import Scalar
 
@@ -138,13 +141,11 @@ def factored_spec(n, ctx, lam_prime):
 
 @dataclass(frozen=True)
 class Representation:
-    """The realized pair with its cached canonical matrices."""
+    """The realized pair: the dressed generators and the raw diagonal L."""
 
     spec: RepSpec
     sigma1: ExactMatrix
     sigma2: ExactMatrix
-    s_matrix: ExactMatrix
-    lambda_canonical: ExactMatrix
     lam_raw: tuple
 
     @property
@@ -185,8 +186,7 @@ def build_representation(spec):
     lam_m = ExactMatrix.diagonal(list(lam_raw))
     sigma1 = sigma1_matrix(n, ctx) * lam_m
     sigma2 = lam_m.sharp() * sigma2_matrix(n, ctx)
-    return Representation(spec, sigma1, sigma2, s_matrix(n, ctx),
-                          lambda_canonical(n, ctx), lam_raw)
+    return Representation(spec, sigma1, sigma2, lam_raw)
 
 
 @dataclass
@@ -209,30 +209,17 @@ def verify_braid(rep):
     """Check s1 s2 s1 = s2 s1 s2 = lambda_0 lambda_n S(q) L exactly, plus the
     bare equivalent forms; failures are reported, never raised."""
     n, ctx = rep.n, rep.ctx
+    s = s_matrix(n, ctx)
     t121 = rep.sigma1 * rep.sigma2 * rep.sigma1
-    t212 = rep.sigma2 * rep.sigma1 * rep.sigma2
     scale = rep.lam_raw[0] * rep.lam_raw[n]
-    rhs = (rep.s_matrix * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)
-    checks = []
-    first = None
-    for name, lhs, want in (("s1*s2*s1 == s2*s1*s2", t121, t212),
-                            ("s1*s2*s1 == c*S(q)*Lambda", t121, rhs)):
-        ok = lhs == want
-        checks.append({"check": name, "passed": ok})
-        if not ok and first is None:
-            first = {"check": name, **first_mismatch(lhs, want)}
-    s1 = sigma1_matrix(n, ctx)
-    s2 = sigma2_matrix(n, ctx)
-    core = s1 * rep.lambda_canonical * s2
-    for name, want in (("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1",
-                        rep.s_matrix * sigma1_inverse_closed(n, ctx)),
-                       ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)",
-                        sigma2_inverse_closed(n, ctx) * rep.s_matrix)):
-        ok = core == want
-        checks.append({"check": name, "passed": ok})
-        if not ok and first is None:
-            first = {"check": name, **first_mismatch(core, want)}
-    return BraidReport(n, all(c["passed"] for c in checks), checks, first)
+    core = sigma1_matrix(n, ctx) * lambda_canonical(n, ctx) * sigma2_matrix(n, ctx)
+    checks, first = compare_all((
+        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * rep.sigma1 * rep.sigma2),
+        ("s1*s2*s1 == c*S(q)*Lambda", t121,
+         (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)),
+        ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),
+        ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
+    return BraidReport(n, first is None, checks, first)
 
 
 def unipotent_inverse(x):

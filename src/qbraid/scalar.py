@@ -543,8 +543,7 @@ def _lp_monic_gcd_generic(a, b):
         a, b = b, r
     if a.is_zero():
         return a
-    lead = a.lead()
-    return a.scale(lead.inverse() if isinstance(lead, Cyclotomic) else 1 / lead)
+    return a.scale(1 / a.lead())
 
 
 def _lp_divmod(a, b):
@@ -755,7 +754,7 @@ class RatFunc:
                 d_ord = laurent_exact_div(d_ord, g)
         lead = d_ord.lead()
         if lead != 1:
-            inv = lead.inverse() if isinstance(lead, Cyclotomic) else 1 / lead
+            inv = 1 / lead
             d_ord = d_ord.scale(inv)
             n_ord = n_ord.scale(inv)
         return cls(order, n_ord.shifted(a - b), d_ord)
@@ -766,6 +765,9 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num.coeffs)
 
     def is_polynomial(self):
         return _is_one(self.den)
@@ -891,7 +893,7 @@ class Scalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return self.val.is_zero() if not isinstance(self.val, Fraction) else not self.val
+        return not self.val
 
     def is_one(self):
         return self == Scalar.one(self.ctx)
@@ -1012,7 +1014,7 @@ class Scalar:
         return num / den
 
     def __str__(self):
-        return format_scalar(self)
+        return str(self.val)
 
     def __repr__(self):
         return f"Scalar[{self.ctx.describe()}]({self})"
@@ -1231,14 +1233,7 @@ def _fmt_term(c, e):
         if len(nz) == 1:
             k, a = nz[0]
             zatom = _zeta_atom(c.order, k)
-            if atom is None:
-                return _fmt_coeff_atom(a, zatom)
-            if a == 1:
-                return f"{zatom}*{atom}"
-            if a == -1:
-                return f"-{zatom}*{atom}"
-            lead = _fmt_coeff_atom(a, zatom)
-            return f"{lead}*{atom}"
+            return _fmt_coeff_atom(a, zatom if atom is None else f"{zatom}*{atom}")
         body = format_cyclotomic(c)
         if atom is None:
             return f"({body})"
@@ -1247,8 +1242,6 @@ def _fmt_term(c, e):
 
 
 def format_laurent(p):
-    if not p.terms:
-        return "0"
     return _join_signed([_fmt_term(c, e) for e, c in sorted(p.terms.items())])
 
 
@@ -1256,15 +1249,6 @@ def format_ratfunc(r):
     if _is_one(r.den):
         return format_laurent(r.num)
     return f"({format_laurent(r.num)})/({format_laurent(r.den)})"
-
-
-def format_scalar(s):
-    v = s.val
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, Cyclotomic):
-        return format_cyclotomic(v)
-    return format_ratfunc(v)
 
 
 _DIGITS = "0123456789"

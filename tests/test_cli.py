@@ -10,14 +10,13 @@ from qbraid.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
-    emit_matrix,
-    parse_scalar_spec,
+    latex_matrix,
     run,
 )
 from qbraid.errors import ZeroQ
 from qbraid.qcomb import symbolic_q
-from qbraid.rep import s_matrix, sigma1_matrix
-from qbraid.scalar import integer, q_symbol, set_degree_cap, zeta
+from qbraid.rep import sigma1_matrix
+from qbraid.scalar import integer, parse_scalar, q_symbol, set_degree_cap, zeta
 
 
 def run_cli(*argv):
@@ -35,9 +34,9 @@ def run_json(*argv):
 # --- scalar specs -----------------------------------------------------------------
 
 def test_parse_scalar_spec_examples():
-    assert parse_scalar_spec("q") == q_symbol()
-    assert parse_scalar_spec("zeta(3)") == zeta(3)
-    assert parse_scalar_spec("-1") == integer(-1)
+    assert parse_scalar("q") == q_symbol()
+    assert parse_scalar("zeta(3)") == zeta(3)
+    assert parse_scalar("-1") == integer(-1)
 
 
 def test_round_trip_of_emitted_scalars():
@@ -45,28 +44,15 @@ def test_round_trip_of_emitted_scalars():
     for n in range(5):
         for entry in sigma1_matrix(n, ctx).inverse().to_strs():
             for text in entry:
-                assert str(parse_scalar_spec(text)) == text
+                assert str(parse_scalar(text)) == text
 
 
 # --- matrix emission ---------------------------------------------------------------
 
-def test_emit_matrix_json_golden():
-    ctx = symbolic_q()
-    assert emit_matrix(s_matrix(2, ctx), "json") == \
-        '[["0", "0", "1"], ["0", "-1", "0"], ["q^-1", "0", "0"]]'
-
-
-def test_emit_matrix_pretty():
-    from qbraid.linalg import ExactMatrix
-    from qbraid.scalar import QQ
-    eye = ExactMatrix.identity(2, QQ)
-    assert emit_matrix(eye, "pretty") == "1  0\n0  1"
-
-
 def test_emit_matrix_latex():
     ctx = symbolic_q()
-    body = emit_matrix(sigma1_matrix(2, ctx), "latex")
-    assert body.splitlines()[0] == "1 & 1+q & 1 \\\\"
+    body = latex_matrix(sigma1_matrix(2, ctx))
+    assert body == "1 & 1+q & 1 \\\\\n0 & 1 & 1 \\\\\n0 & 0 & 1"
 
 
 # --- commands and exit codes -----------------------------------------------------------
@@ -150,6 +136,12 @@ def test_spec_that_fails_to_parse_is_a_usage_error():
     assert run_cli("rep", "verify", "--n", "1", "--q", "2\u00b2") == (EXIT_USAGE, "")
 
 
+def test_tw_zero_d_is_a_failure_that_names_d(capsys):
+    assert run(["tw", "check", "--n", "4", "--d", "0"]) == EXIT_FAIL
+    assert capsys.readouterr().err == \
+        "error: ConstraintViolated: the square-root parameter d must be nonzero\n"
+
+
 def test_cond_q_violation_is_a_failure():
     assert run(["rep", "verify", "--n", "2", "--q", "1",
                 "--lambda", "1,1,2"]) == EXIT_FAIL
@@ -231,6 +223,13 @@ def test_cyclotomic_exact_route_reports_match_golden_file():
     bases run exactly over Q(zeta_s); plus `rep build` at q = zeta5 and a
     point with a non-integral Q(zeta3) entry."""
     replay_golden_file("cyclotomic_exact_route.json")
+
+
+def test_structure_reports_match_golden_file():
+    """`exp`, `sym`, `ferrand`, `tw` and `sl2` checks, `rep build --latex`
+    and `rep verify` at symbolic q and q = zeta4, replayed against recorded
+    reports with their exit codes."""
+    replay_golden_file("structure_reports.json")
 
 
 def test_irr_analysis_at_symbolic_q():

@@ -380,6 +380,27 @@ def test_n1_subspace_examples():
     assert n1_subspace_test(integer(1), integer(2)).detail["verdict"] == "irreducible"
 
 
+def test_n1_size2_formulas_agree():
+    # lambda_0/lambda_1 + lambda_1/lambda_0 - 1 = (alpha^2 - alpha + 1)/alpha,
+    # alpha = lambda_1/lambda_0, so the two vanish together; zeta6 and its
+    # conjugate zeta6^5 are the roots
+    z6 = zeta(6)
+    ctx = z6.ctx
+    points = [integer(v).coerce(ctx) for v in (1, -1, 2, -3)] + [rational(1, 2).coerce(ctx)]
+    points += [z6, z6 ** 5, z6 ** 2, z6 * integer(3, ctx), zeta(3).coerce(ctx)]
+    one = Scalar.one(ctx)
+    roots = 0
+    for lam0 in points:
+        for lam1 in points:
+            alpha = lam1 / lam0
+            first = (alpha * alpha - alpha + one).is_zero()
+            second = (lam0 / lam1 + lam1 / lam0 - one).is_zero()
+            assert first == second, (str(lam0), str(lam1))
+            assert (n1_subspace_test(lam0, lam1).detail["verdict"] == "reducible") == first
+            roots += first
+    assert roots > 0
+
+
 # --- intertwiners ----------------------------------------------------------------------------------
 
 def test_intertwiner_self_contains_identity():
@@ -548,10 +569,15 @@ def test_certified_and_exact_routes_agree(monkeypatch):
     for rep, (bdim, (cdim, basis), _) in zip(reps, certified):
         assert bdim == _burnside_exact(rep)
         assert basis == _intertwiner_basis_exact(rep, rep) and cdim == len(basis)
+        # the certified [I] is returned unchecked; it must intertwine
+        for c in basis:
+            assert c * rep.sigma1 == rep.sigma1 * c and c * rep.sigma2 == rep.sigma2 * c
     pairs = intertwiner_pairs_under_test()
     certified_pairs = [_intertwiner_basis(a, b) for a, b in pairs]
     for (a, b), basis in zip(pairs, certified_pairs):
         assert basis == _intertwiner_basis_exact(a, b)
+        for c in basis:
+            assert c * b.sigma1 == a.sigma1 * c and c * b.sigma2 == a.sigma2 * c
     exact_route(monkeypatch)
     assert [analyze(rep).to_payload() for rep in reps] == [c[2] for c in certified]
     verdicts = {c[2]["verdict"] for c in certified}

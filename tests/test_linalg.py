@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qbraid.errors import NonSquare, ShapeMismatch, Singular
 from qbraid.linalg import (
     ExactMatrix,
+    compare_all,
     det_by_permutations,
     first_mismatch,
     generalized_charpoly,
@@ -248,6 +249,21 @@ def test_first_mismatch_row_major():
         {"entry": [1, 2], "lhs": "6", "rhs": "-6"}
     s2 = s_matrix(2, symbolic_q())
     assert first_mismatch(s2.sharp(), s2) == {"entry": [0, 2], "lhs": "q^-1", "rhs": "1"}
+
+
+def test_compare_all_keeps_every_check_and_the_first_failure():
+    a = int_matrix([[1, 2], [3, 4]])
+    checks, first = compare_all((("same", a, a),
+                                 ("corner", a, int_matrix([[1, 2], [3, 5]])),
+                                 ("also same", a, a),
+                                 ("top", a, int_matrix([[0, 2], [3, 4]]))))
+    assert checks == [{"check": "same", "passed": True},
+                      {"check": "corner", "passed": False},
+                      {"check": "also same", "passed": True},
+                      {"check": "top", "passed": False}]
+    assert first == {"check": "corner", "entry": [1, 1], "lhs": "4", "rhs": "5"}
+    assert compare_all((("same", a, a),)) == ([{"check": "same", "passed": True}], None)
+    assert compare_all(()) == ([], None)
 
 
 # --- nullspaces --------------------------------------------------------------------

@@ -219,8 +219,14 @@ def test_braid_report_carries_first_failure(ctx):
     tampered = replace(rep, sigma1=rep.sigma1 + ExactMatrix.identity(3, ctx.q.ctx))
     report = verify_braid(tampered)
     assert not report.passed
-    first = report.first_failure
-    assert first is not None and "entry" in first and "lhs" in first and "rhs" in first
+    # sigma1 + I breaks both dressed checks; the bare checks do not read sigma1
+    assert report.checks == [
+        {"check": "s1*s2*s1 == s2*s1*s2", "passed": False},
+        {"check": "s1*s2*s1 == c*S(q)*Lambda", "passed": False},
+        {"check": "sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", "passed": True},
+        {"check": "sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", "passed": True}]
+    assert report.first_failure == {"check": "s1*s2*s1 == s2*s1*s2", "entry": [0, 0],
+                                    "lhs": "1+q", "rhs": "1"}
 
 
 # --- unipotent path-sum inverse ----------------------------------------------------------

@@ -1,7 +1,10 @@
 """q-exponentials, symmetric powers, the polynomial-substitution operators, normal forms, SL(2,Z)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbraid import structure
 from qbraid.errors import (
     ConstraintViolated,
     NotStrictlyUpperTriangular,
@@ -15,7 +18,6 @@ from qbraid.rep import d_matrix, sigma1_matrix, sigma2_matrix
 from qbraid.scalar import QQ, Scalar, integer, parse_scalar, q_symbol, rational, zeta
 from qbraid.structure import (
     TWParams,
-    exp_nilpotent,
     ferrand_phi,
     ferrand_psi,
     pas_exp_check,
@@ -41,11 +43,16 @@ def int_matrix(rows):
     return ExactMatrix.from_rows([[integer(v) for v in row] for row in rows])
 
 
+def classical_exp(t):
+    """The classical exponential: the q-exponential at q = 1."""
+    return q_exp_nilpotent(t, concrete_q(integer(1)))
+
+
 # --- exponentials ----------------------------------------------------------------
 
 def test_exp_of_zero():
     z = ExactMatrix.zeros(3, 3, QQ)
-    assert exp_nilpotent(z) == ExactMatrix.identity(3, QQ)
+    assert classical_exp(z) == ExactMatrix.identity(3, QQ)
 
 
 def test_pascal_exponential_lemma(ctx):
@@ -56,7 +63,7 @@ def test_pascal_exponential_lemma(ctx):
 
 def test_exp_requires_strictly_upper():
     with pytest.raises(NotStrictlyUpperTriangular):
-        exp_nilpotent(int_matrix([[1, 0], [0, 0]]))
+        classical_exp(int_matrix([[1, 0], [0, 0]]))
 
 
 def test_q_factorial_zero_fires():
@@ -87,7 +94,7 @@ def test_exp_log_round_trip(rng):
         for j in range(i + 1, 4):
             entries[i][j] = rand_scalar(rng)
     u = ExactMatrix.from_rows(entries)
-    assert exp_nilpotent(unipotent_log(u)) == u
+    assert classical_exp(unipotent_log(u)) == u
     with pytest.raises(NotUnitUpperTriangular):
         unipotent_log(int_matrix([[2, 0], [0, 1]]))
 
@@ -276,6 +283,40 @@ def test_tw_equivalences(rng):
     assert report.conjugator == ["1", "1", "1", "q^-1", "q^-3"]
 
 
+def test_tw4_rejects_zero_d():
+    lam = (integer(1), integer(2), integer(2), integer(4))
+    with pytest.raises(ConstraintViolated, match="parameter d must be nonzero"):
+        TWParams(4, lam, d=integer(0))
+
+
+TAMPERED_TW = {
+    2: (TWParams(2, (integer(2), integer(3))), "-4/3"),
+    3: (TWParams(3, (integer(1), integer(2), integer(4))), "-1"),
+    4: (TWParams(4, (integer(1), integer(2), integer(2), integer(4)), d=integer(1)), "-1"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(TAMPERED_TW))
+def test_tw_equivalence_locates_the_first_failure(n, monkeypatch):
+    params, lhs = TAMPERED_TW[n]
+    literal = structure.tw_matrices
+
+    def with_bumped_sigma2(p):
+        s1, s2 = literal(p)
+        one, zero = Scalar.one(s2.ctx), Scalar.zero(s2.ctx)
+        bump = ExactMatrix.from_fn(s2.rows, s2.cols, s2.ctx,
+                                   lambda i, j: one if (i, j) == (1, 0) else zero)
+        return s1, s2 + bump
+
+    monkeypatch.setattr(structure, "tw_matrices", with_bumped_sigma2)
+    report = tw_equivalence_check(params)
+    assert not report.passed
+    assert report.checks == [{"check": "sigma1", "passed": True},
+                             {"check": "sigma2", "passed": False}]
+    assert report.first_failure == {"check": "sigma2", "entry": [1, 0],
+                                    "lhs": lhs, "rhs": "-2"}
+
+
 def test_tw5_gamma_constraint():
     q = q_symbol()
     one = Scalar.one(q.ctx)
@@ -298,6 +339,12 @@ def test_sl2_respects_braid_relation():
 def test_sl2_inverses():
     assert sl2_projection(["s1", "s1i"]) == ExactMatrix.identity(2, QQ)
     assert sl2_projection(["s2", "s2i"]) == ExactMatrix.identity(2, QQ)
+
+
+@given(st.lists(st.sampled_from(["s1", "s2", "s1i", "s2i"]), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_sl2_projection_has_determinant_one(word):
+    assert sl2_projection(word).determinant() == Scalar.one(QQ)
 
 
 def test_sl2_unknown_token():
