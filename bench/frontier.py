@@ -35,6 +35,7 @@ JOBS = [
     ["irr", "minors", "--n", "5", "--q", "q"],
     ["irr", "minors", "--n", "8", "--q", "q"],
     ["rep", "verify", "--n", "20", "--q", "q"],
+    ["identities", "--id", "all", "--max-n", "10"],
 ]
 
 # Report fields copied into the record, when the report has them.

@@ -339,6 +339,8 @@ _TW_DEFAULTS = {
 
 
 def _cmd_tw(args):
+    if args.d is not None and args.n != 4:
+        raise UsageError("--d applies only to n = 4")
     lam_text, d_text = _TW_DEFAULTS[args.n]
     if args.lam is not None:
         lam_text = args.lam

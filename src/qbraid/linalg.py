@@ -8,6 +8,16 @@ echelon form, the determinant and the inverse of a matrix are unique, every
 basis, inverse and determinant is independent of the pivot choice and
 reproducible.
 
+A matrix product skips every term with an exactly zero factor.  Over Q(q),
+when every entry of both factors is a Laurent polynomial and some row of the
+left factor and some column of the right one have two or more nonzero
+entries, the product is packed: each entry is one big-integer dot product of
+Kronecker-packed rows and columns (Kronecker substitution lifted to
+matrices), on the integer kernel of `scalar`.  Every other product (over Q,
+Q(zeta_m) or Q(zeta_m)(q), with an entry that has a denominator, or with a
+diagonal-like factor, where each entry is a single term) adds up its terms
+one by one.
+
 Index conventions for the three involutions on an (n+1)x(n+1) matrix:
 t is the ordinary transpose, s reflects in the antidiagonal
 (a^s_ij = a_{n-j,n-i}), and sharp rotates by a half turn
@@ -17,9 +27,21 @@ t is the ordinary transpose, s reflects in the antidiagonal
 from __future__ import annotations
 
 from itertools import permutations
+from math import lcm as _int_lcm
 
 from .errors import FieldMismatch, NonSquare, ShapeMismatch, Singular
-from .scalar import Scalar
+from .scalar import (
+    LaurentPoly,
+    RatFunc,
+    Scalar,
+    _check_degree,
+    _degree_cap,
+    _digit_size,
+    _is_one,
+    _laurent,
+    _pack,
+    _unpack,
+)
 
 
 class ExactMatrix:
@@ -132,12 +154,15 @@ class ExactMatrix:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         # Terms with an exactly zero factor are skipped: they add nothing to an
         # exact sum, and triangular factors make about half of them zero.
+        rows_a = [[(k, x) for k, x in enumerate(r) if not x.is_zero()] for r in self._e]
         cols_b = [{k: x for k, x in enumerate(other.col(j)) if not x.is_zero()}
                   for j in range(other.cols)]
+        if self.ctx.with_q and self.ctx.order == 1 and _packable(rows_a, cols_b):
+            return ExactMatrix(self.rows, other.cols, self.ctx,
+                               _packed_product(rows_a, cols_b, self.ctx))
         zero = Scalar.zero(self.ctx)
         out = []
-        for ra in self._e:
-            terms_a = [(k, x) for k, x in enumerate(ra) if not x.is_zero()]
+        for terms_a in rows_a:
             out_row = []
             for cb in cols_b:
                 acc = None
@@ -293,6 +318,106 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ctx.describe()})\n{self}"
+
+
+def _packable(rows_a, cols_b):
+    """True when every nonzero entry over Q(q), given by the nonzero (k, entry)
+    pairs of each row of a and each column of b, is a Laurent polynomial, and
+    some row of a and some column of b have two nonzero entries or more.  With
+    a diagonal-like factor every entry of the product is a single term, and
+    there is no sum to pack."""
+    return (min(max(map(len, rows_a), default=0), max(map(len, cols_b), default=0)) > 1
+            and all(_is_one(x.val.den) for r in rows_a for _, x in r)
+            and all(_is_one(x.val.den) for c in cols_b for x in c.values()))
+
+
+def _aligned(terms):
+    """A row of a or a column of b, given as its nonzero (k, entry) pairs, on
+    one q-shift and one integer denominator.
+
+    Returns (shift, den, width, top, packing): packing lists (k, coeffs,
+    factor, pad) for each pair, whose aligned int list is
+    [0] * pad + [c * factor for c in coeffs]; width is the longest aligned
+    list and top its largest absolute coefficient.
+    """
+    if not terms:
+        return 0, 1, 0, 0, ()
+    polys = [(k, x.val.num) for k, x in terms]
+    shift = min([p.shift for _, p in polys])
+    den = _int_lcm(*[p.den for _, p in polys])
+    packing, width, top = [], 0, 0
+    for k, p in polys:
+        f, pad = den // p.den, p.shift - shift
+        packing.append((k, p.coeffs, f, pad))
+        width = max(width, pad + len(p.coeffs))
+        top = max(top, max(map(abs, p.coeffs)) * f)
+    return shift, den, width, top, packing
+
+
+def _packed_product(rows_a, cols_b, ctx):
+    """The entries of the product of matrices of Laurent polynomials over Q,
+    given by the nonzero (k, entry) pairs of each row of a and each column of
+    b, each entry one big-integer dot product.
+
+    Row i of a is put on one q-shift s_i and one integer denominator d_i, and
+    column j of b on t_j and e_j; entry (i, j) is then q^(s_i + t_j) times
+    sum_k A_ik B_kj over d_i e_j, a sum of products of int lists.  Every
+    nonzero list is packed once by Kronecker substitution, with one digit
+    width for the whole product that covers the largest coefficient of any
+    such sum: the largest coefficients of a and of b, times the shorter list
+    length, times the number of terms.  Packing is linear, so an aligned list
+    is its stored coefficients packed, times its factor, shifted by its pad.
+    Each entry multiplies and adds the packed integers over the k where both
+    factors are nonzero, and is unpacked once.
+
+    Under a degree cap, the exponent range of every nonzero term is checked in
+    the (i, j, k) order of the term-by-term loop, so the same term raises.
+    """
+    if _degree_cap.get() is not None:
+        for ra in rows_a:
+            for cb in cols_b:
+                for k, x in ra:
+                    y = cb.get(k)
+                    if y is not None:
+                        x, y = x.val.num, y.val.num
+                        _check_degree(x.shift + y.shift, x.max_exp() + y.max_exp())
+    rows_a = [_aligned(r) for r in rows_a]
+    cols_b = [_aligned(c.items()) for c in cols_b]
+    zero, one = Scalar.zero(ctx), LaurentPoly.one(1)
+    _, _, widths_a, tops_a, packing_a = zip(*rows_a)
+    _, _, widths_b, tops_b, packing_b = zip(*cols_b)
+    size = _digit_size(max(tops_a) * max(tops_b) * min(max(widths_a), max(widths_b))
+                       * min(max(map(len, packing_a)), max(map(len, packing_b))))
+    w = 8 * size
+
+    def packed(packing):
+        return {k: _pack(c, size) * f << w * pad for k, c, f, pad in packing}
+
+    cols_b = [(t, e, packed(packing)) for t, e, _, _, packing in cols_b]
+    out = []
+    for s, d, _, _, packing in rows_a:
+        pa = packed(packing).items()
+        out_row = []
+        for t, e, pb in cols_b:
+            acc = 0
+            for k, x in pa:
+                y = pb.get(k)
+                if y is not None:
+                    acc += x * y
+            if not acc:
+                out_row.append(zero)
+                continue
+            # Only the digits from the lowest to the highest nonzero one are
+            # read.  Every digit is below 2^(w-1) in absolute value, so a lowest
+            # nonzero digit at index l leaves acc divisible by 2^(w l) but not
+            # by 2^(w l + w - 1), and then a highest at index h gives a bit
+            # length from w h to w h + w - 1.
+            low = ((acc & -acc).bit_length() - 1) // w
+            acc >>= w * low
+            out_row.append(Scalar(ctx, RatFunc(1, _laurent(
+                1, s + t + low, d * e, _unpack(acc, acc.bit_length() // w + 1, size)), one)))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def _gauss_jordan(m):

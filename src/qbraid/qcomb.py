@@ -25,8 +25,9 @@ from .scalar import (
     RatFunc,
     Scalar,
     _check_degree,
-    is_plain_q,
+    _lift_laurent,
     laurent_exact_div,
+    q_monomial_exponent,
 )
 
 _ONE = Fraction(1)
@@ -96,15 +97,20 @@ def _qbinom_poly(n, k):
 def _eval_poly(p, ctx):
     """Evaluate an integer-coefficient symbolic polynomial at ctx.q.
 
-    p may come from a cache, so its degree is checked against the degree cap
-    here, not only where it was multiplied out.
+    At q itself and at q^-1 (whose image reverses the coefficients) the value
+    is p or its reversal, lifted to the base field of q; any other point is
+    substituted.  p may come from a cache, so its degree is checked against
+    the degree cap here, not only where it was multiplied out; the reversal
+    keeps max(|lo|, |hi|) of the exponent range.
     """
     q = ctx.q
     if p.is_zero():
         return Scalar.zero(q.ctx)
     _check_degree(p.min_exp(), p.max_exp())
-    if is_plain_q(q) and q.ctx.order == 1:
-        return Scalar(q.ctx, RatFunc.from_laurent(p))
+    k = q_monomial_exponent(q)
+    if k == 1 or k == -1:
+        p = p if k == 1 else p.at_inverse_q()
+        return Scalar(q.ctx, RatFunc.from_laurent(_lift_laurent(p, 1, q.ctx.order)))
     return Scalar(FieldContext(1, True), RatFunc.from_laurent(p)).substitute(q)
 
 

@@ -142,6 +142,13 @@ def test_tw_zero_d_is_a_failure_that_names_d(capsys):
         "error: ConstraintViolated: the square-root parameter d must be nonzero\n"
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_tw_d_away_from_size_4_is_a_usage_error(n, capsys):
+    assert run_cli("tw", "check", "--n", str(n), "--d", "0") == (EXIT_USAGE, "")
+    assert capsys.readouterr().err == "usage error: --d applies only to n = 4\n"
+    assert run_cli("tw", "check", "--n", str(n))[0] == EXIT_PASS
+
+
 def test_cond_q_violation_is_a_failure():
     assert run(["rep", "verify", "--n", "2", "--q", "1",
                 "--lambda", "1,1,2"]) == EXIT_FAIL
@@ -230,6 +237,14 @@ def test_structure_reports_match_golden_file():
     and `rep verify` at symbolic q and q = zeta4, replayed against recorded
     reports with their exit codes."""
     replay_golden_file("structure_reports.json")
+
+
+def test_symbolic_products_match_golden_file():
+    """`identities` (all of them to n = 6, bin2q to n = 8) and `rep verify` at
+    symbolic q: n = 12 and n = 6 with Laurent dressings of mixed
+    denominators, which take the packed product, and n = 3 over Q(zeta3)(q),
+    which takes the term-by-term product and the lifted q -> q^-1 reversal."""
+    replay_golden_file("symbolic_products.json")
 
 
 def test_irr_analysis_at_symbolic_q():

@@ -7,9 +7,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbraid.errors import NonSquare, ShapeMismatch, Singular
+from qbraid import linalg
+from qbraid.errors import DegreeCapExceeded, NonSquare, ShapeMismatch, Singular
 from qbraid.linalg import (
     ExactMatrix,
+    _packed_product,
     compare_all,
     det_by_permutations,
     first_mismatch,
@@ -20,12 +22,15 @@ from qbraid.qcomb import concrete_q, symbolic_q
 from qbraid.rep import lambda_canonical, s_matrix, sigma1_matrix, sigma2_matrix
 from qbraid.scalar import (
     QQ,
+    LaurentPoly,
+    RatFunc,
     Scalar,
     cyclotomic_field,
     function_field,
     integer,
     q_symbol,
     rational,
+    set_degree_cap,
     zeta,
 )
 
@@ -82,8 +87,9 @@ def test_product_with_identity(rng):
     assert a * ExactMatrix.identity(3, QQ) == a
 
 
-def _sparse_entry(rng, ctx):
-    """A random entry that is exactly zero about half the time."""
+def _sparse_entry(rng, ctx, laurent=False):
+    """A random entry that is exactly zero about half the time; over Q(q) a
+    Laurent polynomial when laurent is set, a quotient otherwise."""
     if rng.random() < 0.5:
         return Scalar.zero(ctx)
     x = rand_scalar(rng, ctx, nonzero=True)
@@ -91,19 +97,26 @@ def _sparse_entry(rng, ctx):
         return x + rand_scalar(rng, ctx) * zeta(6)
     if ctx.with_q:
         q = q_symbol()
+        if laurent:
+            return x * q ** rng.randint(-2, 2) + rand_scalar(rng, ctx) * q ** rng.randint(-2, 2)
         return x * q ** rng.randint(-2, 2) / (Scalar.one(ctx) + rand_scalar(rng, ctx) * q)
     return x
 
 
-@pytest.mark.parametrize("ctx", [QQ, cyclotomic_field(6), function_field()],
-                         ids=["QQ", "QQ(zeta6)", "QQ(q)"])
-def test_product_matches_triple_loop(rng, ctx):
+@pytest.mark.parametrize("ctx, laurent", [(QQ, False), (cyclotomic_field(6), False),
+                                          (function_field(), False), (function_field(), True)],
+                         ids=["QQ", "QQ(zeta6)", "QQ(q)", "QQ[q,q^-1]"])
+def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
+    packed = []
+    monkeypatch.setattr(linalg, "_packed_product",
+                        lambda *args: packed.append(1) or _packed_product(*args))
     # Row 1 of a and column 2 of b are all zero, and so is column 3 of a.
     a = ExactMatrix.from_fn(4, 5, ctx, lambda i, j: Scalar.zero(ctx) if i == 1 or j == 3
-                            else _sparse_entry(rng, ctx))
+                            else _sparse_entry(rng, ctx, laurent))
     b = ExactMatrix.from_fn(5, 3, ctx, lambda i, j: Scalar.zero(ctx) if j == 2
-                            else _sparse_entry(rng, ctx))
+                            else _sparse_entry(rng, ctx, laurent))
     prod = a * b
+    assert packed == ([1] if laurent else [])
     for i in range(a.rows):
         for j in range(b.cols):
             acc = a[i, 0] * b[0, j]
@@ -115,6 +128,115 @@ def test_product_matches_triple_loop(rng, ctx):
     assert prod.row(1) == (zero,) * 3
     assert prod.col(2) == (zero,) * 4
     assert ExactMatrix.zeros(2, 3, ctx) * ExactMatrix.zeros(3, 2, ctx) == ExactMatrix.zeros(2, 2, ctx)
+
+
+# --- the packed product over Q[q, q^-1] against the term-by-term loop ---------------
+
+QQ_Q = function_field()
+
+
+def term_by_term(a, b):
+    """The reference product: every nonzero term in (i, j, k) order, added up."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = Scalar.zero(QQ_Q)
+            for k in range(a.cols):
+                if not a[i, k].is_zero() and not b[k, j].is_zero():
+                    acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return ExactMatrix.from_rows(out)
+
+
+def laurent_entry(shift, den, coeffs):
+    return Scalar(QQ_Q, RatFunc.from_laurent(
+        LaurentPoly.from_dense(1, shift, [Fraction(c, den) for c in coeffs])))
+
+
+def outcome(product, a, b):
+    """The product, or the type and message of the exception it raised."""
+    try:
+        return product(a, b)
+    except DegreeCapExceeded as exc:
+        return DegreeCapExceeded, str(exc)
+
+
+coeff_st = st.one_of(st.integers(-(2 ** 60), 2 ** 60), st.integers(-3, 3),
+                     st.sampled_from([2 ** 60 - 1, -(2 ** 60 - 1)]))
+entry_st = st.one_of(
+    st.just(Scalar.zero(QQ_Q)),
+    st.builds(laurent_entry, st.integers(-3, 3), st.integers(1, 12),
+              st.lists(coeff_st, min_size=1, max_size=4)))
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Factors of shapes 1..6 with about half of their entries zero; when the
+    inner size allows, a last row of a is added whose product with column 0
+    of b cancels to an exact zero."""
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    a = [[draw(entry_st) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry_st) for _ in range(cols)] for _ in range(inner)]
+    if inner >= 2:
+        a.append([b[1][0], -b[0][0]] + [Scalar.zero(QQ_Q)] * (inner - 2))
+    return ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+
+
+@given(laurent_pairs(), st.one_of(st.none(), st.integers(0, 12)))
+@settings(max_examples=200, deadline=None)
+def test_packed_product_matches_term_by_term(pair, cap):
+    """Same entries, and under a degree cap the same exception and message."""
+    a, b = pair
+    set_degree_cap(cap)
+    try:
+        got = outcome(ExactMatrix.__mul__, a, b)
+        want = outcome(term_by_term, a, b)
+    finally:
+        set_degree_cap(None)
+    assert got == want
+
+
+@pytest.mark.parametrize("c", [3037000499, 2 ** 59 + 1, -(2 ** 59 + 1)])
+def test_packed_digits_cover_the_sum_of_the_terms(c):
+    """c^2 alone fits the digit width of one product (c^2 < 2^63 < 2 c^2 for
+    the first c, 2^118 < c^2 < 2^119 < 2 c^2 for the others); the sum of two
+    such products needs the extra bit of the term count."""
+    x = laurent_entry(0, 1, [c])
+    a = ExactMatrix.from_rows([[x, x], [x, -x]])
+    want = laurent_entry(0, 1, [2 * c * c])
+    zero = Scalar.zero(QQ_Q)
+    assert a * a == ExactMatrix.from_rows([[want, zero], [zero, want]]) == term_by_term(a, a)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_an_entry_with_a_denominator_keeps_the_product_term_by_term(side):
+    x = laurent_entry(-1, 3, [1, 2])
+    quotient = x / (Scalar.one(QQ_Q) + q_symbol())
+    laurent = ExactMatrix.from_rows([[x, x], [x, -x]])
+    mixed = ExactMatrix.from_rows([[quotient, x], [x, x]])
+    a, b = (mixed, laurent) if side == "a" else (laurent, mixed)
+    assert a * b == term_by_term(a, b)
+
+
+def test_packed_product_checks_the_cap_term_by_term():
+    """Each term q^-3 * q^3 has degree 0, though the row of a and the column
+    of b each span q^-3..q^3; the first term over the cap, in k order, names
+    its degree."""
+    q, one = q_symbol(), Scalar.one(QQ_Q)
+    a = ExactMatrix.from_rows([[q ** -3, q ** 3]])
+    balanced, late, early = (ExactMatrix.from_rows([[x], [y]]) for x, y in
+                           ((q ** 3, q ** -3), (q ** 3, q ** 2 + one), (one, q ** 2)))
+    set_degree_cap(1)
+    try:
+        assert a * balanced == ExactMatrix.from_rows([[integer(2, QQ_Q)]])
+        with pytest.raises(DegreeCapExceeded, match="^symbolic degree 5 exceeds cap 1$"):
+            a * late
+        with pytest.raises(DegreeCapExceeded, match="^symbolic degree 3 exceeds cap 1$"):
+            a * early
+    finally:
+        set_degree_cap(None)
 
 
 def test_braid_word_in_sl2():

@@ -1,13 +1,17 @@
 """q-combinatorics: q-integers, Gaussian polynomials, triangle, identities."""
 
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qbraid.errors import NonPolynomialQuotient, ZeroQ
+from qbraid.errors import DegreeCapExceeded, NonPolynomialQuotient, ZeroQ
 from qbraid.qcomb import (
     IDENTITY_NAMES,
     QContext,
+    _eval_poly,
     concrete_q,
     gauss_expand,
     q_binomial,
@@ -21,7 +25,17 @@ from qbraid.qcomb import (
     tri_exponent,
     verify_identity,
 )
-from qbraid.scalar import Scalar, integer, parse_scalar, q_symbol, zeta
+from qbraid.scalar import (
+    LaurentPoly,
+    RatFunc,
+    Scalar,
+    function_field,
+    integer,
+    parse_scalar,
+    q_symbol,
+    set_degree_cap,
+    zeta,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +214,38 @@ def test_exactness_failure_never_fires(ctx):
         for k in range(n + 1):
             value = q_binomial(n, k, ctx)
             assert value.is_polynomial()
+
+
+# --- evaluation at q and at q^-1 ----------------------------------------------------
+
+laurent_over_q = st.builds(
+    lambda shift, coeffs: LaurentPoly.from_dense(1, shift, coeffs),
+    st.integers(-5, 5),
+    st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=50),
+             max_size=15))
+
+
+@given(laurent_over_q, st.sampled_from([1, 3]), st.sampled_from([1, -1]))
+@example(LaurentPoly.from_dense(1, -5, [Fraction(1, 2), 0, Fraction(-3)]), 3, -1)
+@example(LaurentPoly.zero(1), 1, -1)
+@settings(max_examples=150, deadline=None)
+def test_evaluation_at_q_and_inverse_q_matches_substitute(p, order, exponent):
+    """At q^-1 the polynomial is reversed, at q it is taken as it is, and over
+    Q(zeta_3)(q) either is lifted; each equals the generic substitution."""
+    q0 = q_symbol(order) ** exponent
+    got = _eval_poly(p, QContext(q0))
+    want = Scalar(function_field(), RatFunc.from_laurent(p)).substitute(q0)
+    assert got == want
+    assert got.ctx == want.ctx == function_field(order)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_degree_cap_holds_at_inverse_q_when_the_polynomials_are_cached(order):
+    qinv = QContext(q_symbol(order).inverse())
+    assert not q_binomial(9, 4, qinv).is_zero()   # fills the q-binomial cache
+    set_degree_cap(3)
+    try:
+        with pytest.raises(DegreeCapExceeded, match="^symbolic degree 20 exceeds cap 3$"):
+            q_binomial(9, 4, qinv)
+    finally:
+        set_degree_cap(None)

@@ -42,6 +42,7 @@ from qbraid.scalar import (
 )
 from qbraid.scalar import (
     _SCHOOLBOOK_MAX,
+    _digit_size,
     _int_mul,
     _kronecker_mul,
     _lp_divmod,
@@ -49,6 +50,8 @@ from qbraid.scalar import (
     _lp_monic_gcd,
     _lp_monic_gcd_generic,
     _lp_mul_generic,
+    _pack,
+    _unpack,
 )
 
 ONE = Fraction(1)
@@ -487,6 +490,29 @@ def test_kernel_mul_worst_case_digits(c, n):
         want = poly_mul(ints, other)
         assert _kronecker_mul(ints, other) == want
         assert _int_mul(ints, other) == want
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_pack_round_trips_the_extreme_digits(size):
+    top = (1 << (8 * size - 1)) - 1
+    for digits in ([top, -top, 0, 1, -1, top], [-top], [0, 0, top], [0]):
+        assert _unpack(_pack(digits, size), len(digits), size) == digits
+
+
+@pytest.mark.parametrize("bound", [1, 127, 128, 2 ** 15, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1,
+                                   2 ** 63, 2 ** 71, 2 ** 200])
+def test_digit_size_covers_the_bound(bound):
+    size = _digit_size(bound)
+    assert 1 << (8 * size - 1) > bound
+    assert size in (1, 2, 4, 8) or size > 8 and 1 << (8 * size - 9) <= bound
+
+
+@given(laurent_st())
+@example(ZERO_POLY)
+@example(TRINOMIAL)
+def test_at_inverse_q_negates_every_exponent(p):
+    assert p.at_inverse_q().terms == {-e: c for e, c in p.terms.items()}
+    assert p.at_inverse_q().at_inverse_q() == p
 
 
 @given(laurent_st(), laurent_st())
