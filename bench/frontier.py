@@ -29,6 +29,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # Seconds each job may run before it is killed.
 DEADLINE_S = 120.0
 
+
+def catalog_lambda(n, s, lam0):
+    """The raw diagonal lam0 diag(zeta_s^k), k = 0..n, of a root-of-unity
+    catalog point, as a CSV spec."""
+    return ",".join([lam0] + [f"{lam0}*zeta({s})^{k}" for k in range(1, n + 1)])
+
+
 JOBS = [
     ["irr", "minors", "--n", "8", "--q", "2"],
     ["irr", "minors", "--n", "10", "--q", "2"],
@@ -36,10 +43,14 @@ JOBS = [
     ["irr", "minors", "--n", "8", "--q", "q"],
     ["rep", "verify", "--n", "20", "--q", "q"],
     ["identities", "--id", "all", "--max-n", "10"],
+    # reducible catalog points: commutant and intertwiners by the lift
+    ["irr", "minors", "--n", "10", "--q", "1", "--lambda=" + catalog_lambda(10, 3, "2")],
+    ["irr", "equiv", "--n", "8", "--q", "1", "--lambda=" + catalog_lambda(8, 4, "2"),
+     "--lambda2=" + catalog_lambda(8, 4, "2")],
 ]
 
 # Report fields copied into the record, when the report has them.
-_PAYLOAD_FIELDS = ("verdict", "commutant_dim", "burnside_dim")
+_PAYLOAD_FIELDS = ("verdict", "commutant_dim", "burnside_dim", "dimension")
 
 
 def run_job(argv, src):

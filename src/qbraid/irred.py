@@ -24,13 +24,23 @@ algebra full, and a zero (or, for a commutant, one-dimensional) nullity image
 proves the exact nullity.  Any other image, or no pair that reduces, leaves
 the answer to the exact route over the field, which is unchanged; reducibility
 is never concluded from an image.
+
+Over Q and Q(zeta_m) an intertwiner or commutant basis that the certificate
+does not settle is lifted from F_p instead (multi-modular linear algebra with
+rational reconstruction; Wang 1981, Monagan 2004): the nullspace mod p at
+every conjugate root of unity and at each prime of the pairs in turn, CRT,
+then rational reconstruction, and every lifted element is checked exactly
+before it is returned.  The checked lift is the exact basis (see
+`_intertwiner_basis`); when no prime gives one, the exact route decides.
+`linalg.ModpSpan` is the one F_p routine, and `linalg._gauss_jordan` the one
+exact elimination loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, dropwhile
 
 from .errors import (
     AlphaDegenerate,
@@ -48,7 +58,16 @@ from .rep import (
     sigma1_matrix,
     sigma2_matrix,
 )
-from .scalar import Scalar, integer, residue, zeta
+from .scalar import (
+    Cyclotomic,
+    Scalar,
+    _inverse,
+    conjugate_interpolation,
+    integer,
+    rational_reconstruction,
+    residue,
+    zeta,
+)
 from .structure import q_exp_nilpotent, t_matrix
 
 
@@ -159,21 +178,30 @@ def minor_criterion(rep, r):
 # every m <= 20 (and every m dividing that lcm); each q0 is a primitive root
 # mod p, so no q-integer (k)_q0 with 0 < k < p - 1 vanishes.  The later pairs
 # serve where an entry has a pole at an earlier q0 or a denominator that an
-# earlier p divides.
-_CERTIFICATE_PAIRS = ((100008, 1862340481), (100005, 1163962801), (100002, 232792561))
+# earlier p divides, and their primes extend the multi-modular intertwiner
+# lift (`_lifted_basis`) to about 190 bits.
+_CERTIFICATE_PAIRS = ((100008, 1862340481), (100005, 1163962801), (100002, 232792561),
+                      (100002, 4655851201), (100003, 6285399121), (100005, 8613324721))
+
+
+def _images(matrices, p, q0, k=1):
+    """The matrices reduced mod p (`residue`, zeta -> r^k), as lists of int
+    rows; None when some entry does not reduce."""
+    images = []
+    for m in matrices:
+        image = [[residue(x, p, q0, k) for x in m.row(i)] for i in range(m.rows)]
+        if any(None in row for row in image):
+            return None
+        images.append(image)
+    return images
 
 
 def _reduced(matrices):
     """(p, images as lists of int rows) at the first certificate pair where
     every entry of every matrix reduces; None when no pair does."""
     for q0, p in _CERTIFICATE_PAIRS:
-        images = []
-        for m in matrices:
-            image = [[residue(x, p, q0) for x in m.row(i)] for i in range(m.rows)]
-            if any(None in row for row in image):
-                break
-            images.append(image)
-        else:
+        images = _images(matrices, p, q0)
+        if images is not None:
             return p, images
     return None
 
@@ -181,9 +209,9 @@ def _reduced(matrices):
 def commutant_dimension(rep):
     """Dimension and basis of {A : A sigma_i = sigma_i A, i = 1, 2}.
 
-    Dimension 1 means operator irreducible.  A basis from the exact route is
-    re-verified to commute with both generators; the certified [I] is not,
-    since I commutes with everything.
+    Dimension 1 means operator irreducible.  A lifted or exact basis is
+    checked to commute with both generators; the certified [I] is not, since
+    I commutes with everything.
     """
     basis = _intertwiner_basis(rep, rep)
     return len(basis), basis
@@ -192,29 +220,27 @@ def commutant_dimension(rep):
 class _EchelonSpan:
     """Incremental exact span with echelon reduction (deterministic pivots).
 
-    Each stored row keeps its support, the columns where it is nonzero, so
-    reducing a vector and normalizing a new row touch only nonzero entries.
+    Vectors of Scalars of one field are inserted; the stored rows hold their
+    field payloads.  Each stored row keeps its support, the columns where it
+    is nonzero, so reducing a vector and normalizing a new row touch only
+    nonzero entries.
     """
 
     def __init__(self):
         self.rows = []   # list of (pivot index, vector, support) sorted by pivot
         self.dim = 0
 
-    def reduce(self, vec):
-        vec = list(vec)
+    def insert(self, vec):
+        vec = [x.val for x in vec]
         for pivot, row, support in self.rows:
             c = vec[pivot]
-            if not c.is_zero():
+            if c:
                 for k in support:
                     vec[k] = vec[k] - c * row[k]
-        return vec
-
-    def insert(self, vec):
-        vec = self.reduce(vec)
-        support = [k for k, x in enumerate(vec) if not x.is_zero()]
+        support = [k for k, x in enumerate(vec) if x]
         if not support:
             return False
-        inv = vec[support[0]].inverse()
+        inv = _inverse(vec[support[0]])
         for k in support:
             vec[k] = inv * vec[k]
         self.rows.append((support[0], vec, support))
@@ -465,33 +491,154 @@ def n1_subspace_test(lam0, lam1):
 # ---------------------------------------------------------------------------
 
 def _intertwiner_basis(rep_a, rep_b):
-    """Exact basis of {C : sigma_i^A C = C sigma_i^B, i = 1, 2}.
+    """Exact basis of {C : sigma_i^A C = C sigma_i^B, i = 1, 2}: the reduced
+    row echelon nullspace basis of the stacked system in the entries of C
+    (`_intertwiner_system`), each vector scaled to a leading 1 and read as a
+    matrix.
 
-    The certificate comes first: the stacked linear system in the entries of
-    C is built from the generators reduced mod p (`_reduced`).  Its nullity
-    mod p bounds the exact nullity from above, so nullity 0 gives the empty
-    basis, and nullity 1 with sigma^A = sigma^B, where I is a solution, gives
-    [I].  Every other case runs the exact solver (`_intertwiner_basis_exact`),
-    the only route whose basis elements are re-verified against both equations.
+    The certificate comes first: the system is built from the generators
+    reduced mod p (`_reduced`).  Its nullity mod p bounds the exact nullity
+    from above, so nullity 0 gives the empty basis, and nullity 1 with
+    sigma^A = sigma^B, where I is a solution, gives [I].
+
+    Over Q and Q(zeta_m) the same image then starts a multi-modular lift
+    (`_lifted_basis`): the nullspace basis mod p of the system at each prime
+    of `_CERTIFICATE_PAIRS`, at every conjugate root of unity, is combined by
+    CRT and rational reconstruction, and every lifted element is checked
+    against both equations (`_is_intertwiner`).  Why the checked elements are
+    the exact route's basis, so that every report is byte-identical:
+    - they lie in the exact nullspace N, and each ends in a 1 at its own free
+      column mod p with a 0 at the other free columns, so they are
+      independent;
+    - their number is the nullity mod p, which is at least dim N, so they are
+      a basis of N;
+    - a basis of N whose vectors end at distinct columns ends exactly at the
+      free columns of N's reduced row echelon basis, and the vector of N with
+      a 1 at one of those columns and a 0 at the others is unique, so they
+      are that basis, which depends only on N; the scaling to a leading 1 is
+      the one `ExactMatrix.nullspace` applies.
+
+    Over Q(q) and Q(zeta_m)(q), or when the lift fails at every prime, the
+    exact solver decides (`_intertwiner_basis_exact`).
     """
     size = rep_a.n + 1
-    same = rep_a.sigma1 == rep_b.sigma1 and rep_a.sigma2 == rep_b.sigma2
-    reduced = _reduced((rep_a.sigma1, rep_a.sigma2, rep_b.sigma1, rep_b.sigma2))
+    ctx = rep_a.sigma1.ctx
+    gens = (rep_a.sigma1, rep_a.sigma2, rep_b.sigma1, rep_b.sigma2)
+    same = gens[:2] == gens[2:]
+    # I solves the system when sigma^A = sigma^B, so its rank is at most
+    # size^2 - 1 there and the search stops on reaching that bound.
+    target = size * size - same
+    reduced = _reduced(gens)
     if reduced is not None:
         p, images = reduced
-        pairs = tuple(zip(images[:2], images[2:]))
-        # I solves the system when sigma^A = sigma^B, so its rank is at most
-        # size^2 - 1 there and the search stops on reaching that bound.
-        target = size * size - same
-        span = ModpSpan(p, size * size)
-        for row in _intertwiner_system(pairs, size, 0):
-            if span.insert(row) and span.dim == target:
-                break
+        span = _system_span(p, images, size, target)
         if span.dim == size * size:
             return []
         if same and span.dim == target:
-            return [ExactMatrix.identity(size, rep_a.sigma1.ctx)]
+            return [ExactMatrix.identity(size, ctx)]
+        if not ctx.with_q:
+            basis = _lifted_basis(rep_a, rep_b, gens, target, span)
+            if basis is not None:
+                return basis
     return _intertwiner_basis_exact(rep_a, rep_b)
+
+
+def _system_span(p, images, size, target):
+    """The F_p span of the rows of the stacked system built from the reduced
+    generators (sigma_1^A, sigma_2^A, sigma_1^B, sigma_2^B), grown until it
+    holds every row or reaches dimension `target`.
+
+    The sparsest rows go in first, since they fill the stored rows in less;
+    the span, its pivots and its nullspace do not depend on the order.
+    """
+    span = ModpSpan(p, size * size)
+    rows = _intertwiner_system(tuple(zip(images[:2], images[2:])), size, 0)
+    for row in sorted(rows, key=lambda r: len(r) - r.count(0)):
+        if span.insert(row) and span.dim == target:
+            break
+    return span
+
+
+def _lifted_basis(rep_a, rep_b, gens, target, first):
+    """The intertwiner basis over Q or Q(zeta_m) by multi-modular lifting, or
+    None when no prime of `_CERTIFICATE_PAIRS` gives one that checks.
+
+    `first` is the span of the system at the standard root mod the first
+    prime p0 that reduces; the lift runs over p0 and the primes after it.  At
+    each prime p the system is reduced at every conjugate root r^k of
+    `conjugate_interpolation`, and `ModpSpan.nullspace` gives its basis mod p
+    there; a prime where some generator does not reduce, or where the free
+    columns differ from those of the first pass, is skipped.  The residues of
+    the entries at the phi(m) roots are mapped to power-basis coefficients
+    mod p, combined with the earlier primes by CRT, and each coefficient is
+    taken back to Q by `rational_reconstruction`.  When every coefficient
+    reconstructs, each vector is scaled to a leading 1 and read as a matrix,
+    and the basis is returned if every element passes `_is_intertwiner`;
+    otherwise the next prime refines the residues.
+    """
+    size = rep_a.n + 1
+    ctx = rep_a.sigma1.ctx
+    free, modulus, lifted = None, 1, None
+    for q0, p in dropwhile(lambda pair: pair[1] != first.p, _CERTIFICATE_PAIRS):
+        ks, interpolation = conjugate_interpolation(ctx.order, p)
+        bases = []
+        for k in ks:
+            if p == first.p and k == 1:
+                span = first
+            else:
+                images = _images(gens, p, q0, k)
+                if images is None:
+                    break
+                span = _system_span(p, images, size, target)
+            columns, basis = span.nullspace()
+            if free is None:
+                free = columns
+            if columns != free:
+                break
+            bases.append(basis)
+        else:
+            # the power-basis coefficient residues, coordinate by coordinate
+            residues = [sum(row[i] * b[t][j] for row, b in zip(interpolation, bases)) % p
+                        for t in range(len(free)) for j in range(size * size)
+                        for i in range(len(ks))]
+            if lifted is None:
+                lifted = residues
+            else:
+                step = pow(modulus, -1, p)
+                lifted = [x + modulus * ((y - x) * step % p) for x, y in zip(lifted, residues)]
+            modulus *= p
+            basis = _reconstructed(lifted, modulus, len(ks), ctx, size)
+            if basis is not None and all(_is_intertwiner(c, rep_a, rep_b) for c in basis):
+                return basis
+    return None
+
+
+def _reconstructed(lifted, modulus, phi, ctx, size):
+    """The matrices whose power-basis coefficients, phi per entry and size^2
+    entries per matrix in row-major order, have the residues `lifted` mod
+    `modulus`, each scaled so its first nonzero entry is 1; None when some
+    coefficient has no rational reconstruction."""
+    coeffs = []
+    for u in lifted:
+        c = rational_reconstruction(u, modulus)
+        if c is None:
+            return None
+        coeffs.append(c)
+    if phi == 1:
+        entries = [Scalar(ctx, c) for c in coeffs]
+    else:
+        entries = [Scalar(ctx, Cyclotomic(ctx.order, coeffs[i:i + phi]))
+                   for i in range(0, len(coeffs), phi)]
+    basis = []
+    for t in range(0, len(entries), size * size):
+        vec = entries[t:t + size * size]
+        lead = next(x for x in vec if not x.is_zero())
+        if not lead.is_one():
+            inv = lead.inverse()
+            vec = [inv * x for x in vec]
+        basis.append(ExactMatrix(size, size, ctx,
+                                 tuple(tuple(vec[i * size:(i + 1) * size]) for i in range(size))))
+    return basis
 
 
 def _intertwiner_system(pairs, size, zero):
@@ -511,9 +658,14 @@ def _intertwiner_system(pairs, size, zero):
                 yield row
 
 
+def _is_intertwiner(mat, rep_a, rep_b):
+    """True when mat satisfies both intertwining equations exactly."""
+    return mat * rep_b.sigma1 == rep_a.sigma1 * mat and mat * rep_b.sigma2 == rep_a.sigma2 * mat
+
+
 def _checked_intertwiner(mat, rep_a, rep_b):
     """mat, once checked against both intertwining equations."""
-    if mat * rep_b.sigma1 != rep_a.sigma1 * mat or mat * rep_b.sigma2 != rep_a.sigma2 * mat:
+    if not _is_intertwiner(mat, rep_a, rep_b):
         raise AssertionError("intertwiner basis element fails its equations")
     return mat
 

@@ -37,6 +37,7 @@ from .scalar import (
     _check_degree,
     _degree_cap,
     _digit_size,
+    _inverse,
     _is_one,
     _laurent,
     _pack,
@@ -105,6 +106,10 @@ class ExactMatrix:
     def col(self, j):
         return tuple(self._e[i][j] for i in range(self.rows))
 
+    def _payloads(self):
+        """The entries' field payloads, as a fresh list of row lists."""
+        return [[x.val for x in r] for r in self._e]
+
     def to_strs(self):
         return [[str(x) for x in r] for r in self._e]
 
@@ -153,14 +158,16 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         # Terms with an exactly zero factor are skipped: they add nothing to an
-        # exact sum, and triangular factors make about half of them zero.
-        rows_a = [[(k, x) for k, x in enumerate(r) if not x.is_zero()] for r in self._e]
-        cols_b = [{k: x for k, x in enumerate(other.col(j)) if not x.is_zero()}
+        # exact sum, and triangular factors make about half of them zero.  The
+        # sums run on the field payloads; the shared context was checked once.
+        rows_a = [[(k, x.val) for k, x in enumerate(r) if x.val] for r in self._e]
+        cols_b = [{k: x.val for k, x in enumerate(other.col(j)) if x.val}
                   for j in range(other.cols)]
-        if self.ctx.with_q and self.ctx.order == 1 and _packable(rows_a, cols_b):
-            return ExactMatrix(self.rows, other.cols, self.ctx,
-                               _packed_product(rows_a, cols_b, self.ctx))
-        zero = Scalar.zero(self.ctx)
+        ctx = self.ctx
+        if ctx.with_q and ctx.order == 1 and _packable(rows_a, cols_b):
+            return ExactMatrix(self.rows, other.cols, ctx,
+                               _packed_product(rows_a, cols_b, ctx))
+        zero = Scalar.zero(ctx)
         out = []
         for terms_a in rows_a:
             out_row = []
@@ -170,9 +177,9 @@ class ExactMatrix:
                     y = cb.get(k)
                     if y is not None:
                         acc = x * y if acc is None else acc + x * y
-                out_row.append(zero if acc is None else acc)
+                out_row.append(zero if acc is None else Scalar(ctx, acc))
             out.append(tuple(out_row))
-        return ExactMatrix(self.rows, other.cols, self.ctx, tuple(out))
+        return ExactMatrix(self.rows, other.cols, ctx, tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -233,25 +240,26 @@ class ExactMatrix:
         """Gauss-Jordan inverse: the right half of [A | I] after elimination."""
         if not self.is_square():
             raise NonSquare("inverse needs a square matrix")
-        n = self.rows
-        eye = ExactMatrix.identity(n, self.ctx)
-        aug = [list(self._e[i]) + list(eye.row(i)) for i in range(n)]
+        n, ctx = self.rows, self.ctx
+        one, zero = Scalar.one(ctx).val, Scalar.zero(ctx).val
+        aug = [[x.val for x in self._e[i]] + [one if j == i else zero for j in range(n)]
+               for i in range(n)]
         pivots, _ = _gauss_jordan(aug)
         if pivots != list(range(n)):
             raise Singular("matrix is singular")
-        return ExactMatrix.from_rows([row[n:] for row in aug])
+        return ExactMatrix(n, n, ctx, tuple(tuple(Scalar(ctx, x) for x in row[n:]) for row in aug))
 
     def determinant(self):
         """Signed product of the elimination pivots; the empty 0x0 determinant is 1."""
         if not self.is_square():
             raise NonSquare("determinant needs a square matrix")
-        pivots, values = _gauss_jordan([list(r) for r in self._e])
+        pivots, values = _gauss_jordan(self._payloads())
         if len(pivots) < self.rows:
             return Scalar.zero(self.ctx)
-        det = Scalar.one(self.ctx)
+        det = Scalar.one(self.ctx).val
         for value in values:
             det = det * value
-        return det
+        return Scalar(self.ctx, det)
 
     def submatrix(self, rows, cols):
         rows, cols = list(rows), list(cols)
@@ -284,9 +292,9 @@ class ExactMatrix:
 
     def rref(self):
         """(reduced rows, pivot column list); rows include the zero tail."""
-        m = [list(r) for r in self._e]
+        m = self._payloads()
         pivots, _ = _gauss_jordan(m)
-        return m, pivots
+        return [[Scalar(self.ctx, x) for x in row] for row in m], pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -327,8 +335,8 @@ def _packable(rows_a, cols_b):
     a diagonal-like factor every entry of the product is a single term, and
     there is no sum to pack."""
     return (min(max(map(len, rows_a), default=0), max(map(len, cols_b), default=0)) > 1
-            and all(_is_one(x.val.den) for r in rows_a for _, x in r)
-            and all(_is_one(x.val.den) for c in cols_b for x in c.values()))
+            and all(_is_one(x.den) for r in rows_a for _, x in r)
+            and all(_is_one(x.den) for c in cols_b for x in c.values()))
 
 
 def _aligned(terms):
@@ -342,7 +350,7 @@ def _aligned(terms):
     """
     if not terms:
         return 0, 1, 0, 0, ()
-    polys = [(k, x.val.num) for k, x in terms]
+    polys = [(k, x.num) for k, x in terms]
     shift = min([p.shift for _, p in polys])
     den = _int_lcm(*[p.den for _, p in polys])
     packing, width, top = [], 0, 0
@@ -379,7 +387,7 @@ def _packed_product(rows_a, cols_b, ctx):
                 for k, x in ra:
                     y = cb.get(k)
                     if y is not None:
-                        x, y = x.val.num, y.val.num
+                        x, y = x.num, y.num
                         _check_degree(x.shift + y.shift, x.max_exp() + y.max_exp())
     rows_a = [_aligned(r) for r in rows_a]
     cols_b = [_aligned(c.items()) for c in cols_b]
@@ -421,7 +429,8 @@ def _packed_product(rows_a, cols_b, ctx):
 
 
 def _gauss_jordan(m):
-    """Reduce the row list m in place to reduced row echelon form.
+    """Reduce the row list m of field payloads (Fractions, `Cyclotomic`s or
+    `RatFunc`s of one field) in place to reduced row echelon form.
 
     The pivot in each column is taken from the candidate row with the fewest
     nonzero entries from that column on (ties go to the first such row), and
@@ -441,8 +450,9 @@ def _gauss_jordan(m):
     for col in range(width):
         piv, support = None, None
         for i in range(r, rows):
-            if not m[i][col].is_zero():
-                nonzero = [k for k in range(col, width) if not m[i][k].is_zero()]
+            row = m[i]
+            if row[col]:
+                nonzero = [k for k in range(col, width) if row[k]]
                 if support is None or len(nonzero) < len(support):
                     piv, support = i, nonzero
         if piv is None:
@@ -452,13 +462,13 @@ def _gauss_jordan(m):
             m[r], m[piv] = m[piv], m[r]
             value = -value
         prow = m[r]
-        inv = prow[col].inverse()
+        inv = _inverse(prow[col])
         for k in support:
             prow[k] = inv * prow[k]
         for i in range(rows):
             row = m[i]
-            if i != r and not row[col].is_zero():
-                f = row[col]
+            f = row[col]
+            if f and i != r:
                 for k in support:
                     row[k] = row[k] - f * prow[k]
         pivots.append(col)
@@ -478,6 +488,7 @@ class ModpSpan:
     so reducing a vector touches only the row's nonzero entries; an entry is
     taken mod p only when its column is reached, and reduction stops at the
     first column without a pivot, which becomes the new row's pivot.
+    `nullspace` solves the stored rows by back substitution.
     """
 
     def __init__(self, p, width):
@@ -502,6 +513,37 @@ class ModpSpan:
             for j in support:
                 vec[j] -= c * row[j]
         return False
+
+    def nullspace(self):
+        """The free columns, those without a pivot, and for each free column f
+        the F_p vector v_f of the right kernel of the stored rows that has a 1
+        at f, a 0 at every other free column and nothing after f: the reduced
+        row echelon nullspace basis, which `ExactMatrix.nullspace` scales
+        further to a leading 1.
+
+        Back substitution: each pivot entry of v_f, from the last pivot before
+        f down, is minus the stored row's dot product with v_f up to f (the
+        row's leading 1 meets the still-zero pivot entry, and the entries of
+        v_f after f are 0).
+        """
+        p, rows = self.p, self._rows
+        free = [k for k, stored in enumerate(rows) if stored is None]
+        basis = []
+        for f in free:
+            vec = [0] * len(rows)
+            vec[f] = 1
+            for k in range(f - 1, -1, -1):
+                stored = rows[k]
+                if stored is not None:
+                    row, support = stored
+                    acc = 0
+                    for j in support:
+                        if j > f:
+                            break
+                        acc += row[j] * vec[j]
+                    vec[k] = -acc % p
+            basis.append(vec)
+        return free, basis
 
 
 def first_mismatch(a, b):

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
+from math import isqrt
 from math import lcm as _int_lcm
 
 from .errors import (
@@ -348,7 +349,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, order=1):
-        return _laurent(order, 0, 1, (1,))
+        return _laurent_one(order)
 
     @classmethod
     def constant(cls, coeff, order=1):
@@ -496,6 +497,12 @@ def _laurent(order, shift, den, coeffs):
     p = object.__new__(LaurentPoly)
     p.order, p.shift, p.den, p.coeffs = order, shift, den, coeffs
     return p
+
+
+@lru_cache(maxsize=None)
+def _laurent_one(order):
+    """The constant 1 over Q(zeta_order), one shared immutable value per order."""
+    return _laurent(order, 0, 1, (1,))
 
 
 def _is_one(p):
@@ -796,7 +803,7 @@ class RatFunc:
 
     @classmethod
     def from_laurent(cls, p):
-        return cls(p.order, p, LaurentPoly.one(p.order))
+        return cls(p.order, p, _laurent_one(p.order))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -979,10 +986,7 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
-        v = self.val
-        if isinstance(v, Fraction):
-            return Scalar(self.ctx, _ONE / v)
-        return Scalar(self.ctx, v.inverse())
+        return Scalar(self.ctx, _inverse(self.val))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -1055,6 +1059,12 @@ class Scalar:
         return f"Scalar[{self.ctx.describe()}]({self})"
 
 
+def _inverse(v):
+    """The inverse of a nonzero field payload: a Fraction, a `Cyclotomic` or a
+    `RatFunc`."""
+    return 1 / v if type(v) is Fraction else v.inverse()
+
+
 def _payload_const(ctx, f):
     if ctx.with_q:
         return RatFunc.from_laurent(LaurentPoly.constant(f, ctx.order))
@@ -1110,20 +1120,22 @@ def root_of_unity_mod(m, p):
     return None
 
 
-def residue(x, p, q0):
+def residue(x, p, q0, k=1):
     """The image of the Scalar x in F_p, as an int in 0..p-1, or None when x
     does not reduce.
 
     Over Q a Fraction reduces unless p divides its denominator.  Over Q(zeta_m)
-    zeta goes to `root_of_unity_mod(m, p)`, so p must be 1 modulo m.  Over
-    Q(zeta_m)(q) q goes to q0 as well, and the residues of the numerator and
-    the denominator are divided; a zero denominator residue (a pole) or q0 = 0
-    gives None.  On the elements that reduce this is a ring homomorphism, so
-    the rank of a matrix of them is at least the rank of its image.
+    zeta goes to r^k for r = `root_of_unity_mod(m, p)`, so p must be 1 modulo
+    m; k = 1 is the standard root, and k coprime to m gives the image of the
+    Galois conjugate zeta -> zeta^k.  Over Q(zeta_m)(q) q goes to q0 as well,
+    and the residues of the numerator and the denominator are divided; a zero
+    denominator residue (a pole) or q0 = 0 gives None.  On the elements that
+    reduce this is a ring homomorphism, so the rank of a matrix of them is at
+    least the rank of its image.
     """
     v = x.val
     if not isinstance(v, RatFunc):
-        return _base_residue(v, p)
+        return _base_residue(v, p, k)
     if q0 % p == 0:
         return None
     den = _laurent_residue(v.den, p, q0)
@@ -1133,12 +1145,15 @@ def residue(x, p, q0):
     return None if num is None else num * pow(den, -1, p) % p
 
 
-def _base_residue(c, p):
-    """The residue of a Fraction or a Cyclotomic; None when it does not reduce."""
+def _base_residue(c, p, k=1):
+    """The residue of a Fraction or a Cyclotomic, zeta -> r^k; None when it
+    does not reduce."""
     if isinstance(c, Cyclotomic):
         root = root_of_unity_mod(c.order, p)
         if root is None:
             return None
+        if k != 1:
+            root = pow(root, k, p)
         den, acc = c.den, 0
         for a in reversed(c.ints):
             acc = (acc * root + a) % p
@@ -1147,6 +1162,61 @@ def _base_residue(c, p):
     if den % p == 0:
         return None
     return acc * pow(den, -1, p) % p
+
+
+@lru_cache(maxsize=None)
+def conjugate_interpolation(m, p):
+    """The conjugate exponents of Q(zeta_m) and the map from their images mod
+    p back to the power basis.
+
+    Returns (ks, rows): ks lists the k in 1..m coprime to m (just [1] for
+    m <= 2), and rows[e][i] is the coefficient of zeta^i in the Lagrange
+    polynomial that is 1 at r^ks[e] and 0 at the other r^k, with
+    r = `root_of_unity_mod(m, p)`.  So a = sum(c_i zeta^i) with images
+    y_e = a(r^ks[e]) mod p has c_i = sum_e rows[e][i] y_e mod p.  The r^k are
+    the phi(m) distinct roots of Phi_m mod p, so the Lagrange polynomial at
+    x_e is Phi_m / (x - x_e) over Phi_m'(x_e), and Phi_m'(x_e) is that
+    quotient evaluated at x_e.
+    """
+    ks = [k for k in range(1, m + 1) if _int_gcd(k, m) == 1]
+    poly = cyclotomic_polynomial(m)
+    root = root_of_unity_mod(m, p)
+    rows = []
+    for k in ks:
+        x = pow(root, k, p)
+        quotient = [0] * (len(poly) - 1)
+        acc = 0
+        for i in range(len(poly) - 1, 0, -1):
+            acc = (poly[i] + x * acc) % p
+            quotient[i - 1] = acc
+        scale = pow(sum(c * pow(x, i, p) for i, c in enumerate(quotient)) % p, -1, p)
+        rows.append([c * scale % p for c in quotient])
+    return ks, rows
+
+
+def rational_reconstruction(u, m):
+    """The Fraction a/b with |a|, b <= isqrt((m - 1) // 2) and a = b u (mod m),
+    or None when there is none (Wang 1981).
+
+    The bound is sqrt(m/2) rounded down for odd m; twice its square is below
+    m, so the fraction is unique when it exists.  The half extended Euclid on
+    (m, u) stops at the first remainder within the bound; that remainder and
+    its cofactor are the fraction when the cofactor is within the bound and
+    coprime to the remainder.
+    """
+    u %= m
+    if not u:
+        return _ZERO
+    bound = isqrt((m - 1) // 2)
+    r0, r1 = m, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    if not r1 or abs(t1) > bound or _int_gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def _laurent_residue(lp, p, q0):

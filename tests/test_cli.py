@@ -232,6 +232,14 @@ def test_cyclotomic_exact_route_reports_match_golden_file():
     replay_golden_file("cyclotomic_exact_route.json")
 
 
+def test_catalog_intertwiner_reports_match_golden_file():
+    """`irr equiv` at n = 4 and 6 and `irr minors` at n = 6 at the zeta2,
+    zeta3 and zeta4 catalog points with lambda_0 = 2 and 2/3, whose commutant
+    and intertwiner bases the multi-modular lift computes, replayed against
+    reports recorded from the exact route."""
+    replay_golden_file("catalog_intertwiners.json")
+
+
 def test_structure_reports_match_golden_file():
     """`exp`, `sym`, `ferrand`, `tw` and `sl2` checks, `rep build --latex`
     and `rep verify` at symbolic q and q = zeta4, replayed against recorded

@@ -662,11 +662,122 @@ def test_certificate_primes_and_roots():
     assert len({p for _, p in _CERTIFICATE_PAIRS}) == len(_CERTIFICATE_PAIRS)
     for q0, p in _CERTIFICATE_PAIRS:
         assert sympy.isprime(p)
+        assert p % 232792560 == 1
         assert sympy.n_order(q0, p) == p - 1
         for m in range(1, 21):
             root = root_of_unity_mod(m, p)
             assert sympy.n_order(root, p) == m, (m, p)
         assert root_of_unity_mod(23, p) is None
+
+
+# --- the multi-modular intertwiner lift -----------------------------------------
+
+LIFT_LAMBDA0 = (Fraction(2), Fraction(2, 3), Fraction(-3, 2))
+
+
+def catalog_point(n, s, lam0, shift=0):
+    """The q = 1 representation at lambda = lam0 diag(zeta_s^(k + shift))."""
+    z = zeta(s)
+    scale = rational(lam0.numerator, lam0.denominator, z.ctx)
+    return rep_q1([scale * z ** (k + shift) for k in range(n + 1)])
+
+
+def refuse_exact(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact route ran")
+
+    monkeypatch.setattr(irred, "_intertwiner_basis_exact", refuse)
+
+
+def lift_cases():
+    cases = [(n, s, lam0) for n in (2, 3, 4, 5) for s in range(2, 7) for lam0 in LIFT_LAMBDA0]
+    return cases + [(6, s, lam0) for s in range(2, 7) for lam0 in LIFT_LAMBDA0[:2]]
+
+
+def test_lifted_commutant_bases_match_the_exact_route(monkeypatch):
+    """At the root-of-unity catalog points, which the certificate leaves
+    open, the lift alone gives the exact route's basis, element for element."""
+    reps = [catalog_point(*case) for case in lift_cases()]
+    exact = [_intertwiner_basis_exact(rep, rep) for rep in reps]
+    refuse_exact(monkeypatch)
+    dims = set()
+    for case, rep, want in zip(lift_cases(), reps, exact):
+        assert _intertwiner_basis(rep, rep) == want, case
+        dims.add(len(want))
+    assert {2, 3, 5, 9} <= dims
+
+
+def test_lifted_intertwiners_between_distinct_points_match_the_exact_route(monkeypatch):
+    """Pairs of distinct points over one field: lambda against lambda zeta_s
+    and against -lambda; at least ten of the spaces have dimension 2 or
+    more."""
+    pairs = [(catalog_point(n, s, lam0), catalog_point(n, s, lam0 * sign, shift))
+             for n in (3, 4, 6) for s in (2, 3, 4, 6) for lam0 in LIFT_LAMBDA0[:2]
+             for sign, shift in ((1, 1), (-1, 0))]
+    exact = [_intertwiner_basis_exact(a, b) for a, b in pairs]
+    assert sum(len(basis) >= 2 for basis in exact) >= 10
+    refuse_exact(monkeypatch)
+    for (a, b), want in zip(pairs, exact):
+        assert _intertwiner_basis(a, b) == want
+        assert intertwiner_space(a, b)["basis"] == want
+
+
+def spy(monkeypatch, name):
+    """Record every result of irred.<name> in a list."""
+    results, original = [], getattr(irred, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(irred, name, wrapper)
+    return results
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 6])
+def test_lift_falls_back_when_no_prime_reconstructs(monkeypatch, s):
+    # mod 13 (1 mod 12) the reconstruction bound is 2, too small for the
+    # basis, so the lift gives up and the exact route answers
+    rep = catalog_point(6, s, Fraction(2, 3))
+    want = _intertwiner_basis_exact(rep, rep)
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, 13),))
+    lifts = spy(monkeypatch, "_reconstructed")
+    fallbacks = spy(monkeypatch, "_intertwiner_basis_exact")
+    assert _intertwiner_basis(rep, rep) == want
+    assert lifts == [None] and fallbacks == [want]
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_lift_combines_primes_by_crt(monkeypatch, s):
+    # mod one prime near 2^10 the bound is 22, too small; CRT over two of
+    # them reaches 717, enough for the basis
+    rep = catalog_point(6, s, Fraction(2, 3))
+    want = _intertwiner_basis_exact(rep, rep)
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, 1009), (2, 1021), (2, 1033)))
+    lifts = spy(monkeypatch, "_reconstructed")
+    refuse_exact(monkeypatch)
+    assert _intertwiner_basis(rep, rep) == want
+    assert lifts == [None, want]
+
+
+def test_lift_from_a_bad_prime_is_rejected_by_the_check(monkeypatch):
+    """lambda = (t^k) with t = p - 1 is the catalog point lambda = ((-1)^k)
+    mod p, so the image at p has the catalog's pivots, not the exact ones.
+    Its lift reconstructs but fails the check; the later primes, whose free
+    columns differ from the first pass, are skipped, and the exact route
+    gives [I]."""
+    p = 10007
+    rep = rep_q1([(p - 1) ** k for k in range(5)])
+    eye = ExactMatrix.identity(5, QQ)
+    assert _intertwiner_basis_exact(rep, rep) == [eye]
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, p),) + _CERTIFICATE_PAIRS)
+    lifts = spy(monkeypatch, "_reconstructed")
+    checks = spy(monkeypatch, "_is_intertwiner")
+    fallbacks = spy(monkeypatch, "_intertwiner_basis_exact")
+    assert _intertwiner_basis(rep, rep) == [eye]
+    assert len(lifts) == 1 and len(lifts[0]) == 5
+    assert False in checks and fallbacks == [[eye]]
 
 
 TW_Q_VALUES = ["1", "-1", "2", "1/3", "-8", "zeta(3)", "zeta(4)", "zeta(6)"]

@@ -11,6 +11,7 @@ from qbraid import linalg
 from qbraid.errors import DegreeCapExceeded, NonSquare, ShapeMismatch, Singular
 from qbraid.linalg import (
     ExactMatrix,
+    ModpSpan,
     _packed_product,
     compare_all,
     det_by_permutations,
@@ -30,6 +31,7 @@ from qbraid.scalar import (
     integer,
     q_symbol,
     rational,
+    residue,
     set_degree_cap,
     zeta,
 )
@@ -564,6 +566,47 @@ def test_rref_matches_sympy():
         assert pivots == list(want_pivots), rows
         assert [[x.as_fraction() for x in row] for row in reduced] == \
             [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)], rows
+
+
+# --- the F_p nullspace against the exact one ----------------------------------------
+
+MODP_PRIMES = [1862340481, 232792561]
+
+
+@given(st.integers(1, 5).flatmap(lambda rows: st.integers(1, 7).flatmap(
+    lambda cols: st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]),
+                                   min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))),
+    st.sampled_from(MODP_PRIMES))
+@settings(max_examples=150, deadline=None)
+def test_modp_nullspace_matches_exact_nullspace(rows, p):
+    """On small integer matrices no minor is a multiple of p unless it is 0,
+    so the pivots agree, and each F_p vector is the reduction of the exact
+    basis vector scaled to a 1 at its free column."""
+    span = ModpSpan(p, len(rows[0]))
+    for row in rows:
+        span.insert(row)
+    free, basis = span.nullspace()
+    exact = ExactMatrix.from_rows([[integer(x) for x in row] for row in rows])
+    want = exact.nullspace()
+    assert len(free) == len(basis) == len(want) == len(rows[0]) - exact.rank()
+    for f, vec, w in zip(free, basis, want):
+        assert vec[f] == 1 and not any(vec[j] for j in free if j != f) and not any(vec[f + 1:])
+        assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in rows)
+        scale = w[f].inverse()
+        assert vec == [residue(scale * x, p, 0) for x in w]
+
+
+def test_modp_nullspace_examples():
+    span = ModpSpan(7, 4)
+    for row in ([1, 2, 0, 3], [2, 4, 1, 6], [0, 0, 0, 0]):
+        span.insert(row)
+    assert span.nullspace() == ([1, 3], [[5, 1, 0, 0], [4, 0, 0, 1]])
+    assert ModpSpan(7, 2).nullspace() == ([0, 1], [[1, 0], [0, 1]])
+    full = ModpSpan(7, 2)
+    full.insert([1, 1])
+    full.insert([0, 3])
+    assert full.nullspace() == ([], [])
 
 
 # --- generalized characteristic polynomial ----------------------------------------

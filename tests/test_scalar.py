@@ -3,7 +3,7 @@ functions, canonical strings."""
 
 import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +26,7 @@ from qbraid.scalar import (
     LaurentPoly,
     RatFunc,
     Scalar,
+    conjugate_interpolation,
     cyclotomic_field,
     cyclotomic_polynomial,
     function_field,
@@ -35,6 +36,7 @@ from qbraid.scalar import (
     parse_scalar,
     q_symbol,
     rational,
+    rational_reconstruction,
     residue,
     root_of_unity_mod,
     set_degree_cap,
@@ -934,3 +936,85 @@ def test_residue_examples():
     assert residue(one / (q - integer(5, q.ctx)), p, 5) is None   # a pole
     assert residue(one / (q - integer(5, q.ctx)), p, 6) == 1
     assert residue(q, p, 13) is None               # q0 = 0 mod p
+
+
+@given(st.sampled_from([1, 3, 4, 5, 6, 12, 20]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(-50, 50), min_size=20, max_size=20),
+                        st.integers(1, 9))),
+    st.sampled_from([1862340481, 232792561, 61]))
+@settings(max_examples=80, deadline=None)
+def test_conjugate_interpolation_inverts_the_conjugate_residues(case, p):
+    """The residues of a in Q(zeta_m) at every conjugate root r^k, mapped back,
+    are the residues of its power-basis coefficients."""
+    m, ints, den = case
+    if (p - 1) % m:
+        return
+    ks, rows = conjugate_interpolation(m, p)
+    ctx = cyclotomic_field(m)
+    phi = 1 if m <= 2 else len(cyclotomic_polynomial(m)) - 1
+    assert len(ks) == len(rows) == phi
+    coeffs = [Fraction(c, den) for c in ints[:phi]]
+    x = Scalar(ctx, coeffs[0] if phi == 1 else Cyclotomic(m, coeffs))
+    images = [residue(x, p, 0, k) for k in ks]
+    if None in images:
+        assert den % p == 0
+        return
+    got = [sum(row[i] * y for row, y in zip(rows, images)) % p for i in range(phi)]
+    assert got == [c.numerator * pow(c.denominator, -1, p) % p for c in coeffs]
+    # k = 1 is the standard root, and r^k is the image of the conjugate zeta -> zeta^k
+    assert ks[0] == 1 and images[0] == residue(x, p, 0)
+    if phi > 1:
+        z = zeta(m)
+        for k, image in zip(ks, images):
+            conj = sum((Scalar.of_fraction(c, ctx) * z ** (i * k) for i, c in enumerate(coeffs)),
+                       Scalar.zero(ctx))
+            assert residue(conj, p, 0) == image
+
+
+def brute_reconstruction(u, m):
+    bound = isqrt((m - 1) // 2)
+    found = [Fraction(a, b) for b in range(1, bound + 1) if gcd(b, m) == 1
+             for a in range(-bound, bound + 1) if gcd(a, b) == 1 and (a - b * u) % m == 0]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+@given(st.integers(3, 400).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))))
+@settings(max_examples=300, deadline=None)
+@example((101, 10))     # no a/b with |a|, b <= 7 is 10 mod 101
+@example((2 * 3 * 5 * 7, 2))
+def test_rational_reconstruction_matches_brute_force(case):
+    """Every residue of a small modulus, prime or not: the unique fraction
+    within the bound, or None when there is none."""
+    u, m = case[1], case[0]
+    assert rational_reconstruction(u, m) == brute_reconstruction(u, m)
+
+
+LIFT_MODULI = [1862340481, 1862340481 * 1163962801,
+               1862340481 * 1163962801 * 232792561 * 8613324721]
+
+
+@given(st.sampled_from(LIFT_MODULI).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(-isqrt(m // 2), isqrt(m // 2)), st.integers(1, isqrt(m // 2)))))
+@settings(max_examples=200, deadline=None)
+def test_rational_reconstruction_round_trip(case):
+    m, a, b = case
+    if gcd(b, m) != 1:
+        return
+    value = Fraction(a, b)
+    u = value.numerator * pow(value.denominator, -1, m) % m
+    assert rational_reconstruction(u, m) == value
+
+
+def test_rational_reconstruction_out_of_bound():
+    m = 1862340481
+    bound = isqrt(m // 2)   # m is odd, so this is the bound
+    assert rational_reconstruction(bound, m) == bound
+    assert rational_reconstruction(-bound % m, m) == -bound
+    # 1/(bound + 1) is out of bound; its residue has no reconstruction
+    u = pow(bound + 1, -1, m)
+    assert rational_reconstruction(u, m) is None
+    assert brute_reconstruction(10, 101) is None and rational_reconstruction(10, 101) is None
+    assert rational_reconstruction(0, m) == 0
+    # a multiple of one prime of a composite modulus is no fraction within the bound
+    assert rational_reconstruction(1862340481, 1862340481 * 1163962801) is None
