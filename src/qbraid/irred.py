@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, dropwhile
+from itertools import combinations
 
 from .errors import (
     AlphaDegenerate,
@@ -49,7 +49,7 @@ from .errors import (
     ShapeMismatch,
     SingularDiagonal,
 )
-from .linalg import ExactMatrix, ModpSpan
+from .linalg import ExactMatrix, ModpSpan, leading_one
 from .qcomb import QContext, concrete_q, q_int, q_tri
 from .rep import (
     build_representation,
@@ -197,12 +197,13 @@ def _images(matrices, p, q0, k=1):
 
 
 def _reduced(matrices):
-    """(p, images as lists of int rows) at the first certificate pair where
-    every entry of every matrix reduces; None when no pair does."""
-    for q0, p in _CERTIFICATE_PAIRS:
+    """(index, p, images as lists of int rows) at the first certificate pair
+    `_CERTIFICATE_PAIRS[index]` where every entry of every matrix reduces;
+    None when no pair does."""
+    for index, (q0, p) in enumerate(_CERTIFICATE_PAIRS):
         images = _images(matrices, p, q0)
         if images is not None:
-            return p, images
+            return index, p, images
     return None
 
 
@@ -280,7 +281,7 @@ def burnside_dimension(rep):
     full = size * size
     reduced = _reduced((rep.sigma1, rep.sigma2))
     if reduced is not None:
-        p, gens = reduced
+        _, p, gens = reduced
 
         def mul(a, b):
             cols = list(zip(*b))
@@ -530,14 +531,14 @@ def _intertwiner_basis(rep_a, rep_b):
     target = size * size - same
     reduced = _reduced(gens)
     if reduced is not None:
-        p, images = reduced
+        start, p, images = reduced
         span = _system_span(p, images, size, target)
         if span.dim == size * size:
             return []
         if same and span.dim == target:
             return [ExactMatrix.identity(size, ctx)]
         if not ctx.with_q:
-            basis = _lifted_basis(rep_a, rep_b, gens, target, span)
+            basis = _lifted_basis(rep_a, rep_b, gens, target, start, span)
             if basis is not None:
                 return basis
     return _intertwiner_basis_exact(rep_a, rep_b)
@@ -559,31 +560,35 @@ def _system_span(p, images, size, target):
     return span
 
 
-def _lifted_basis(rep_a, rep_b, gens, target, first):
+def _lifted_basis(rep_a, rep_b, gens, target, start, first):
     """The intertwiner basis over Q or Q(zeta_m) by multi-modular lifting, or
     None when no prime of `_CERTIFICATE_PAIRS` gives one that checks.
 
-    `first` is the span of the system at the standard root mod the first
-    prime p0 that reduces; the lift runs over p0 and the primes after it.  At
-    each prime p the system is reduced at every conjugate root r^k of
-    `conjugate_interpolation`, and `ModpSpan.nullspace` gives its basis mod p
-    there; a prime where some generator does not reduce, or where the free
-    columns differ from those of the first pass, is skipped.  The residues of
-    the entries at the phi(m) roots are mapped to power-basis coefficients
-    mod p, combined with the earlier primes by CRT, and each coefficient is
-    taken back to Q by `rational_reconstruction`.  When every coefficient
-    reconstructs, each vector is scaled to a leading 1 and read as a matrix,
-    and the basis is returned if every element passes `_is_intertwiner`;
-    otherwise the next prime refines the residues.
+    `first` is the span of the system at the standard root mod the prime of
+    `_CERTIFICATE_PAIRS[start]`, the first pair that reduces; the lift runs
+    over that pair and the pairs after it.  At each prime p the system is
+    reduced at every conjugate root r^k of `conjugate_interpolation`, and
+    `ModpSpan.nullspace` gives its basis mod p there; a prime where F_p has
+    no primitive m-th root of unity, where some generator does not reduce,
+    or where the free columns differ from those of the first pass, is
+    skipped.  The residues of the entries at the phi(m) roots are mapped to
+    power-basis coefficients mod p, combined with the earlier primes by CRT,
+    and each coefficient is taken back to Q by `rational_reconstruction`.
+    When every coefficient reconstructs, each vector is scaled to a leading 1
+    and read as a matrix, and the basis is returned if every element passes
+    `_is_intertwiner`; otherwise the next prime refines the residues.
     """
     size = rep_a.n + 1
     ctx = rep_a.sigma1.ctx
     free, modulus, lifted = None, 1, None
-    for q0, p in dropwhile(lambda pair: pair[1] != first.p, _CERTIFICATE_PAIRS):
-        ks, interpolation = conjugate_interpolation(ctx.order, p)
+    for index, (q0, p) in enumerate(_CERTIFICATE_PAIRS[start:]):
+        conjugates = conjugate_interpolation(ctx.order, p)
+        if conjugates is None:
+            continue
+        ks, interpolation = conjugates
         bases = []
         for k in ks:
-            if p == first.p and k == 1:
+            if index == 0 and k == 1:
                 span = first
             else:
                 images = _images(gens, p, q0, k)
@@ -629,16 +634,14 @@ def _reconstructed(lifted, modulus, phi, ctx, size):
     else:
         entries = [Scalar(ctx, Cyclotomic(ctx.order, coeffs[i:i + phi]))
                    for i in range(0, len(coeffs), phi)]
-    basis = []
-    for t in range(0, len(entries), size * size):
-        vec = entries[t:t + size * size]
-        lead = next(x for x in vec if not x.is_zero())
-        if not lead.is_one():
-            inv = lead.inverse()
-            vec = [inv * x for x in vec]
-        basis.append(ExactMatrix(size, size, ctx,
-                                 tuple(tuple(vec[i * size:(i + 1) * size]) for i in range(size))))
-    return basis
+    return [_as_matrix(leading_one(entries[t:t + size * size]), size)
+            for t in range(0, len(entries), size * size)]
+
+
+def _as_matrix(vec, size):
+    """The vector vec of size^2 entries read as a size x size matrix, row by
+    row: C_(a,b) is at a*size + b, as in `_intertwiner_system`."""
+    return ExactMatrix.from_rows([vec[i * size:(i + 1) * size] for i in range(size)])
 
 
 def _intertwiner_system(pairs, size, zero):
@@ -678,9 +681,7 @@ def _intertwiner_basis_exact(rep_a, rep_b):
     pairs = tuple(([sa.row(i) for i in range(size)], [sb.row(i) for i in range(size)])
                   for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)))
     rows = list(_intertwiner_system(pairs, size, Scalar.zero(rep_a.sigma1.ctx)))
-    return [_checked_intertwiner(
-                ExactMatrix.from_rows([[vec[i * size + j] for j in range(size)]
-                                       for i in range(size)]), rep_a, rep_b)
+    return [_checked_intertwiner(_as_matrix(vec, size), rep_a, rep_b)
             for vec in ExactMatrix.from_rows(rows).nullspace()]
 
 

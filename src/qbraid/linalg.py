@@ -312,11 +312,7 @@ class ExactMatrix:
             vec[f] = one
             for r, pc in enumerate(pivots):
                 vec[pc] = -m[r][f]
-            lead = next(x for x in vec if not x.is_zero())
-            if not lead.is_one():
-                inv = lead.inverse()
-                vec = [inv * x for x in vec]
-            basis.append(tuple(vec))
+            basis.append(tuple(leading_one(vec)))
         return basis
 
     # -- output -----------------------------------------------------------------
@@ -326,6 +322,16 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols} over {self.ctx.describe()})\n{self}"
+
+
+def leading_one(vec):
+    """The nonzero vector vec of Scalars scaled so that its first nonzero
+    coordinate is 1, the normalization of `ExactMatrix.nullspace`."""
+    lead = next(x for x in vec if not x.is_zero())
+    if lead.is_one():
+        return vec
+    inv = lead.inverse()
+    return [inv * x for x in vec]
 
 
 def _packable(rows_a, cols_b):

@@ -1138,10 +1138,10 @@ def residue(x, p, q0, k=1):
         return _base_residue(v, p, k)
     if q0 % p == 0:
         return None
-    den = _laurent_residue(v.den, p, q0)
+    den = _laurent_residue(v.den, p, q0, k)
     if not den:
         return None
-    num = _laurent_residue(v.num, p, q0)
+    num = _laurent_residue(v.num, p, q0, k)
     return None if num is None else num * pow(den, -1, p) % p
 
 
@@ -1169,8 +1169,9 @@ def conjugate_interpolation(m, p):
     """The conjugate exponents of Q(zeta_m) and the map from their images mod
     p back to the power basis.
 
-    Returns (ks, rows): ks lists the k in 1..m coprime to m (just [1] for
-    m <= 2), and rows[e][i] is the coefficient of zeta^i in the Lagrange
+    Returns (ks, rows), or None when m does not divide p - 1, so that F_p has
+    no primitive m-th root of unity.  ks lists the k in 1..m coprime to m
+    (just [1] for m <= 2), and rows[e][i] is the coefficient of zeta^i in the Lagrange
     polynomial that is 1 at r^ks[e] and 0 at the other r^k, with
     r = `root_of_unity_mod(m, p)`.  So a = sum(c_i zeta^i) with images
     y_e = a(r^ks[e]) mod p has c_i = sum_e rows[e][i] y_e mod p.  The r^k are
@@ -1178,9 +1179,11 @@ def conjugate_interpolation(m, p):
     x_e is Phi_m / (x - x_e) over Phi_m'(x_e), and Phi_m'(x_e) is that
     quotient evaluated at x_e.
     """
+    root = root_of_unity_mod(m, p)
+    if root is None:
+        return None
     ks = [k for k in range(1, m + 1) if _int_gcd(k, m) == 1]
     poly = cyclotomic_polynomial(m)
-    root = root_of_unity_mod(m, p)
     rows = []
     for k in ks:
         x = pow(root, k, p)
@@ -1219,12 +1222,13 @@ def rational_reconstruction(u, m):
     return Fraction(r1, t1)
 
 
-def _laurent_residue(lp, p, q0):
-    """The residue of a Laurent polynomial at q = q0 (q0 a unit mod p)."""
+def _laurent_residue(lp, p, q0, k=1):
+    """The residue of a Laurent polynomial at q = q0 (q0 a unit mod p),
+    zeta -> r^k in its coefficients."""
     acc = 0
     for c in reversed(lp.coeffs):
         if lp.order != 1:
-            c = _base_residue(c, p)
+            c = _base_residue(c, p, k)
             if c is None:
                 return None
         acc = (acc * q0 + c) % p

@@ -761,6 +761,29 @@ def test_lift_combines_primes_by_crt(monkeypatch, s):
     assert lifts == [None, want]
 
 
+@pytest.mark.parametrize("s,step,small", [(32, 8, 97), (25, 5, 101)])
+def test_lift_skips_primes_without_the_roots_of_unity(monkeypatch, s, step, small):
+    """Over Q(zeta_32) or Q(zeta_25), at the zeta_4 or zeta_5 catalog point:
+    mod the small prime (1 mod s) no basis reconstructs, and F_1009 has no
+    primitive s-th root of unity, so the lift moves past it to the first
+    certificate prime that has one, or the exact route answers."""
+    z = zeta(s)
+    rep = rep_q1([rational(2, 3, z.ctx) * z ** (step * k) for k in range(7)])
+    want = _intertwiner_basis_exact(rep, rep)
+    assert len(want) > 1
+    later = next(pair for pair in _CERTIFICATE_PAIRS if (pair[1] - 1) % s == 0)
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, small), (2, 1009)))
+    lifts = spy(monkeypatch, "_reconstructed")
+    fallbacks = spy(monkeypatch, "_intertwiner_basis_exact")
+    assert _intertwiner_basis(rep, rep) == want
+    assert lifts == [None] and fallbacks == [want]
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, small), (2, 1009), later))
+    lifts = spy(monkeypatch, "_reconstructed")
+    refuse_exact(monkeypatch)
+    assert _intertwiner_basis(rep, rep) == want
+    assert lifts == [None, want]
+
+
 def test_lift_from_a_bad_prime_is_rejected_by_the_check(monkeypatch):
     """lambda = (t^k) with t = p - 1 is the catalog point lambda = ((-1)^k)
     mod p, so the image at p has the catalog's pivots, not the exact ones.

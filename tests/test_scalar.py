@@ -936,6 +936,12 @@ def test_residue_examples():
     assert residue(one / (q - integer(5, q.ctx)), p, 5) is None   # a pole
     assert residue(one / (q - integer(5, q.ctx)), p, 6) == 1
     assert residue(q, p, 13) is None               # q0 = 0 mod p
+    # over Q(zeta_3)(q) the conjugate exponent reaches the coefficients too
+    ctx = join_context(q.ctx, z.ctx)
+    zq, qz = z.coerce(ctx), q.coerce(ctx)
+    assert residue(zq + qz, p, 5, 2) == (root * root + 5) % p
+    assert residue(Scalar.one(ctx) / (zq * qz - integer(1, ctx)), p, 5, 2) == \
+        pow((root * root * 5 - 1) % p, -1, p)
 
 
 @given(st.sampled_from([1, 3, 4, 5, 6, 12, 20]).flatmap(
@@ -969,6 +975,11 @@ def test_conjugate_interpolation_inverts_the_conjugate_residues(case, p):
             conj = sum((Scalar.of_fraction(c, ctx) * z ** (i * k) for i, c in enumerate(coeffs)),
                        Scalar.zero(ctx))
             assert residue(conj, p, 0) == image
+
+
+def test_conjugate_interpolation_needs_a_root_of_unity():
+    assert conjugate_interpolation(32, 97) is not None
+    assert conjugate_interpolation(32, 1009) is None    # 1008 = 2^4 * 63
 
 
 def brute_reconstruction(u, m):
