@@ -20,12 +20,13 @@ from .linalg import ExactMatrix
 from .qcomb import (
     IDENTITY_NAMES,
     QContext,
+    concrete_q,
     symbolic_q,
     triangle_row,
     verify_identity,
 )
 from .rep import build_representation, factored_spec, raw_spec, verify_braid
-from .scalar import Scalar, join_context, parse_scalar, set_degree_cap
+from .scalar import Scalar, integer, join_context, parse_scalar, set_degree_cap
 from .structure import (
     TWParams,
     ferrand_phi,
@@ -199,6 +200,11 @@ def _size(text):
     return int(text)
 
 
+# Built once per process: parsing leaves the parser as it was, so every call
+# shares it.
+_PARSER = _build_parser()
+
+
 def _sweep(args):
     if args.max_n is not None:
         if args.max_n < 1:
@@ -306,11 +312,8 @@ def _cmd_exp(args):
 
 
 def _cmd_sym(args):
-    from .qcomb import concrete_q
-    from .scalar import integer
     c1 = concrete_q(integer(1))
-    g1 = ExactMatrix.from_rows([[integer(1), integer(1)], [integer(0), integer(1)]])
-    g2 = ExactMatrix.from_rows([[integer(1), integer(0)], [integer(-1), integer(1)]])
+    g1, g2 = sl2_projection(["s1"]), sl2_projection(["s2"])
     for n in _sweep(args):
         ok1 = symmetric_power(g1, n) == sigma1_matrix(n, c1)
         ok2 = symmetric_power(g2, n) == sigma2_matrix(n, c1)
@@ -383,9 +386,8 @@ _HANDLERS = {
 def run(argv=None, out=None):
     """Parse and execute one command; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,8 +32,9 @@ every conjugate root of unity and at each prime of the pairs in turn, CRT,
 then rational reconstruction, and every lifted element is checked exactly
 before it is returned.  The checked lift is the exact basis (see
 `_intertwiner_basis`); when no prime gives one, the exact route decides.
-`linalg.ModpSpan` is the one F_p routine, and `linalg._gauss_jordan` the one
-exact elimination loop.
+`linalg.EchelonSpan` is the one incremental span, over F_p for the
+certificates and the lift and over the field for the exact algebra dimension,
+and `linalg._gauss_jordan` the one batch elimination.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     ShapeMismatch,
     SingularDiagonal,
 )
-from .linalg import ExactMatrix, ModpSpan, leading_one
+from .linalg import EchelonSpan, ExactMatrix, leading_one
 from .qcomb import QContext, concrete_q, q_int, q_tri
 from .rep import (
     build_representation,
@@ -61,7 +62,6 @@ from .rep import (
 from .scalar import (
     Cyclotomic,
     Scalar,
-    _inverse,
     conjugate_interpolation,
     integer,
     rational_reconstruction,
@@ -218,38 +218,6 @@ def commutant_dimension(rep):
     return len(basis), basis
 
 
-class _EchelonSpan:
-    """Incremental exact span with echelon reduction (deterministic pivots).
-
-    Vectors of Scalars of one field are inserted; the stored rows hold their
-    field payloads.  Each stored row keeps its support, the columns where it
-    is nonzero, so reducing a vector and normalizing a new row touch only
-    nonzero entries.
-    """
-
-    def __init__(self):
-        self.rows = []   # list of (pivot index, vector, support) sorted by pivot
-        self.dim = 0
-
-    def insert(self, vec):
-        vec = [x.val for x in vec]
-        for pivot, row, support in self.rows:
-            c = vec[pivot]
-            if c:
-                for k in support:
-                    vec[k] = vec[k] - c * row[k]
-        support = [k for k, x in enumerate(vec) if x]
-        if not support:
-            return False
-        inv = _inverse(vec[support[0]])
-        for k in support:
-            vec[k] = inv * vec[k]
-        self.rows.append((support[0], vec, support))
-        self.rows.sort(key=lambda pr: pr[0])
-        self.dim += 1
-        return True
-
-
 def _span_of_words(one, gens, mul, flat, span, full):
     """Grow `span` by the words in `gens` breadth-first (words explored in
     insertion order, left multiplication by each generator in turn) until it
@@ -289,7 +257,7 @@ def burnside_dimension(rep):
 
         one = [[int(i == j) for j in range(size)] for i in range(size)]
         dim = _span_of_words(one, gens, mul, lambda m: [x for row in m for x in row],
-                             ModpSpan(p, full), full)
+                             EchelonSpan(full, p), full)
         if dim == full:
             return full
     return _burnside_exact(rep)
@@ -301,8 +269,8 @@ def _burnside_exact(rep):
     size = rep.n + 1
     return _span_of_words(ExactMatrix.identity(size, rep.sigma1.ctx),
                           (rep.sigma1, rep.sigma2), lambda a, b: a * b,
-                          lambda m: [m[i, j] for i in range(size) for j in range(size)],
-                          _EchelonSpan(), size * size)
+                          lambda m: [m[i, j].val for i in range(size) for j in range(size)],
+                          EchelonSpan(size * size), size * size)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +520,7 @@ def _system_span(p, images, size, target):
     The sparsest rows go in first, since they fill the stored rows in less;
     the span, its pivots and its nullspace do not depend on the order.
     """
-    span = ModpSpan(p, size * size)
+    span = EchelonSpan(size * size, p)
     rows = _intertwiner_system(tuple(zip(images[:2], images[2:])), size, 0)
     for row in sorted(rows, key=lambda r: len(r) - r.count(0)):
         if span.insert(row) and span.dim == target:
@@ -568,7 +536,7 @@ def _lifted_basis(rep_a, rep_b, gens, target, start, first):
     `_CERTIFICATE_PAIRS[start]`, the first pair that reduces; the lift runs
     over that pair and the pairs after it.  At each prime p the system is
     reduced at every conjugate root r^k of `conjugate_interpolation`, and
-    `ModpSpan.nullspace` gives its basis mod p there; a prime where F_p has
+    `EchelonSpan.nullspace` gives its basis mod p there; a prime where F_p has
     no primitive m-th root of unity, where some generator does not reduce,
     or where the free columns differ from those of the first pass, is
     skipped.  The residues of the entries at the phi(m) roots are mapped to

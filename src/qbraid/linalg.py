@@ -6,7 +6,9 @@ rref, nullspace, inverse and determinant.  It pivots on the sparsest candidate
 row and updates only the pivot row's nonzero columns; since the reduced row
 echelon form, the determinant and the inverse of a matrix are unique, every
 basis, inverse and determinant is independent of the pivot choice and
-reproducible.
+reproducible.  It is the one batch elimination; `EchelonSpan` is the one
+incremental span, over the field or over F_p, for ranks grown vector by
+vector.
 
 A matrix product skips every term with an exactly zero factor.  Over Q(q),
 when every entry of both factors is a Laurent polynomial and some row of the
@@ -485,19 +487,23 @@ def _gauss_jordan(m):
     return pivots, values
 
 
-class ModpSpan:
-    """Incremental row-echelon span of int vectors of one width over F_p.
+class EchelonSpan:
+    """Incremental row-echelon span of vectors of one width: int vectors over
+    F_p when p is given, vectors of field payloads (Fractions, `Cyclotomic`s
+    or `RatFunc`s of one field) when p is None.
 
     `insert` reduces a vector by the stored rows in pivot order and keeps it,
-    scaled to a leading 1, when a nonzero entry is left; `dim` is then the
-    rank over F_p of everything inserted.  Each stored row keeps its support,
-    so reducing a vector touches only the row's nonzero entries; an entry is
-    taken mod p only when its column is reached, and reduction stops at the
-    first column without a pivot, which becomes the new row's pivot.
-    `nullspace` solves the stored rows by back substitution.
+    scaled to a leading 1, when a nonzero entry is left, and returns whether
+    it did; `dim` is then the rank of everything inserted.  Each stored row
+    keeps its support, so reducing a vector touches only the row's nonzero
+    entries; over F_p an entry is taken mod p only when its column is
+    reached.  Reduction stops at the first column without a pivot, which
+    becomes the new row's pivot.  Only that reduction mod p and the pivot
+    inverse depend on the field.  `nullspace` (over F_p only) solves the
+    stored rows by back substitution.
     """
 
-    def __init__(self, p, width):
+    def __init__(self, width, p=None):
         self.p = p
         self.dim = 0
         self._rows = [None] * width   # pivot column -> (row, support)
@@ -506,12 +512,16 @@ class ModpSpan:
         p, rows = self.p, self._rows
         vec = list(vec)
         for k, stored in enumerate(rows):
-            c = vec[k] % p
+            c = vec[k] if p is None else vec[k] % p
             if not c:
                 continue
             if stored is None:
-                inv = pow(c, -1, p)
-                row = [0] * k + [x * inv % p for x in vec[k:]]
+                if p is None:
+                    inv = _inverse(c)
+                    row = [0] * k + [inv * x if x else x for x in vec[k:]]
+                else:
+                    inv = pow(c, -1, p)
+                    row = [0] * k + [x * inv % p for x in vec[k:]]
                 rows[k] = (row, [j for j in range(k, len(row)) if row[j]])
                 self.dim += 1
                 return True
@@ -521,11 +531,11 @@ class ModpSpan:
         return False
 
     def nullspace(self):
-        """The free columns, those without a pivot, and for each free column f
-        the F_p vector v_f of the right kernel of the stored rows that has a 1
-        at f, a 0 at every other free column and nothing after f: the reduced
-        row echelon nullspace basis, which `ExactMatrix.nullspace` scales
-        further to a leading 1.
+        """Over F_p: the free columns, those without a pivot, and for each
+        free column f the F_p vector v_f of the right kernel of the stored rows
+        that has a 1 at f, a 0 at every other free column and nothing after f:
+        the reduced row echelon nullspace basis, which `ExactMatrix.nullspace`
+        scales further to a leading 1.
 
         Back substitution: each pivot entry of v_f, from the last pivot before
         f down, is minus the stored row's dot product with v_f up to f (the

@@ -3,10 +3,13 @@
 For size n+1, the bare generators are
     sigma_1(q,n)_km = C_(n-k)^(n-m)(q)           (upper triangular),
     sigma_2(q,n)    = (sigma_1(q^-1,n)^-1)^#     (lower triangular),
-dressed by a diagonal parameter matrix Lambda.  sigma_2, S(q) and Lambda_n(q)
-are built from their closed forms; that these agree with the constructions
-they stand for (the involution route for sigma_2, S(q) = D_n(q)^-1 S(1),
-Lambda_n(q) = q_n^-1 D_n D_n^#) is proved in the tests, not on every build.
+dressed by a diagonal parameter matrix Lambda.  sigma_1 and sigma_1^-1 are
+built from their closed forms, and sigma_2 and sigma_2^-1 from those two at
+q^-1 by the half turn #, as the definition of sigma_2 reads.  S(q) and
+Lambda_n(q) are built from their closed forms too; that these agree with the
+constructions they stand for (sigma_1^-1 by elimination, S(q) = D_n(q)^-1
+S(1), Lambda_n(q) = q_n^-1 D_n D_n^#) is proved in the tests, not on every
+build.
 Two parameter forms are supported:
 
   raw       sigma_1 -> sigma_1(q,n) L,  sigma_2 -> L^# sigma_2(q,n), where L
@@ -20,8 +23,9 @@ identity verified is
     s1 s2 s1 = s2 s1 s2 = lambda_0 lambda_n S(q) L,
 together with its bare equivalents
     sigma_1(q) Lam(q) sigma_2(q) = S(q) sigma_1^-1(q) = sigma_2^-1(q) S(q);
-verify_braid, the only reader of S(q) and Lambda_n(q), takes them from their
-cached builders, so building a representation never computes them.
+verify_braid, the only reader of S(q), takes it from its cached builder, so
+building a representation never computes it; Lambda_n(q) is read from its
+cached builder too, by verify_braid and by the raw form's compatibility check.
 """
 
 from __future__ import annotations
@@ -59,27 +63,15 @@ def sigma1_inverse_closed(n, ctx):
 
 @lru_cache(maxsize=256)
 def sigma2_matrix(n, ctx):
-    """sigma_2(q,n) = (sigma_1(q^-1,n)^-1)^#, by its closed form
-    sigma_2(q,n)_km = (-1)^(k+m) q_(k-m)^-1 C_k^m(q^-1), k >= m."""
-    zero = ctx.zero()
-    qinv = QContext(ctx.q.inverse())
-
-    def entry(k, m):
-        if m > k:
-            return zero
-        val = q_tri(k - m, ctx).inverse() * q_binomial(k, m, qinv)
-        return -val if (k + m) % 2 else val
-
-    return ExactMatrix.from_fn(n + 1, n + 1, ctx.q.ctx, entry)
+    """sigma_2(q,n) = (sigma_1(q^-1,n)^-1)^#, from sigma_1^-1's closed form
+    at q^-1."""
+    return sigma1_inverse_closed(n, QContext(ctx.q.inverse())).sharp()
 
 
 @lru_cache(maxsize=256)
 def sigma2_inverse_closed(n, ctx):
-    """Closed form sigma_2^-1(q,n)_km = C_k^m(q^-1)."""
-    qinv = QContext(ctx.q.inverse())
-    return ExactMatrix.from_fn(
-        n + 1, n + 1, ctx.q.ctx,
-        lambda k, m: q_binomial(k, m, qinv))
+    """sigma_2^-1(q,n) = sigma_1(q^-1,n)^#, that is C_k^m(q^-1) at (k, m)."""
+    return sigma1_matrix(n, QContext(ctx.q.inverse())).sharp()
 
 
 @lru_cache(maxsize=256)
@@ -161,9 +153,9 @@ def check_cond_q(n, ctx, lam):
     """Componentwise compatibility: lambda_0 lambda_n q_r q_(n-r)/q_n equals
     lambda_r lambda_(n-r) for every r; raises with the offending index."""
     l0ln = lam[0] * lam[n]
+    canonical = lambda_canonical(n, ctx)
     for r in range(n + 1):
-        lhs = l0ln * ctx.q ** (-(n - r) * r)
-        if lhs != lam[r] * lam[n - r]:
+        if l0ln * canonical[r, r] != lam[r] * lam[n - r]:
             raise CondQViolated(
                 f"cond_q fails at r={r}: lambda_0 lambda_n q_r q_(n-r)/q_n != "
                 f"lambda_r lambda_(n-r)", index=r)

@@ -1021,21 +1021,6 @@ class Scalar:
             return Scalar(ctx, RatFunc.from_laurent(LaurentPoly.constant(base, ctx.order)))
         return Scalar(ctx, base)
 
-    def as_fraction(self):
-        """The value as a Fraction; None when it is not rational."""
-        v = self.val
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, Cyclotomic):
-            return v.rational_part()
-        if isinstance(v, RatFunc):
-            if v.is_zero():
-                return _ZERO
-            if _is_one(v.den) and v.num.max_exp() == v.num.min_exp() == 0:
-                c = v.num.lead()
-                return c.rational_part() if isinstance(c, Cyclotomic) else c
-        return None
-
     def substitute(self, q0):
         """Ring-homomorphism image under q -> q0 (q0 any nonzero scalar)."""
         if not self.ctx.with_q:

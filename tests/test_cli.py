@@ -5,11 +5,13 @@ import json
 
 import pytest
 
+from qbraid import cli
 from qbraid.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    UsageError,
     latex_matrix,
     run,
 )
@@ -240,6 +242,14 @@ def test_catalog_intertwiner_reports_match_golden_file():
     replay_golden_file("catalog_intertwiners.json")
 
 
+def test_exact_burnside_reports_match_golden_file():
+    """`irr burnside` where the algebra is deficient outside the catalog, so
+    the exact span decides: q = -1 at n = 2, 4 and 6 over Q (at n = 2 the
+    commutant is one-dimensional and the Burnside dimension alone gives the
+    verdict), and n = 1 over Q(zeta6)(q), where it spans rational functions."""
+    replay_golden_file("exact_burnside.json")
+
+
 def test_structure_reports_match_golden_file():
     """`exp`, `sym`, `ferrand`, `tw` and `sl2` checks, `rep build --latex`
     and `rep verify` at symbolic q and q = zeta4, replayed against recorded
@@ -274,6 +284,37 @@ def test_main_reads_degree_cap_env(monkeypatch, capsys):
         set_degree_cap(None)
     monkeypatch.setenv("QBRAID_MAX_DEGREE", "not-an-int")
     assert main() == EXIT_USAGE
+
+
+# --- the shared parser -------------------------------------------------------------
+
+def parse_or_usage(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        return f"usage error: {exc}"
+
+
+def test_shared_parser_parses_as_a_fresh_one(monkeypatch):
+    """`run` parses with one parser built at import, which must parse every
+    argv as a freshly built parser does, whatever it parsed before: usage
+    errors, and an --n call right after a --max-n call."""
+    sequence = [(["rep", "verify", "--n", "-1"], EXIT_USAGE),
+                (["irr", "bogus"], EXIT_USAGE),
+                (["rep", "verify", "--n", "2"], EXIT_PASS),
+                (["identities", "--max-n", "3"], EXIT_PASS),
+                (["identities", "--n", "2"], EXIT_PASS),
+                (["rep", "build", "--max-n", "2", "--q", "2"], EXIT_PASS),
+                (["rep", "build", "--n", "1"], EXIT_PASS),
+                (["irr", "minors", "--n", "2", "--lambda", "1,2,3"], EXIT_FAIL),
+                (["irr", "equiv", "--n", "2"], EXIT_PASS)]
+    for argv, _ in sequence:
+        assert parse_or_usage(cli._PARSER, argv) == \
+            parse_or_usage(cli._build_parser(), argv), argv
+    # run does not build a parser of its own
+    monkeypatch.setattr(cli, "_build_parser", None)
+    for argv, code in sequence:
+        assert run_cli(*argv)[0] == code, argv
 
 
 # --- size arguments ------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from qbraid import linalg
 from qbraid.errors import DegreeCapExceeded, NonSquare, ShapeMismatch, Singular
 from qbraid.linalg import (
+    EchelonSpan,
     ExactMatrix,
-    ModpSpan,
     _packed_product,
     compare_all,
     det_by_permutations,
@@ -564,8 +564,30 @@ def test_rref_matches_sympy():
         want, want_pivots = sympy.Matrix(
             [[sympy.Rational(f.numerator, f.denominator) for f in row] for row in entries]).rref()
         assert pivots == list(want_pivots), rows
-        assert [[x.as_fraction() for x in row] for row in reduced] == \
+        assert [[x.val for x in row] for row in reduced] == \
             [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)], rows
+
+
+# --- the exact incremental span against the batch rank ---------------------------
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_echelon_span_matches_rank(name, data):
+    """`EchelonSpan` over the field against `ExactMatrix.rank` of every prefix:
+    after each insert `dim` is that rank and `insert` returned whether it grew.
+    Sums of earlier rows are appended so that the rank also stalls."""
+    a = data.draw(zero_heavy_matrices(FIELDS[name]))
+    rows = [list(a.row(i)) for i in range(a.rows)]
+    index = st.integers(0, a.rows - 1)
+    for i, j in data.draw(st.lists(st.tuples(index, index), max_size=3)):
+        rows.append([x + y for x, y in zip(rows[i], rows[j])])
+    span, rank = EchelonSpan(a.cols), 0
+    for k, row in enumerate(rows):
+        grew = span.insert([x.val for x in row])
+        prefix_rank = ExactMatrix.from_rows(rows[:k + 1]).rank()
+        assert (span.dim, grew) == (prefix_rank, prefix_rank > rank), k
+        rank = prefix_rank
 
 
 # --- the F_p nullspace against the exact one ----------------------------------------
@@ -583,7 +605,7 @@ def test_modp_nullspace_matches_exact_nullspace(rows, p):
     """On small integer matrices no minor is a multiple of p unless it is 0,
     so the pivots agree, and each F_p vector is the reduction of the exact
     basis vector scaled to a 1 at its free column."""
-    span = ModpSpan(p, len(rows[0]))
+    span = EchelonSpan(len(rows[0]), p)
     for row in rows:
         span.insert(row)
     free, basis = span.nullspace()
@@ -598,12 +620,12 @@ def test_modp_nullspace_matches_exact_nullspace(rows, p):
 
 
 def test_modp_nullspace_examples():
-    span = ModpSpan(7, 4)
+    span = EchelonSpan(4, 7)
     for row in ([1, 2, 0, 3], [2, 4, 1, 6], [0, 0, 0, 0]):
         span.insert(row)
     assert span.nullspace() == ([1, 3], [[5, 1, 0, 0], [4, 0, 0, 1]])
-    assert ModpSpan(7, 2).nullspace() == ([0, 1], [[1, 0], [0, 1]])
-    full = ModpSpan(7, 2)
+    assert EchelonSpan(2, 7).nullspace() == ([0, 1], [[1, 0], [0, 1]])
+    full = EchelonSpan(2, 7)
     full.insert([1, 1])
     full.insert([0, 3])
     assert full.nullspace() == ([], [])

@@ -81,7 +81,8 @@ CONCRETE_QS = [concrete_q(integer(2)), concrete_q(rational(-1, 3)),
 
 
 def test_sigma2_involution_route_is_validated(ctx):
-    # the closed form returned by sigma2_matrix against (sigma_1(q^-1,n)^-1)^#
+    # sigma2_matrix, sigma_1^-1's closed form at q^-1 turned by #, against
+    # (sigma_1(q^-1,n)^-1)^# by Gauss-Jordan
     for qc, top in [(ctx, 5)] + [(c, 6) for c in CONCRETE_QS]:
         qinv = QContext(qc.q.inverse())
         for n in range(top + 1):
