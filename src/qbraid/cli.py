@@ -26,7 +26,7 @@ from .qcomb import (
     verify_identity,
 )
 from .rep import build_representation, factored_spec, raw_spec, verify_braid
-from .scalar import Scalar, integer, join_context, parse_scalar, set_degree_cap
+from .scalar import integer, join_context, parse_scalar, set_degree_cap
 from .structure import (
     TWParams,
     ferrand_phi,
