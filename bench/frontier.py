@@ -41,6 +41,7 @@ JOBS = [
     ["irr", "minors", "--n", "10", "--q", "2"],
     ["irr", "minors", "--n", "5", "--q", "q"],
     ["irr", "minors", "--n", "8", "--q", "q"],
+    ["irr", "minors", "--n", "10", "--q", "q"],
     ["rep", "verify", "--n", "20", "--q", "q"],
     ["identities", "--id", "all", "--max-n", "10"],
     # reducible catalog points: commutant and intertwiners by the lift

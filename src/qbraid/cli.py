@@ -67,10 +67,12 @@ def _parse_q(text):
 
 
 def _parse_lambda_csv(text, count=None):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise UsageError(f"empty lambda entry in {text!r}")
     if count is not None and len(parts) != count:
         raise UsageError(f"expected {count} lambda entries, got {len(parts)}")
-    return [parse_scalar(p.strip()) for p in parts]
+    return [parse_scalar(p) for p in parts]
 
 
 def _common_context(scalars):

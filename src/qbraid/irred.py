@@ -32,9 +32,9 @@ every conjugate root of unity and at each prime of the pairs in turn, CRT,
 then rational reconstruction, and every lifted element is checked exactly
 before it is returned.  The checked lift is the exact basis (see
 `_intertwiner_basis`); when no prime gives one, the exact route decides.
-`linalg.EchelonSpan` is the one incremental span, over F_p for the
-certificates and the lift and over the field for the exact algebra dimension,
-and `linalg._gauss_jordan` the one batch elimination.
+`linalg.EchelonSpan` is the one elimination routine: over F_p for the
+certificates and the lift, and over the field for the exact algebra
+dimension, the exact intertwiner solve and every minor.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
     ShapeMismatch,
     SingularDiagonal,
 )
-from .linalg import EchelonSpan, ExactMatrix, leading_one
+from .linalg import EchelonSpan, ExactMatrix, echelon, leading_one
 from .qcomb import QContext, concrete_q, q_int, q_tri
 from .rep import (
     build_representation,
@@ -210,9 +210,9 @@ def _reduced(matrices):
 def commutant_dimension(rep):
     """Dimension and basis of {A : A sigma_i = sigma_i A, i = 1, 2}.
 
-    Dimension 1 means operator irreducible.  A lifted or exact basis is
-    checked to commute with both generators; the certified [I] is not, since
-    I commutes with everything.
+    Dimension 1 means operator irreducible.  A lifted basis is checked to
+    commute with both generators; the certified [I] and the exact nullspace
+    are not, since each commutes with both by construction.
     """
     basis = _intertwiner_basis(rep, rep)
     return len(basis), basis
@@ -517,15 +517,10 @@ def _system_span(p, images, size, target):
     generators (sigma_1^A, sigma_2^A, sigma_1^B, sigma_2^B), grown until it
     holds every row or reaches dimension `target`.
 
-    The sparsest rows go in first, since they fill the stored rows in less;
-    the span, its pivots and its nullspace do not depend on the order.
+    The sparsest rows go in first (`echelon`).
     """
-    span = EchelonSpan(size * size, p)
-    rows = _intertwiner_system(tuple(zip(images[:2], images[2:])), size, 0)
-    for row in sorted(rows, key=lambda r: len(r) - r.count(0)):
-        if span.insert(row) and span.dim == target:
-            break
-    return span
+    rows = list(_intertwiner_system(tuple(zip(images[:2], images[2:])), size, 0))
+    return echelon(rows, size * size, p, target)[0]
 
 
 def _lifted_basis(rep_a, rep_b, gens, target, start, first):
@@ -634,23 +629,15 @@ def _is_intertwiner(mat, rep_a, rep_b):
     return mat * rep_b.sigma1 == rep_a.sigma1 * mat and mat * rep_b.sigma2 == rep_a.sigma2 * mat
 
 
-def _checked_intertwiner(mat, rep_a, rep_b):
-    """mat, once checked against both intertwining equations."""
-    if not _is_intertwiner(mat, rep_a, rep_b):
-        raise AssertionError("intertwiner basis element fails its equations")
-    return mat
-
-
 def _intertwiner_basis_exact(rep_a, rep_b):
     """Exact basis of the intertwiners: the nullspace of the stacked system
-    over the field, each basis vector rebuilt as a matrix and re-checked
-    against both equations."""
+    over the field, each basis vector read as a matrix.  Every element solves
+    both equations by construction, so only the lifted basis is checked."""
     size = rep_a.n + 1
     pairs = tuple(([sa.row(i) for i in range(size)], [sb.row(i) for i in range(size)])
                   for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)))
     rows = list(_intertwiner_system(pairs, size, Scalar.zero(rep_a.sigma1.ctx)))
-    return [_checked_intertwiner(_as_matrix(vec, size), rep_a, rep_b)
-            for vec in ExactMatrix.from_rows(rows).nullspace()]
+    return [_as_matrix(vec, size) for vec in ExactMatrix.from_rows(rows).nullspace()]
 
 
 def intertwiner_space(rep_a, rep_b):

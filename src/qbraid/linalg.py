@@ -1,14 +1,14 @@
 """Dense exact linear algebra over any Scalar field.
 
 Matrices are immutable, 0-indexed, row-major grids of Scalars sharing one
-FieldContext.  One sparsity-aware Gauss-Jordan routine over the field serves
-rref, nullspace, inverse and determinant.  It pivots on the sparsest candidate
-row and updates only the pivot row's nonzero columns; since the reduced row
+FieldContext.  `EchelonSpan` is the one elimination routine, over the field
+or over F_p: an incremental row-echelon span whose stored rows keep their
+supports, so that reducing a vector touches only nonzero entries.  Ranks grown
+vector by vector insert into it directly; `echelon` inserts the rows of a
+matrix sparsest first, and rank, determinant (forward elimination only), rref,
+nullspace and inverse are read off the span.  Since the rank, the reduced row
 echelon form, the determinant and the inverse of a matrix are unique, every
-basis, inverse and determinant is independent of the pivot choice and
-reproducible.  It is the one batch elimination; `EchelonSpan` is the one
-incremental span, over the field or over F_p, for ranks grown vector by
-vector.
+result is independent of the insertion order and reproducible.
 
 A matrix product skips every term with an exactly zero factor.  Over Q(q),
 when every entry of both factors is a Laurent polynomial and some row of the
@@ -239,28 +239,34 @@ class ExactMatrix:
     # -- elimination-based operations ------------------------------------------
 
     def inverse(self):
-        """Gauss-Jordan inverse: the right half of [A | I] after elimination."""
+        """The right half of [A | I] reduced to its reduced row echelon form."""
         if not self.is_square():
             raise NonSquare("inverse needs a square matrix")
         n, ctx = self.rows, self.ctx
         one, zero = Scalar.one(ctx).val, Scalar.zero(ctx).val
         aug = [[x.val for x in self._e[i]] + [one if j == i else zero for j in range(n)]
                for i in range(n)]
-        pivots, _ = _gauss_jordan(aug)
+        pivots, rows = echelon(aug, 2 * n)[0].reduced()
         if pivots != list(range(n)):
             raise Singular("matrix is singular")
-        return ExactMatrix(n, n, ctx, tuple(tuple(Scalar(ctx, x) for x in row[n:]) for row in aug))
+        return ExactMatrix(n, n, ctx, tuple(tuple(Scalar(ctx, x) for x in row[n:]) for row in rows))
 
     def determinant(self):
-        """Signed product of the elimination pivots; the empty 0x0 determinant is 1."""
+        """Signed product of the pivot values of forward elimination; the
+        empty 0x0 determinant is 1.  Reducing each row by the rows inserted
+        before it keeps the determinant of the rows in insertion order, and
+        the reduced rows sorted by pivot column are triangular, so the sign is
+        that of `order` times that of the pivot columns in insertion order."""
         if not self.is_square():
             raise NonSquare("determinant needs a square matrix")
-        pivots, values = _gauss_jordan(self._payloads())
-        if len(pivots) < self.rows:
+        span, order = echelon(self._payloads(), self.cols)
+        if span.dim < self.rows:
             return Scalar.zero(self.ctx)
         det = Scalar.one(self.ctx).val
-        for value in values:
+        for _, value in span.pivots:
             det = det * value
+        if (_inversions(order) + _inversions([c for c, _ in span.pivots])) % 2:
+            det = -det
         return Scalar(self.ctx, det)
 
     def submatrix(self, rows, cols):
@@ -294,28 +300,23 @@ class ExactMatrix:
 
     def rref(self):
         """(reduced rows, pivot column list); rows include the zero tail."""
-        m = self._payloads()
-        pivots, _ = _gauss_jordan(m)
-        return [[Scalar(self.ctx, x) for x in row] for row in m], pivots
+        pivots, rows = echelon(self._payloads(), self.cols)[0].reduced()
+        ctx = self.ctx
+        zero = Scalar.zero(ctx)
+        out = [[zero] * c + [Scalar(ctx, x) for x in row[c:]] for c, row in zip(pivots, rows)]
+        out += [[zero] * self.cols for _ in range(self.rows - len(rows))]
+        return out, pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return echelon(self._payloads(), self.cols)[0].dim
 
     def nullspace(self):
         """Exact basis of the right kernel, one vector per free column, each
         normalized so its first nonzero coordinate is 1."""
-        m, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        zero, one = Scalar.zero(self.ctx), Scalar.one(self.ctx)
-        basis = []
-        for f in free:
-            vec = [zero] * self.cols
-            vec[f] = one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -m[r][f]
-            basis.append(tuple(leading_one(vec)))
-        return basis
+        ctx = self.ctx
+        zero, one = Scalar.zero(ctx), Scalar.one(ctx)
+        _, basis = echelon(self._payloads(), self.cols)[0].nullspace(zero.val, one.val)
+        return [tuple(leading_one([Scalar(ctx, x) for x in vec])) for vec in basis]
 
     # -- output -----------------------------------------------------------------
 
@@ -436,77 +437,33 @@ def _packed_product(rows_a, cols_b, ctx):
     return tuple(out)
 
 
-def _gauss_jordan(m):
-    """Reduce the row list m of field payloads (Fractions, `Cyclotomic`s or
-    `RatFunc`s of one field) in place to reduced row echelon form.
-
-    The pivot in each column is taken from the candidate row with the fewest
-    nonzero entries from that column on (ties go to the first such row), and
-    each elimination step touches only the pivot row's nonzero columns, so
-    zeros are never updated.  The RREF of a matrix is unique, so the reduced
-    rows and pivot columns do not depend on this choice.
-
-    Returns the pivot columns and, for each, its pivot value before the pivot
-    row was normalized, negated when the pivot row was swapped into place; the
-    product of these values is the determinant of a square m of full rank,
-    whichever rows were chosen.
-    """
-    pivots, values = [], []
-    if not m:
-        return pivots, values
-    rows, width, r = len(m), len(m[0]), 0
-    for col in range(width):
-        piv, support = None, None
-        for i in range(r, rows):
-            row = m[i]
-            if row[col]:
-                nonzero = [k for k in range(col, width) if row[k]]
-                if support is None or len(nonzero) < len(support):
-                    piv, support = i, nonzero
-        if piv is None:
-            continue
-        value = m[piv][col]
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            value = -value
-        prow = m[r]
-        inv = _inverse(prow[col])
-        for k in support:
-            prow[k] = inv * prow[k]
-        for i in range(rows):
-            row = m[i]
-            f = row[col]
-            if f and i != r:
-                for k in support:
-                    row[k] = row[k] - f * prow[k]
-        pivots.append(col)
-        values.append(value)
-        r += 1
-        if r == rows:
-            break
-    return pivots, values
-
-
 class EchelonSpan:
     """Incremental row-echelon span of vectors of one width: int vectors over
     F_p when p is given, vectors of field payloads (Fractions, `Cyclotomic`s
-    or `RatFunc`s of one field) when p is None.
+    or `RatFunc`s of one field) when p is None.  It is the one elimination
+    routine; `echelon` fills it from a row list.
 
     `insert` reduces a vector by the stored rows in pivot order and keeps it,
     scaled to a leading 1, when a nonzero entry is left, and returns whether
-    it did; `dim` is then the rank of everything inserted.  Each stored row
-    keeps its support, so reducing a vector touches only the row's nonzero
-    entries; over F_p an entry is taken mod p only when its column is
+    it did; `pivots` then lists (pivot column, pivot value before scaling) in
+    insertion order, and `dim` is the rank of everything inserted.  Each
+    stored row keeps its support, so reducing a vector touches only the row's
+    nonzero entries; over F_p an entry is taken mod p only when its column is
     reached.  Reduction stops at the first column without a pivot, which
     becomes the new row's pivot.  Only that reduction mod p and the pivot
-    inverse depend on the field.  `nullspace` (over F_p only) solves the
-    stored rows by back substitution.
+    inverse depend on the field.  `reduced` back-reduces the stored rows to
+    the reduced row echelon form, and `nullspace` solves them by back
+    substitution.
     """
 
     def __init__(self, width, p=None):
         self.p = p
-        self.dim = 0
+        self.pivots = []
         self._rows = [None] * width   # pivot column -> (row, support)
+
+    @property
+    def dim(self):
+        return len(self.pivots)
 
     def insert(self, vec):
         p, rows = self.p, self._rows
@@ -523,19 +480,37 @@ class EchelonSpan:
                     inv = pow(c, -1, p)
                     row = [0] * k + [x * inv % p for x in vec[k:]]
                 rows[k] = (row, [j for j in range(k, len(row)) if row[j]])
-                self.dim += 1
+                self.pivots.append((k, c))
                 return True
             row, support = stored
             for j in support:
                 vec[j] -= c * row[j]
         return False
 
-    def nullspace(self):
-        """Over F_p: the free columns, those without a pivot, and for each
-        free column f the F_p vector v_f of the right kernel of the stored rows
-        that has a 1 at f, a 0 at every other free column and nothing after f:
-        the reduced row echelon nullspace basis, which `ExactMatrix.nullspace`
-        scales further to a leading 1.
+    def reduced(self):
+        """Over the field: the pivot columns in increasing order and copies
+        of the stored rows in that order, back-reduced (last pivot first) to
+        the reduced row echelon form of everything inserted.  Each row holds
+        int 0 before its pivot."""
+        pivots = sorted(c for c, _ in self.pivots)
+        rows = [list(self._rows[c][0]) for c in pivots]
+        for i in range(len(rows) - 1, 0, -1):
+            col, prow = pivots[i], rows[i]
+            support = [j for j in range(col, len(prow)) if prow[j]]
+            for row in rows[:i]:
+                f = row[col]
+                if f:
+                    for j in support:
+                        row[j] = row[j] - f * prow[j]
+        return pivots, rows
+
+    def nullspace(self, zero=0, one=1):
+        """The free columns, those without a pivot, and for each free column f
+        the vector v_f of the right kernel of the stored rows that has `one`
+        at f, `zero` at every other free column and nothing after f: the
+        reduced row echelon nullspace basis, which `ExactMatrix.nullspace`
+        scales further to a leading 1.  Over F_p the defaults give int
+        vectors mod p; over the field pass the field's zero and one payloads.
 
         Back substitution: each pivot entry of v_f, from the last pivot before
         f down, is minus the stored row's dot product with v_f up to f (the
@@ -546,20 +521,42 @@ class EchelonSpan:
         free = [k for k, stored in enumerate(rows) if stored is None]
         basis = []
         for f in free:
-            vec = [0] * len(rows)
-            vec[f] = 1
+            vec = [zero] * len(rows)
+            vec[f] = one
             for k in range(f - 1, -1, -1):
                 stored = rows[k]
                 if stored is not None:
                     row, support = stored
-                    acc = 0
+                    acc = zero
                     for j in support:
                         if j > f:
                             break
-                        acc += row[j] * vec[j]
-                    vec[k] = -acc % p
+                        if vec[j]:
+                            acc = acc + row[j] * vec[j]
+                    vec[k] = -acc if p is None else -acc % p
             basis.append(vec)
         return free, basis
+
+
+def echelon(rows, width, p=None, target=None):
+    """(span, order): the rows inserted into an `EchelonSpan(width, p)` in the
+    order `order` of their row indices, sparsest first (fewest nonzero
+    entries, ties in row order), stopping once the span reaches dimension
+    `target`.  Sparse rows fill the stored rows in less.  Once every row is
+    in, the spanned space, its pivot columns, its reduced rows and its
+    nullspace do not depend on the order; the pivot values do, and
+    `ExactMatrix.determinant` signs their product by the order."""
+    order = sorted(range(len(rows)), key=lambda i: sum(1 for x in rows[i] if x))
+    span = EchelonSpan(width, p)
+    for i in order:
+        if span.insert(rows[i]) and span.dim == target:
+            break
+    return span, order
+
+
+def _inversions(seq):
+    """The number of pairs i < j with seq[i] > seq[j]."""
+    return sum(1 for j, y in enumerate(seq) for x in seq[:j] if x > y)
 
 
 def first_mismatch(a, b):

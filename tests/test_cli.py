@@ -129,6 +129,9 @@ def test_usage_errors():
                 "--lambda", "1,1", "--lambda-prime", "1,1"]) == EXIT_USAGE
     assert run(["rep", "verify", "--n", "2", "--q", "1",
                 "--lambda", "1,1"]) == EXIT_USAGE        # wrong count
+    assert run(["rep", "verify", "--n", "1", "--q", "q",
+                "--lambda-prime=1,,1"]) == EXIT_USAGE    # empty field
+    assert run(["tw", "check", "--n", "3", "--lambda=1,,2,4"]) == EXIT_USAGE
     assert run(["sl2", "--word", "sigma"]) == EXIT_USAGE
     assert run(["rep", "verify", "--n", "1", "--q", "q%"]) == EXIT_USAGE
 
