@@ -4,13 +4,18 @@ The benchmark in `perfbench/` times short seeded sessions; this harness runs
 the jobs at the edge of what the program can do, one process each, and
 records for every job its wall time, its exit code and whether it hit the
 deadline of DEADLINE_S seconds.  A job that hits the deadline is killed and
-recorded as a timeout (exit null), never as a pass or a failure.
+recorded as a timeout (exit null), never as a pass or a failure.  Each job
+runs REPEATS times and its median wall time is recorded with every run.
 
     python3 bench/frontier.py --out frontier.json
     python3 bench/frontier.py --src /path/to/other/checkout/src --out old.json
+    python3 bench/frontier.py --baseline /path/to/parent/checkout/src --out cmp.json
 
 Run from the checkout root; --src picks the source tree whose `qbraid` runs
-(default: this checkout's src/).
+(default: this checkout's src/).  With --baseline the runs of each job
+alternate between the two trees, the side that goes first switching from run
+to run and from job to job, so that the machine's drift falls on both sides
+alike; the record then holds the baseline's runs and median as well.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -28,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Seconds each job may run before it is killed.
 DEADLINE_S = 120.0
+
+# Runs of each job (per side): the median of three is not moved by one run
+# that the VM's drift slowed or sped up.
+REPEATS = 3
 
 
 def catalog_lambda(n, s, lam0):
@@ -44,6 +54,10 @@ JOBS = [
     ["irr", "minors", "--n", "10", "--q", "q"],
     ["rep", "verify", "--n", "20", "--q", "q"],
     ["identities", "--id", "all", "--max-n", "10"],
+    ["exp", "check", "--max-n", "10"],
+    ["rep", "verify", "--n", "12", "--q", "zeta(5)"],
+    # one root of unity of large order: phi(9999) = 6000
+    ["rep", "verify", "--n", "1", "--q", "zeta(9999)"],
     # reducible catalog points: commutant and intertwiners by the lift
     ["irr", "minors", "--n", "10", "--q", "1", "--lambda=" + catalog_lambda(10, 3, "2")],
     ["irr", "equiv", "--n", "8", "--q", "1", "--lambda=" + catalog_lambda(8, 4, "2"),
@@ -80,22 +94,45 @@ def run_job(argv, src):
     return record
 
 
+def summarize(runs):
+    """One side's record of a job from its runs: the median wall time, every
+    run's time, and the exit code and report fields of the first run."""
+    record = {k: v for k, v in runs[0].items() if k != "wall_s"}
+    record["wall_s"] = statistics.median(r["wall_s"] for r in runs)
+    record["runs_s"] = [r["wall_s"] for r in runs]
+    record["timed_out"] = any(r["timed_out"] for r in runs)
+    return record
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source tree holding the qbraid package")
+    parser.add_argument("--baseline", help="a second source tree to alternate with --src")
     args = parser.parse_args(argv)
-    src = Path(args.src).resolve()
-    if not (src / "qbraid" / "cli.py").is_file():
-        parser.error(f"no qbraid package under {src}")
+    sides = {"src": Path(args.src).resolve()}
+    if args.baseline:
+        sides["baseline"] = Path(args.baseline).resolve()
+    for tree in sides.values():
+        if not (tree / "qbraid" / "cli.py").is_file():
+            parser.error(f"no qbraid package under {tree}")
     records = []
-    for job in JOBS:
-        record = run_job(job, src)
+    for i, job in enumerate(JOBS):
+        runs = {side: [] for side in sides}
+        for repeat in range(REPEATS):
+            order = list(sides) if (i + repeat) % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                runs[side].append(run_job(job, sides[side]))
+        record = summarize(runs["src"])
+        line = f"{' '.join(job):36} {record['wall_s']:9.3f} s"
+        if args.baseline:
+            record["baseline"] = summarize(runs["baseline"])
+            line += f"  (baseline {record['baseline']['wall_s']:9.3f} s)"
         records.append(record)
         outcome = "timeout" if record["timed_out"] else f"exit {record['exit']}"
-        print(f"{' '.join(job):28} {record['wall_s']:9.3f} s  {outcome}", flush=True)
-    doc = {"deadline_s": DEADLINE_S,
+        print(f"{line}  {outcome}", flush=True)
+    doc = {"deadline_s": DEADLINE_S, "repeats": REPEATS,
            "machine": {"python": platform.python_version(), "system": platform.system(),
                        "machine": platform.machine(), "cpus": os.cpu_count()},
            "jobs": records}
