@@ -2,17 +2,21 @@
 polynomials, the q-Pascal triangle, and machine verification of the binomial
 identities the braid construction rests on.
 
-Gaussian polynomials are always produced from a cached integer-coefficient
-symbolic polynomial (built by exact polynomial division, which is guaranteed to
-terminate without remainder); concrete q values, roots of unity included, are
-obtained by evaluating that polynomial, never the factorial quotient.  The
-suspected reducibility points are exactly the zeros of the quotient's
-denominator, so this is what keeps every specialization well defined.
+Gaussian polynomials come from the q-Pascal triangle itself: row n over Z is
+built from row n-1 by the deformed Pascal rule C_n^k = C_(n-1)^(k-1) +
+q^k C_(n-1)^k on int coefficient tuples, with no division, and cached.  Each
+`QContext` memoizes its triangle entries, so an entry is computed once per q
+and then read by index.  At a symbolic q the integer entry is evaluated
+(lifted, reversed or substituted); at a concrete q, roots of unity included,
+the rows are filled by the same rule in the field, one product and one sum
+per entry, which measured faster than evaluating each integer entry.  Nothing
+divides, so every specialization is defined, including the zeros at roots of
+unity, which are the suspected reducibility points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -26,7 +30,6 @@ from .scalar import (
     Scalar,
     _check_degree,
     _lift_laurent,
-    laurent_exact_div,
     q_monomial_exponent,
 )
 
@@ -36,9 +39,18 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class QContext:
     """The deformation parameter: a symbolic indeterminate or a concrete nonzero
-    field element."""
+    field element.
+
+    A context memoizes its triangle entries at q: `_rows` maps n to row n,
+    each entry a pair (value, q-degree to check against the degree cap on
+    every read); in a function field an entry stays None until first read.
+    The memo is left out of equality, hashing and repr, so equal contexts
+    stay equal keys whatever they have memoized.
+    """
 
     q: Scalar
+    _rows: dict = field(default_factory=dict, init=False, compare=False, hash=False,
+                        repr=False)
 
     def __post_init__(self):
         if self.q.is_zero():
@@ -65,7 +77,7 @@ def concrete_q(value):
 
 
 # ---------------------------------------------------------------------------
-# Cached symbolic polynomials over Q.
+# Cached symbolic polynomials over Z.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -81,17 +93,27 @@ def _qfact_poly(n):
     return p
 
 
-@lru_cache(maxsize=None)
-def _qbinom_poly(n, k):
-    """Gaussian polynomial C_n^k(q) over Q, by factorial quotient with exact
-    stepwise division: prod_i (n-k+i)_q / (i)_q."""
-    if k < 0 or k > n:
-        return LaurentPoly.zero(1)
-    p = LaurentPoly.one(1)
-    for i in range(1, k + 1):
-        p = p * _qint_poly(n - k + i)
-        p = laurent_exact_div(p, _qint_poly(i))
-    return p
+# Rows 0, 1, ... of the q-Pascal triangle over Z built so far.
+_TRIANGLE = [((1,),)]
+
+
+def _pascal_row(n):
+    """Row n of the q-Pascal triangle over Z: entry k is the ascending tuple of
+    int coefficients of C_n^k(q), of degree k(n-k), by the deformed Pascal rule
+    C_n^k = C_(n-1)^(k-1) + q^k C_(n-1)^k.  The rows missing below n are built
+    in a loop and kept; entry n-k is entry k."""
+    rows = _TRIANGLE
+    for m in range(len(rows), n + 1):
+        prev = rows[m - 1]
+        row = [(1,)] * (m + 1)
+        for k in range(1, m // 2 + 1):
+            out = list(prev[k - 1]) + [0] * (m - k)   # degree (k-1)(m-k) -> k(m-k)
+            for i, c in enumerate(prev[k], k):
+                out[i] += c
+            row[k] = row[m - k] = tuple(out)
+        if len(rows) == m:   # another thread may have built the row meanwhile
+            rows.append(tuple(row))
+    return rows[n]
 
 
 def _eval_poly(p, ctx):
@@ -112,6 +134,15 @@ def _eval_poly(p, ctx):
         p = p if k == 1 else p.at_inverse_q()
         return Scalar(q.ctx, RatFunc.from_laurent(_lift_laurent(p, 1, q.ctx.order)))
     return Scalar(FieldContext(1, True), RatFunc.from_laurent(p)).substitute(q)
+
+
+def _q_degree(s):
+    """The largest |exponent| of q in a function-field scalar's numerator and
+    denominator (the denominator has no negative powers)."""
+    v = s.val
+    if not v:
+        return 0
+    return max(-v.num.min_exp(), v.num.max_exp(), v.den.max_exp())
 
 
 # ---------------------------------------------------------------------------
@@ -156,36 +187,48 @@ def q_tri(j, ctx):
 
 
 def q_binomial(n, k, ctx):
-    """Gaussian polynomial C_n^k(q); zero outside 0 <= k <= n."""
+    """Gaussian polynomial C_n^k(q); zero outside 0 <= k <= n.
+
+    Every read checks the entry's q-degree, at least k(n-k), against the
+    degree cap, as evaluating the integer polynomial does.
+    """
     if n < 0:
         raise ValueError("defined for n >= 0")
-    return _eval_poly(_qbinom_poly(n, k), ctx)
+    if k < 0 or k > n:
+        return ctx.zero()
+    row = ctx._rows.get(n)
+    if row is None:
+        row = _memo_row(n, ctx)
+    entry = row[k]
+    if entry is None:
+        value = _eval_poly(LaurentPoly.from_dense(1, 0, _pascal_row(n)[k]), ctx)
+        entry = row[k] = row[n - k] = (value, max(k * (n - k), _q_degree(value)))
+    value, degree = entry
+    _check_degree(0, degree)
+    return value
 
 
-def q_binomial_recursive(n, k, ctx, variant="first"):
-    """C_n^k(q) computed purely by one of the two deformed Pascal recursions."""
-    if variant not in ("first", "second"):
-        raise ValueError("variant must be 'first' or 'second'")
-    one, zero = ctx.one(), ctx.zero()
-    memo = {}
-
-    def rec(nn, kk):
-        if kk < 0 or kk > nn:
-            return zero
-        if kk == 0 or kk == nn:
-            return one
-        key = (nn, kk)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if variant == "first":
-            val = rec(nn - 1, kk - 1) + ctx.q ** kk * rec(nn - 1, kk)
-        else:
-            val = ctx.q ** (nn - kk) * rec(nn - 1, kk - 1) + rec(nn - 1, kk)
-        memo[key] = val
-        return val
-
-    return rec(n, k)
+def _memo_row(n, ctx):
+    """Memoize row n of ctx.  In a function field the row starts empty and
+    `q_binomial` evaluates each entry, with its mirror image, on first read.
+    In a number field the rows up to n are filled by the deformed Pascal rule
+    in the field, each entry checked on read against its degree k(n-k)."""
+    rows = ctx._rows
+    if ctx.q.ctx.with_q:
+        rows[n] = [None] * (n + 1)
+        return rows[n]
+    one = ctx.one()
+    powers = [one]   # q^k for k <= n/2
+    for _ in range(n // 2):
+        powers.append(powers[-1] * ctx.q)
+    for m in range(len(rows), n + 1):
+        prev = rows.get(m - 1)
+        row = [(one, 0)] * (m + 1)
+        for k in range(1, m // 2 + 1):
+            value = prev[k - 1][0] + powers[k] * prev[k][0]
+            row[k] = row[m - k] = (value, k * (m - k))
+        rows[m] = tuple(row)
+    return rows[n]
 
 
 def gauss_expand(k, ctx):
@@ -260,6 +303,14 @@ def verify_identity(identity, n, ctx):
     def fail(**kw):
         return IdentityReport(identity, n, False, checked, kw)
 
+    powers = {}   # q^e, each exponent computed once per check
+
+    def q_pow(e):
+        value = powers.get(e)
+        if value is None:
+            value = powers[e] = ctx.q ** e
+        return value
+
     if identity == "bin1q":
         for m in range(n + 1):
             for j in range(n + 1):
@@ -271,9 +322,9 @@ def verify_identity(identity, n, ctx):
                     if cmi.is_zero() or cij.is_zero():
                         continue
                     prod = cmi * cij
-                    term = q_tri(i - j, ctx) * prod
+                    term = q_pow(tri_exponent(i - j)) * prod
                     first = first - term if (i + j) % 2 else first + term
-                    term = q_tri(m - i, ctx) * prod
+                    term = q_pow(tri_exponent(m - i)) * prod
                     second = second - term if (i + m) % 2 else second + term
                 expected = one if m == j else ctx.zero()
                 checked += 1
@@ -281,7 +332,7 @@ def verify_identity(identity, n, ctx):
                     return fail(m=m, j=j, first=str(first), second=str(second),
                                 expected=str(expected))
     elif identity == "bin2q":
-        qn = q_tri(n, ctx)
+        qn = tri_exponent(n)
         for k in range(n + 1):
             for m in range(n + 1):
                 lhs = ctx.zero()
@@ -290,11 +341,11 @@ def verify_identity(identity, n, ctx):
                     c2 = q_binomial(r, m, qinv_ctx)
                     if c1.is_zero() or c2.is_zero():
                         continue
-                    term = c1 * (q_tri(r, ctx) * q_tri(n - r, ctx) / qn) \
-                        * q_tri(r - m, ctx).inverse() * c2
+                    e = tri_exponent(r) + tri_exponent(n - r) - qn - tri_exponent(r - m)
+                    term = c1 * q_pow(e) * c2
                     lhs = lhs - term if (n - r) % 2 else lhs + term
                 ck = q_binomial(k, n - m, ctx)
-                rhs = (q_tri(k - (n - m), ctx) / q_tri(k, ctx)) * ck \
+                rhs = q_pow(tri_exponent(k - (n - m)) - tri_exponent(k)) * ck \
                     if not ck.is_zero() else ctx.zero()
                 checked += 1
                 if lhs != rhs:
@@ -302,8 +353,8 @@ def verify_identity(identity, n, ctx):
     elif identity == "qsymmetry":
         for k in range(n + 1):
             lhs = q_binomial(n, k, ctx)
-            rhs = (q_tri(n, ctx) / (q_tri(k, ctx) * q_tri(n - k, ctx))) \
-                * q_binomial(n, k, qinv_ctx)
+            e = tri_exponent(n) - tri_exponent(k) - tri_exponent(n - k)
+            rhs = q_pow(e) * q_binomial(n, k, qinv_ctx)
             checked += 1
             if lhs != rhs:
                 return fail(k=k, lhs=str(lhs), rhs=str(rhs))

@@ -18,8 +18,9 @@ cyclotomic number is stored the same way, a positive denominator and a tuple
 of ints in the power basis of zeta, and its `coeffs` Fractions are derived; a
 sum aligns the denominators; a product is an integer product reduced modulo
 the monic Phi_m by the same integer division; a Galois conjugate or an
-embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; an
-inverse is the product of the other conjugates over the rational norm.
+embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; the
+inverse of c zeta^k is c^-1 zeta^-k, and of any other element the product of
+the other conjugates over the rational norm.
 Laurent polynomials with coefficients in Q(zeta_m) store a tuple of
 `Cyclotomic`s and run as plain schoolbook and Euclid loops, which also serve
 as the reference route for the kernel's tests.
@@ -259,23 +260,16 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse as the product of the other Galois conjugates over the
-        rational norm."""
-        if not self.ints:
+        """The inverse.  A single term (a/d) zeta^k inverts to (d/a) zeta^-k,
+        reduced; any other element by `_conjugate_inverse`."""
+        ints = self.ints
+        if not ints:
             raise DivisionByZero("inverse of zero cyclotomic")
-        m = self.order
-        # Conjugates of the numerator polynomial sum(ints[i] * zeta^i) alone,
-        # so no product carries a denominator.  Q(zeta_m) has no real
-        # embedding for m >= 3, so the norm, a product of |sigma(num)|^2, is
-        # positive.
-        num = _cyclotomic(m, 1, self.ints)
-        conj = None
-        for k in range(2, m):
-            if _int_gcd(k, m) == 1:
-                c = _relabel(num, m, k)
-                conj = c if conj is None else conj * c
-        norm = (num * conj).ints[0]
-        return _cyclotomic(m, norm, [self.den * a for a in conj.ints])
+        k = len(ints) - 1
+        if not any(ints[:k]):
+            a, m = ints[k], self.order
+            return _cyclotomic(m, abs(a), [0] * (-k % m) + [self.den if a > 0 else -self.den])
+        return _conjugate_inverse(self)
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -313,6 +307,24 @@ class Cyclotomic:
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"
+
+
+def _conjugate_inverse(c):
+    """The inverse of a nonzero Cyclotomic as the product of its other Galois
+    conjugates over the rational norm."""
+    m = c.order
+    # Conjugates of the numerator polynomial sum(ints[i] * zeta^i) alone,
+    # so no product carries a denominator.  Q(zeta_m) has no real
+    # embedding for m >= 3, so the norm, a product of |sigma(num)|^2, is
+    # positive.
+    num = _cyclotomic(m, 1, c.ints)
+    conj = None
+    for k in range(2, m):
+        if _int_gcd(k, m) == 1:
+            factor = _relabel(num, m, k)
+            conj = factor if conj is None else conj * factor
+    norm = (num * conj).ints[0]
+    return _cyclotomic(m, norm, [c.den * a for a in conj.ints])
 
 
 def _base_zero(order):
@@ -849,6 +861,15 @@ class RatFunc:
         return RatFunc.make(self.den, self.num)
 
     def __pow__(self, n):
+        num = self.num
+        if len(num.coeffs) == 1 and _is_one(self.den):
+            # A monomial c q^s: c^n q^(sn) for either sign of n, checked
+            # against the degree cap as the products of a power would be.
+            shift = num.shift * n
+            if n:
+                _check_degree(shift, shift)
+            return RatFunc.from_laurent(
+                LaurentPoly.constant(num.lead() ** n, self.order).shifted(shift))
         if n < 0:
             return self.inverse() ** (-n)
         return _power(self, n, RatFunc.from_laurent(LaurentPoly.one(self.order)))
@@ -922,11 +943,11 @@ class Scalar:
 
     @staticmethod
     def zero(ctx=QQ):
-        return Scalar(ctx, _payload_const(ctx, _ZERO))
+        return _constants(ctx)[0]
 
     @staticmethod
     def one(ctx=QQ):
-        return Scalar(ctx, _payload_const(ctx, _ONE))
+        return _constants(ctx)[1]
 
     @staticmethod
     def of_fraction(f, ctx=QQ):
@@ -991,8 +1012,10 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("scalar powers are integer powers")
-        if n < 0:
-            return self.inverse() ** (-n)
+        # Each payload takes a negative power itself, a RatFunc monomial c q^s
+        # without inverting first.
+        if n < 0 and self.is_zero():
+            raise DivisionByZero("inverse of zero scalar")
         return Scalar(self.ctx, self.val ** n)
 
     def __eq__(self, other):
@@ -1042,6 +1065,12 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar[{self.ctx.describe()}]({self})"
+
+
+@lru_cache(maxsize=None)
+def _constants(ctx):
+    """The scalars 0 and 1 of ctx, one shared immutable pair per context."""
+    return Scalar(ctx, _payload_const(ctx, _ZERO)), Scalar(ctx, _payload_const(ctx, _ONE))
 
 
 def _inverse(v):

@@ -1,5 +1,7 @@
 """q-combinatorics: q-integers, Gaussian polynomials, triangle, identities."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 from qbraid.errors import DegreeCapExceeded, NonPolynomialQuotient, ZeroQ
 from qbraid.qcomb import (
     IDENTITY_NAMES,
+    _TRIANGLE,
     QContext,
     _eval_poly,
+    _pascal_row,
     concrete_q,
     gauss_expand,
     q_binomial,
-    q_binomial_recursive,
     q_factorial,
     q_int,
     q_pochhammer,
@@ -25,12 +28,14 @@ from qbraid.qcomb import (
     tri_exponent,
     verify_identity,
 )
+from qbraid.rep import sigma1_matrix
 from qbraid.scalar import (
     LaurentPoly,
     RatFunc,
     Scalar,
     function_field,
     integer,
+    laurent_exact_div,
     parse_scalar,
     q_symbol,
     set_degree_cap,
@@ -45,6 +50,47 @@ def ctx():
 
 def sym(text):
     return parse_scalar(text)
+
+
+# --- reference routes -------------------------------------------------------------
+
+def factorial_quotient(n, k):
+    """C_n^k(q) over Q as prod_i (n-k+i)_q / (i)_q, with exact stepwise
+    division of the integer polynomials."""
+    if k < 0 or k > n:
+        return LaurentPoly.zero(1)
+    p = LaurentPoly.one(1)
+    for i in range(1, k + 1):
+        p = p * LaurentPoly(1, {e: Fraction(1) for e in range(n - k + i)})
+        p = laurent_exact_div(p, LaurentPoly(1, {e: Fraction(1) for e in range(i)}))
+    return p
+
+
+def q_binomial_recursive(n, k, ctx, variant="first"):
+    """C_n^k(q) computed purely by one of the two deformed Pascal recursions,
+    in the field of ctx.q."""
+    if variant not in ("first", "second"):
+        raise ValueError("variant must be 'first' or 'second'")
+    one, zero = ctx.one(), ctx.zero()
+    memo = {}
+
+    def rec(nn, kk):
+        if kk < 0 or kk > nn:
+            return zero
+        if kk == 0 or kk == nn:
+            return one
+        key = (nn, kk)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if variant == "first":
+            val = rec(nn - 1, kk - 1) + ctx.q ** kk * rec(nn - 1, kk)
+        else:
+            val = ctx.q ** (nn - kk) * rec(nn - 1, kk - 1) + rec(nn - 1, kk)
+        memo[key] = val
+        return val
+
+    return rec(n, k)
 
 
 # --- basic q-objects ------------------------------------------------------------
@@ -110,6 +156,55 @@ def test_q_binomial_recursions_match_closed_form(ctx):
             closed = q_binomial(n, k, ctx)
             assert q_binomial_recursive(n, k, ctx, "first") == closed
             assert q_binomial_recursive(n, k, ctx, "second") == closed
+            assert _eval_poly(factorial_quotient(n, k), ctx) == closed
+
+
+# Every kind of q the two production routes serve: function fields (q, q^-1,
+# q^2, 2q, 1+q, and q over Q(zeta_3), drawn separately) evaluate the integer
+# rows; number fields (rationals, -1, 1 and roots of unity) fill the rows in
+# the field, and at a root of unity other than 1 some entries vanish.
+ROOTS_OF_UNITY = ["-1", "zeta(3)", "zeta(3)^2", "zeta(5)", "zeta(7)"]
+DIFFERENTIAL_QS = ["q", "q^-1", "q^2", "2*q", "1+q", "2", "3/2", "1"] + ROOTS_OF_UNITY
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_QS + ["q over Q(zeta3)"])
+def test_q_binomial_matches_the_factorial_quotient(spec):
+    """Both production routes equal the factorial quotient evaluated at q, for
+    n <= 12, the zeros at roots of unity included."""
+    qc = QContext(q_symbol(3) if spec == "q over Q(zeta3)" else sym(spec))
+    zeros = 0
+    for n in range(13):
+        for k in range(n + 1):
+            got = q_binomial(n, k, qc)
+            assert got == _eval_poly(factorial_quotient(n, k), qc), (spec, n, k)
+            assert got.ctx == qc.ctx
+            zeros += got.is_zero()
+    assert (zeros > 0) == (spec in ROOTS_OF_UNITY)
+
+
+def test_the_memo_stays_out_of_equality_and_hashing():
+    """Equal contexts compare, hash and print equal whatever each has
+    memoized, so they stay interchangeable keys of the rep caches."""
+    warm, cold = symbolic_q(), symbolic_q()
+    assert q_binomial(6, 3, warm) == sym("1+q+2*q^2+3*q^3+3*q^4+3*q^5+3*q^6+2*q^7+q^8+q^9")
+    assert warm._rows and not cold._rows
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert {warm: 1}[cold] == 1
+    assert sigma1_matrix(4, warm) is sigma1_matrix(4, cold)
+
+
+def test_pascal_rows_are_built_without_recursion():
+    """Rows far beyond the recursion limit's headroom are built in a loop, and
+    match the factorial quotient."""
+    n = len(_TRIANGLE) + 40
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 20)
+    try:
+        row = _pascal_row(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    for k in (0, 1, 2, n // 2):
+        assert LaurentPoly.from_dense(1, 0, row[k]) == factorial_quotient(n, k)
 
 
 def test_q_binomial_symmetry(ctx):
@@ -209,7 +304,7 @@ def test_identity_failure_reporting(ctx):
 
 
 def test_exactness_failure_never_fires(ctx):
-    # the factorial-quotient route is exact for every triangle entry tried
+    # every triangle entry tried is a polynomial in q
     for n in range(9):
         for k in range(n + 1):
             value = q_binomial(n, k, ctx)
@@ -242,10 +337,24 @@ def test_evaluation_at_q_and_inverse_q_matches_substitute(p, order, exponent):
 @pytest.mark.parametrize("order", [1, 3])
 def test_degree_cap_holds_at_inverse_q_when_the_polynomials_are_cached(order):
     qinv = QContext(q_symbol(order).inverse())
-    assert not q_binomial(9, 4, qinv).is_zero()   # fills the q-binomial cache
+    square = QContext(q_symbol(order) ** 2)
+    concrete = QContext(integer(2) if order == 1 else zeta(order))
+    for qc in (qinv, square, concrete):   # fills the q-binomial memo; zero at zeta_3
+        assert q_binomial(9, 4, qc) == _eval_poly(factorial_quotient(9, 4), qc)
     set_degree_cap(3)
     try:
-        with pytest.raises(DegreeCapExceeded, match="^symbolic degree 20 exceeds cap 3$"):
-            q_binomial(9, 4, qinv)
+        for qc in (qinv, concrete):
+            with pytest.raises(DegreeCapExceeded, match="^symbolic degree 20 exceeds cap 3$"):
+                q_binomial(9, 4, qc)
+            assert q_binomial(9, 0, qc) == qc.one()
+        with pytest.raises(DegreeCapExceeded, match="^symbolic degree 6 exceeds cap 3$"):
+            q_tri(4, qinv)
+        assert q_tri(4, concrete) == concrete.q ** 6   # a concrete power has no degree
+        assert q_tri(3, qinv) == q_symbol(order) ** -3
+        # At q^2 the entry C_9^4 has degree 40, not k(n-k) = 20.
+        set_degree_cap(30)
+        assert not q_binomial(9, 4, qinv).is_zero()
+        with pytest.raises(DegreeCapExceeded, match="^symbolic degree 40 exceeds cap 30$"):
+            q_binomial(9, 4, square)
     finally:
         set_degree_cap(None)

@@ -44,6 +44,7 @@ from qbraid.scalar import (
 )
 from qbraid.scalar import (
     _SCHOOLBOOK_MAX,
+    _conjugate_inverse,
     _digit_size,
     _int_mul,
     _kronecker_mul,
@@ -53,6 +54,7 @@ from qbraid.scalar import (
     _lp_monic_gcd_generic,
     _lp_mul_generic,
     _pack,
+    _power,
     _unpack,
 )
 
@@ -213,6 +215,9 @@ def test_division_by_zero():
         integer(1) / integer(0)
     with pytest.raises(DivisionByZero):
         Scalar.zero(QQ).inverse()
+    for ctx in (QQ, zeta(5).ctx, q_symbol().ctx):
+        with pytest.raises(DivisionByZero, match="^inverse of zero scalar$"):
+            Scalar.zero(ctx) ** -2
 
 
 # --- algebraic laws (property tests) -------------------------------------------
@@ -407,6 +412,33 @@ def test_degree_cap():
     assert (q ** 3) * (one + q ** 3) == q ** 3 + q ** 6
     assert (q ** -3) * (one + q ** -3) == q ** -3 + q ** -6
     assert (one + q ** 3) * (one - q ** 3) == one - q ** 6
+
+
+@given(st.sampled_from([1, 3]).flatmap(lambda order: st.tuples(
+    st.just(order), st.integers(-3, 3), base_coeff_st(order).filter(bool), st.integers(0, 60))))
+@settings(max_examples=40, deadline=None)
+def test_monomial_power_matches_square_and_multiply(case):
+    """c q^s to the e, for e in -40..40, equals square-and-multiply of c q^s or
+    of its inverse, over Q(q) and Q(zeta_3)(q); under a degree cap both raise
+    or neither does."""
+    order, s, c, cap = case
+    x = RatFunc.from_laurent(LaurentPoly(order, {s: c}))
+    one = RatFunc.from_laurent(LaurentPoly.one(order))
+    for e in range(-40, 41):
+        want = _power(x if e >= 0 else x.inverse(), abs(e), one)
+        assert x ** e == want
+        set_degree_cap(cap)
+        try:
+            outcomes = []
+            for route in (lambda: x ** e, lambda: _power(x if e >= 0 else x.inverse(), abs(e), one)):
+                try:
+                    route()
+                    outcomes.append(None)
+                except DegreeCapExceeded:
+                    outcomes.append(DegreeCapExceeded)
+        finally:
+            set_degree_cap(None)
+        assert outcomes[0] is outcomes[1], (e, cap)
 
 
 def test_degree_cap_is_scoped_per_thread():
@@ -659,6 +691,23 @@ def test_cyclotomic_inverse_matches_ext_gcd(x):
     inv = x.inverse()
     assert inv.coeffs == reduce_oracle([c / g[0] for c in s], x.order)
     assert x * inv == Cyclotomic.from_rational(x.order, 1)
+
+
+@given(st.sampled_from(CYCLOTOMIC_ORDERS + [15, 21, 30]).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, 2 * m), st.one_of(fractions_st, large_fractions))))
+@settings(max_examples=150, deadline=None)
+def test_single_term_cyclotomic_inverse_matches_the_conjugate_product(case):
+    """c zeta^k, a single term in the power basis for k < phi(m) and a reduced
+    sum above, inverts to the conjugate-product inverse."""
+    m, k, c = case
+    x = Cyclotomic.zeta_power(m, k) * c
+    if not c:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert inv == _conjugate_inverse(x)
+    assert x * inv == Cyclotomic.from_rational(m, 1)
 
 
 @pytest.mark.parametrize("m", CYCLOTOMIC_ORDERS)
