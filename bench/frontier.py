@@ -52,6 +52,9 @@ JOBS = [
     ["irr", "minors", "--n", "5", "--q", "q"],
     ["irr", "minors", "--n", "8", "--q", "q"],
     ["irr", "minors", "--n", "10", "--q", "q"],
+    ["irr", "minors", "--n", "12", "--q", "q"],
+    # symbolic determinants over Q(zeta_3)(q)
+    ["irr", "minors", "--n", "6", "--q", "q", "--lambda-prime=1,zeta(3),2,1,1/2,zeta(3)^2,1"],
     ["rep", "verify", "--n", "20", "--q", "q"],
     ["identities", "--id", "all", "--max-n", "10"],
     ["exp", "check", "--max-n", "10"],
