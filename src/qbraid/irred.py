@@ -520,7 +520,7 @@ def _system_span(p, images, size, target):
     The sparsest rows go in first (`echelon`).
     """
     rows = list(_intertwiner_system(tuple(zip(images[:2], images[2:])), size, 0))
-    return echelon(rows, size * size, p, target)[0]
+    return echelon(rows, size * size, p, target)
 
 
 def _lifted_basis(rep_a, rep_b, gens, target, start, first):

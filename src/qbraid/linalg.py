@@ -1,14 +1,19 @@
 """Dense exact linear algebra over any Scalar field.
 
 Matrices are immutable, 0-indexed, row-major grids of Scalars sharing one
-FieldContext.  `EchelonSpan` is the one elimination routine, over the field
-or over F_p: an incremental row-echelon span whose stored rows keep their
-supports, so that reducing a vector touches only nonzero entries.  Ranks grown
-vector by vector insert into it directly; `echelon` inserts the rows of a
-matrix sparsest first, and rank, determinant (forward elimination only), rref,
-nullspace and inverse are read off the span.  Since the rank, the reduced row
-echelon form, the determinant and the inverse of a matrix are unique, every
-result is independent of the insertion order and reproducible.
+FieldContext.  `EchelonSpan` is the one elimination routine for spans, over
+the field or over F_p: an incremental row-echelon span whose stored rows keep
+their supports, so that reducing a vector touches only nonzero entries.  Ranks
+grown vector by vector insert into it directly; `echelon` inserts the rows of
+a matrix sparsest first, and rank, rref, nullspace and inverse are read off
+the span.  Since the rank, the reduced row echelon form and the inverse of a
+matrix are unique, every result is independent of the insertion order and
+reproducible.
+
+A determinant is the one fraction-free (Bareiss) recurrence `_bareiss` for
+every field, with no division that is not exact and no gcd: over Q and Q(q)
+on the integer kernel, each row first made into ints or int coefficient
+lists, over Q(zeta_m) and Q(zeta_m)(q) on the field payloads.
 
 A matrix product skips every term with an exactly zero factor.  Over Q(q),
 when every entry of both factors is a Laurent polynomial and some row of the
@@ -28,22 +33,28 @@ t is the ordinary transpose, s reflects in the antidiagonal
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from math import lcm as _int_lcm
 
-from .errors import FieldMismatch, NonSquare, ShapeMismatch, Singular
+from .errors import FieldMismatch, NonPolynomialQuotient, NonSquare, ShapeMismatch, Singular
 from .scalar import (
     LaurentPoly,
     RatFunc,
     Scalar,
     _check_degree,
+    _common_den,
     _degree_cap,
     _digit_size,
+    _int_exact_div,
+    _int_mul,
     _inverse,
     _is_one,
     _laurent,
+    _lp_monic_gcd,
     _pack,
     _unpack,
+    laurent_exact_div,
 )
 
 
@@ -246,28 +257,42 @@ class ExactMatrix:
         one, zero = Scalar.one(ctx).val, Scalar.zero(ctx).val
         aug = [[x.val for x in self._e[i]] + [one if j == i else zero for j in range(n)]
                for i in range(n)]
-        pivots, rows = echelon(aug, 2 * n)[0].reduced()
+        pivots, rows = echelon(aug, 2 * n).reduced()
         if pivots != list(range(n)):
             raise Singular("matrix is singular")
         return ExactMatrix(n, n, ctx, tuple(tuple(Scalar(ctx, x) for x in row[n:]) for row in rows))
 
     def determinant(self):
-        """Signed product of the pivot values of forward elimination; the
-        empty 0x0 determinant is 1.  Reducing each row by the rows inserted
-        before it keeps the determinant of the rows in insertion order, and
-        the reduced rows sorted by pivot column are triangular, so the sign is
-        that of `order` times that of the pivot columns in insertion order."""
+        """Fraction-free (Bareiss) elimination, `_bareiss`; the empty 0x0
+        determinant is 1.
+
+        Over Q and Q(q) each row is first put on the integer kernel: times the
+        lcm of its denominators, and over Q(q) times a q-power, it is a list
+        of ints or of int coefficient lists (`_integer_rows`,
+        `_polynomial_rows`).  The recurrence then divides exactly, checked,
+        with `divmod` or `_int_pdivmod`, and the row scales are divided out
+        once at the end.
+        Over Q(zeta_m) and Q(zeta_m)(q) it runs on the field payloads and
+        multiplies by the previous pivot's inverse, one inverse per step."""
         if not self.is_square():
             raise NonSquare("determinant needs a square matrix")
-        span, order = echelon(self._payloads(), self.cols)
-        if span.dim < self.rows:
-            return Scalar.zero(self.ctx)
-        det = Scalar.one(self.ctx).val
-        for _, value in span.pivots:
-            det = det * value
-        if (_inversions(order) + _inversions([c for c, _ in span.pivots])) % 2:
-            det = -det
-        return Scalar(self.ctx, det)
+        ctx = self.ctx
+        rows = self._payloads()
+        if ctx.order != 1:
+            sign, det = _bareiss(rows, Scalar.one(ctx).val, _field_update, _field_prepare)
+            if not sign:
+                return Scalar.zero(ctx)
+            return Scalar(ctx, det if sign > 0 else -det)
+        if not ctx.with_q:
+            rows, scale = _integer_rows(rows)
+            sign, det = _bareiss(rows, 1, _int_update)
+            return Scalar(ctx, Fraction(sign * det, scale)) if sign else Scalar.zero(ctx)
+        rows, shift, scale, den = _polynomial_rows(rows)
+        sign, det = _bareiss(rows, [1], _poly_update)
+        if not sign:
+            return Scalar.zero(ctx)
+        num = _laurent(1, shift, sign * scale, det)
+        return Scalar(ctx, RatFunc.make(num, den) if den else RatFunc.from_laurent(num))
 
     def submatrix(self, rows, cols):
         rows, cols = list(rows), list(cols)
@@ -300,7 +325,7 @@ class ExactMatrix:
 
     def rref(self):
         """(reduced rows, pivot column list); rows include the zero tail."""
-        pivots, rows = echelon(self._payloads(), self.cols)[0].reduced()
+        pivots, rows = echelon(self._payloads(), self.cols).reduced()
         ctx = self.ctx
         zero = Scalar.zero(ctx)
         out = [[zero] * c + [Scalar(ctx, x) for x in row[c:]] for c, row in zip(pivots, rows)]
@@ -308,14 +333,14 @@ class ExactMatrix:
         return out, pivots
 
     def rank(self):
-        return echelon(self._payloads(), self.cols)[0].dim
+        return echelon(self._payloads(), self.cols).dim
 
     def nullspace(self):
         """Exact basis of the right kernel, one vector per free column, each
         normalized so its first nonzero coordinate is 1."""
         ctx = self.ctx
         zero, one = Scalar.zero(ctx), Scalar.one(ctx)
-        _, basis = echelon(self._payloads(), self.cols)[0].nullspace(zero.val, one.val)
+        _, basis = echelon(self._payloads(), self.cols).nullspace(zero.val, one.val)
         return [tuple(leading_one([Scalar(ctx, x) for x in vec])) for vec in basis]
 
     # -- output -----------------------------------------------------------------
@@ -445,8 +470,7 @@ class EchelonSpan:
 
     `insert` reduces a vector by the stored rows in pivot order and keeps it,
     scaled to a leading 1, when a nonzero entry is left, and returns whether
-    it did; `pivots` then lists (pivot column, pivot value before scaling) in
-    insertion order, and `dim` is the rank of everything inserted.  Each
+    it did; `dim` is the rank of everything inserted.  Each
     stored row keeps its support, so reducing a vector touches only the row's
     nonzero entries; over F_p an entry is taken mod p only when its column is
     reached.  Reduction stops at the first column without a pivot, which
@@ -458,12 +482,8 @@ class EchelonSpan:
 
     def __init__(self, width, p=None):
         self.p = p
-        self.pivots = []
+        self.dim = 0
         self._rows = [None] * width   # pivot column -> (row, support)
-
-    @property
-    def dim(self):
-        return len(self.pivots)
 
     def insert(self, vec):
         p, rows = self.p, self._rows
@@ -480,7 +500,7 @@ class EchelonSpan:
                     inv = pow(c, -1, p)
                     row = [0] * k + [x * inv % p for x in vec[k:]]
                 rows[k] = (row, [j for j in range(k, len(row)) if row[j]])
-                self.pivots.append((k, c))
+                self.dim += 1
                 return True
             row, support = stored
             for j in support:
@@ -492,7 +512,7 @@ class EchelonSpan:
         of the stored rows in that order, back-reduced (last pivot first) to
         the reduced row echelon form of everything inserted.  Each row holds
         int 0 before its pivot."""
-        pivots = sorted(c for c, _ in self.pivots)
+        pivots = [c for c, stored in enumerate(self._rows) if stored is not None]
         rows = [list(self._rows[c][0]) for c in pivots]
         for i in range(len(rows) - 1, 0, -1):
             col, prow = pivots[i], rows[i]
@@ -539,24 +559,143 @@ class EchelonSpan:
 
 
 def echelon(rows, width, p=None, target=None):
-    """(span, order): the rows inserted into an `EchelonSpan(width, p)` in the
-    order `order` of their row indices, sparsest first (fewest nonzero
-    entries, ties in row order), stopping once the span reaches dimension
-    `target`.  Sparse rows fill the stored rows in less.  Once every row is
-    in, the spanned space, its pivot columns, its reduced rows and its
-    nullspace do not depend on the order; the pivot values do, and
-    `ExactMatrix.determinant` signs their product by the order."""
-    order = sorted(range(len(rows)), key=lambda i: sum(1 for x in rows[i] if x))
+    """The rows inserted into an `EchelonSpan(width, p)` sparsest first
+    (fewest nonzero entries, ties in row order), stopping once the span
+    reaches dimension `target`.  Sparse rows fill the stored rows in less.
+    Once every row is in, the spanned space, its pivot columns, its reduced
+    rows and its nullspace do not depend on the order."""
     span = EchelonSpan(width, p)
-    for i in order:
-        if span.insert(rows[i]) and span.dim == target:
+    for row in sorted(rows, key=lambda row: sum(1 for x in row if x)):
+        if span.insert(row) and span.dim == target:
             break
-    return span, order
+    return span
 
 
-def _inversions(seq):
-    """The number of pairs i < j with seq[i] > seq[j]."""
-    return sum(1 for j, y in enumerate(seq) for x in seq[:j] if x > y)
+def _bareiss(rows, one, update, prepare=None):
+    """Bareiss's fraction-free elimination of the square list `rows` (lists
+    of ring elements, zero falsy), in place: (sign, last pivot) with
+    det = sign * last pivot, or (0, None) when the matrix is singular.
+
+    Step k replaces each entry (i, j) with i, j > k by
+    (p_kk p_ij - p_ik p_kj) / p_(k-1)(k-1), the previous pivot being `one`
+    at k = 0.  Every entry is then a minor of the matrix (Sylvester's
+    identity), so each division is exact and no gcd is taken.
+    `update(row, pivot_row, k, s)` applies it to one row below the pivot,
+    with s = prepare(p_kk, previous pivot) computed once per step, or the
+    pair itself without `prepare`.  A zero pivot is swapped with the first
+    lower row that has a nonzero entry in its column, and the sign flips."""
+    n, sign, prev = len(rows), 1, one
+    for k in range(n):
+        if not rows[k][k]:
+            i = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if i is None:
+                return 0, None
+            rows[k], rows[i] = rows[i], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        s = (p, prev) if prepare is None else prepare(p, prev)
+        for row in rows[k + 1:]:
+            update(row, pivot_row, k, s)
+        prev = p
+    return sign, prev
+
+
+def _int_update(row, pivot_row, k, s):
+    """One Bareiss row step over Z, s = (pivot, previous pivot)."""
+    p, d = s
+    a = row[k]
+    for j in range(k + 1, len(row)):
+        quo, rem = divmod(p * row[j] - a * pivot_row[j], d)
+        if rem:
+            raise NonPolynomialQuotient("fraction-free division left a remainder")
+        row[j] = quo
+
+
+def _poly_update(row, pivot_row, k, s):
+    """One Bareiss row step on int coefficient lists ([] for zero), s =
+    (pivot, previous pivot).  Each product is checked against the degree
+    cap, as `_packed_product` checks its terms, and each division must be
+    exact (`_int_exact_div`)."""
+    p, d = s
+    a = row[k]
+    for j in range(k + 1, len(row)):
+        x, y = row[j], pivot_row[j]
+        if x:
+            _check_degree(0, len(p) + len(x) - 2)
+            t = _int_mul(p, x)
+        else:
+            t = []
+        if a and y:
+            _check_degree(0, len(a) + len(y) - 2)
+            u = _int_mul(a, y)
+            if len(t) < len(u):
+                t += [0] * (len(u) - len(t))
+            for i, c in enumerate(u):
+                t[i] -= c
+            while t and not t[-1]:
+                t.pop()
+        row[j] = _int_exact_div(t, d) if t else t
+
+
+def _field_prepare(p, prev):
+    """(p d, d) for d the inverse of the previous pivot."""
+    d = _inverse(prev)
+    return p * d, d
+
+
+def _field_update(row, pivot_row, k, s):
+    """One Bareiss row step over the field, s = (p d, d) for the pivot p
+    and the inverse d of the previous pivot: (p x - a y) d is computed as
+    (p d) x - (a d) y, with a d taken once per row."""
+    pd, d = s
+    a = row[k]
+    ad = a * d if a else a
+    for j in range(k + 1, len(row)):
+        x, y = row[j], pivot_row[j]
+        t = x * pd if x else x
+        if ad and y:
+            t = t - ad * y
+        row[j] = t
+
+
+def _integer_rows(rows):
+    """Rows of Fractions as int rows, each times the lcm of its
+    denominators, and the product of those lcms."""
+    out, scale = [], 1
+    for row in rows:
+        den = _common_den(row)
+        out.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return out, scale
+
+
+def _polynomial_rows(rows):
+    """Rows of `RatFunc`s over Q(q) as rows of int coefficient lists from
+    q^0 ([] for zero): row i times L_i, the lcm of its denominators, then
+    times d_i q^-s_i, d_i the lcm of the integer denominators and s_i the
+    lowest q-power of its entries.  Returns the lists, sum(s_i), prod(d_i)
+    and prod(L_i), the last None when every L_i is 1."""
+    out, shift, scale, den = [], 0, 1, None
+    for row in rows:
+        lcm = None
+        for x in row:
+            if x and not _is_one(x.den) and x.den != lcm:
+                lcm = x.den if lcm is None else \
+                    lcm * laurent_exact_div(x.den, _lp_monic_gcd(lcm, x.den))
+        if lcm is not None:
+            row = [x.num * laurent_exact_div(lcm, x.den) if x else None for x in row]
+            den = lcm if den is None else den * lcm
+        else:
+            row = [x.num if x else None for x in row]
+        polys = [x for x in row if x is not None]
+        s = min([x.shift for x in polys], default=0)
+        d = _int_lcm(*[x.den for x in polys])
+        out.append([[0] * (x.shift - s) + [c * (d // x.den) for c in x.coeffs]
+                    if x is not None else [] for x in row])
+        shift += s
+        scale *= d
+    return out, shift, scale, den
 
 
 def first_mismatch(a, b):

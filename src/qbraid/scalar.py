@@ -96,17 +96,55 @@ def _power(x, n, one):
 def cyclotomic_polynomial(m):
     """The m-th cyclotomic polynomial, as an ascending tuple of ints.
 
-    Computed by exact division of x^m - 1 by Phi_d for all proper divisors d of m.
+    Computed as the Moebius product prod_(d | m) (x^d - 1)^mu(m/d): only
+    d with m/d squarefree count, the factors with mu = 1 are multiplied
+    first and those with mu = -1 then divided out exactly.  Every factor is
+    sparse, so a product is one shifted difference and a quotient one
+    running sum.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
-    p = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            _, p, r = _int_pdivmod(p, cyclotomic_polynomial(d))
-            if r:
-                raise AssertionError("cyclotomic division left a remainder")
+    # m/d runs over the squarefree divisors e of m, mu(e) = (-1)^(number of primes)
+    primes = _prime_divisors(m)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        e = 1
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                e *= p
+        (down if bin(mask).count("1") % 2 else up).append(m // e)
+    p = [1]
+    for d in up:
+        out = [0] * (len(p) + d)
+        for i, c in enumerate(p):
+            out[i] -= c
+            out[i + d] += c
+        p = out
+    for d in down:
+        # p = q (x^d - 1) reads p_i = q_(i-d) - q_i, so q_i = q_(i-d) - p_i,
+        # and the top d coefficients of p must be those of q, shifted by d.
+        n = len(p) - d
+        q = [0] * n
+        for i in range(n):
+            q[i] = (q[i - d] if i >= d else 0) - p[i]
+        if any(p[i] != (q[i - d] if i >= d else 0) for i in range(n, len(p))):
+            raise AssertionError("cyclotomic division left a remainder")
+        p = q
     return tuple(p)
+
+
+def _prime_divisors(m):
+    """The primes dividing m >= 1, ascending, by trial division."""
+    primes, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    return primes
 
 
 def euler_phi(m):
@@ -749,6 +787,16 @@ def _int_pdivmod(a, b):
     return f, quo, rem
 
 
+def _int_exact_div(a, b):
+    """a / b for nonempty int coefficient lists where b divides a over Z:
+    `_int_pdivmod`, which then never scales (f == 1) and leaves no remainder.
+    Raises NonPolynomialQuotient when either fails."""
+    f, quo, rem = _int_pdivmod(a, b)
+    if f != 1 or rem:
+        raise NonPolynomialQuotient("integer division left a remainder")
+    return quo
+
+
 def _int_primitive(coeffs):
     """(content, primitive part) of a nonzero int list; the primitive part has
     a positive leading coefficient."""
@@ -1126,7 +1174,7 @@ def root_of_unity_mod(m, p):
     None when m does not divide p - 1, so that F_p has none."""
     if (p - 1) % m:
         return None
-    primes = [d for d in range(2, m + 1) if m % d == 0 and all(d % e for e in range(2, d))]
+    primes = _prime_divisors(m)
     for a in range(1, p):
         r = pow(a, (p - 1) // m, p)
         if all(pow(r, m // d, p) != 1 for d in primes):

@@ -167,6 +167,23 @@ def test_degree_cap_exit_code():
         set_degree_cap(None)
 
 
+def test_degree_cap_stops_the_fraction_free_minors(capsys):
+    """At n = 3 the largest product of the minor criterion's Bareiss steps
+    has degree 7, and nothing else the command computes goes above it."""
+    set_degree_cap(6)
+    try:
+        assert run(["irr", "minors", "--n", "3", "--q", "q"]) == 4
+    finally:
+        set_degree_cap(None)
+    assert capsys.readouterr().err == \
+        "degree cap exceeded: symbolic degree 7 exceeds cap 6\n"
+    set_degree_cap(7)
+    try:
+        assert run(["irr", "minors", "--n", "3", "--q", "q"]) == EXIT_PASS
+    finally:
+        set_degree_cap(None)
+
+
 def test_degree_cap_holds_when_the_polynomials_are_cached():
     assert run(["triangle", "--n", "9"]) == EXIT_PASS   # fills the q-binomial cache
     set_degree_cap(3)

@@ -1,5 +1,6 @@
 """Exact linear algebra: involutions, elimination, minors, nullspaces."""
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbraid import linalg
-from qbraid.errors import DegreeCapExceeded, NonSquare, ShapeMismatch, Singular
+from qbraid.errors import (
+    DegreeCapExceeded,
+    NonPolynomialQuotient,
+    NonSquare,
+    ShapeMismatch,
+    Singular,
+)
 from qbraid.linalg import (
     EchelonSpan,
     ExactMatrix,
+    _int_update,
     _packed_product,
     compare_all,
     det_by_permutations,
@@ -26,6 +34,7 @@ from qbraid.scalar import (
     LaurentPoly,
     RatFunc,
     Scalar,
+    _int_exact_div,
     cyclotomic_field,
     function_field,
     integer,
@@ -361,6 +370,81 @@ def test_minor_requires_increasing_indices(rng):
         a.minor([0], [0, 1])
 
 
+def test_fraction_free_division_must_be_exact():
+    """The Bareiss divisions raise, not round, when the previous pivot does
+    not divide: over Z, and over Z[q] when pseudo-division would have to
+    scale (f != 1) or leaves a remainder."""
+    row = [2, 4]
+    _int_update(row, [3, 1], 0, (3, 5))
+    assert row == [2, 2]
+    with pytest.raises(NonPolynomialQuotient):
+        _int_update([1, 4], [3, 1], 0, (3, 5))
+    assert _int_exact_div([2, 3, 1], [1, 1]) == [2, 1]
+    with pytest.raises(NonPolynomialQuotient):
+        _int_exact_div([1, 1], [0, 2])
+    with pytest.raises(NonPolynomialQuotient):
+        _int_exact_div([1, 0, 1], [1, 1])
+
+
+# Its determinant is q^2 and no entry has a degree above 2, but Bareiss forms
+# products of degree 4 at the first step and 6 at the second: the second
+# pivot 1 + q^2 + q^4 times an entry of degree 2, before the division by 1 + q^2.
+def cap_matrix():
+    q, one = q_symbol(), Scalar.one(QQ_Q)
+    return ExactMatrix.from_rows([[one + q * q, q, one], [q, one + q * q, q], [one, q, one]])
+
+
+def test_fraction_free_products_are_capped():
+    a = cap_matrix()
+    want = det_by_permutations(a)
+    assert want == q_symbol() ** 2
+    for cap, degree in ((3, 4), (5, 6)):
+        set_degree_cap(cap)
+        try:
+            with pytest.raises(DegreeCapExceeded,
+                               match=f"^symbolic degree {degree} exceeds cap {cap}$"):
+                a.determinant()
+        finally:
+            set_degree_cap(None)
+    set_degree_cap(6)
+    try:
+        assert a.determinant() == want
+    finally:
+        set_degree_cap(None)
+
+
+def test_fraction_free_degree_cap_is_scoped_per_thread():
+    a = cap_matrix()
+    want = det_by_permutations(a)
+    capped, computed = threading.Event(), threading.Event()
+    seen = {}
+
+    def capping():
+        set_degree_cap(5)
+        capped.set()
+        computed.wait(30)
+        try:
+            a.determinant()
+        except DegreeCapExceeded:
+            seen["capping"] = "raised"
+
+    def other():
+        capped.wait(30)
+        try:
+            seen["other"] = a.determinant()
+        finally:
+            computed.set()
+
+    threads = [threading.Thread(target=capping), threading.Thread(target=other)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive()
+    assert seen == {"capping": "raised", "other": want}
+    assert a.determinant() == want
+
+
 # --- first mismatch ------------------------------------------------------------------
 
 def test_first_mismatch_row_major():
@@ -498,18 +582,30 @@ def check_against_dense(a):
             a.inverse()
 
 
-FIELDS = {"QQ": QQ, "QQ(zeta6)": cyclotomic_field(6), "QQ(q)": function_field()}
-
-
-def field_entry(a, b, ctx):
-    """The entry coded by two small integers: a + b/2 over Q, a + b zeta_6 over
-    Q(zeta_6), and (a + b q)/(1 + q^2) over Q(q)."""
+def field_entry(name, a, b):
+    """The entry of the field `name` coded by two small integers: a + b/2
+    over Q, a + b zeta_6 over Q(zeta_6), (a + b q)/(1 + q^2) over Q(q),
+    (a q^-2 + (b/3) q)/(1 + b q) over Q(q) again (negative q-powers, rational
+    coefficients and denominators that differ from entry to entry), and
+    (a + b zeta_3 q^-1)/(1 + a q) over Q(zeta_3)(q)."""
+    ctx = FIELDS[name]
     if ctx == QQ:
         return rational(2 * a + b, 2)
     if ctx.order == 6:
         return integer(a, ctx) + integer(b, ctx) * zeta(6)
+    one = Scalar.one(ctx)
+    if ctx.order == 3:
+        q = q_symbol(3)
+        return (integer(a, ctx) + integer(b, ctx) * zeta(3).coerce(ctx) * q ** -1) \
+            / (one + integer(a, ctx) * q)
     q = q_symbol()
-    return (integer(a, ctx) + integer(b, ctx) * q) / (Scalar.one(ctx) + q * q)
+    if name == "QQ(q)":
+        return (integer(a, ctx) + integer(b, ctx) * q) / (one + q * q)
+    return (integer(a, ctx) * q ** -2 + rational(b, 3, ctx) * q) / (one + integer(b, ctx) * q)
+
+
+FIELDS = {"QQ": QQ, "QQ(zeta6)": cyclotomic_field(6), "QQ(q)": function_field(),
+          "QQ(q), Laurent": function_field(), "QQ(zeta3)(q)": function_field(3)}
 
 
 # (0, 0) codes zero: about two entries in three are zero
@@ -518,19 +614,19 @@ ENTRY_CODES = st.one_of(st.just((0, 0)), st.just((0, 0)),
 
 
 @st.composite
-def zero_heavy_matrices(draw, ctx):
+def zero_heavy_matrices(draw, name):
     rows = draw(st.integers(1, 5))
     cols = rows if draw(st.booleans()) else draw(st.integers(1, 6))
     codes = draw(st.lists(st.lists(ENTRY_CODES, min_size=cols, max_size=cols),
                           min_size=rows, max_size=rows))
-    return ExactMatrix.from_rows([[field_entry(a, b, ctx) for a, b in row] for row in codes])
+    return ExactMatrix.from_rows([[field_entry(name, a, b) for a, b in row] for row in codes])
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_elimination_matches_dense_route(name, data):
-    check_against_dense(data.draw(zero_heavy_matrices(FIELDS[name])))
+    check_against_dense(data.draw(zero_heavy_matrices(name)))
 
 
 # Each of these has a candidate pivot row sparser than the first one, so the
@@ -547,9 +643,8 @@ SPARSEST_NOT_FIRST = [
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_sparsest_pivot_row_is_not_the_first(name):
-    ctx = FIELDS[name]
     for rows in SPARSEST_NOT_FIRST:
-        a = ExactMatrix.from_rows([[field_entry(v, v % 2, ctx) for v in row] for row in rows])
+        a = ExactMatrix.from_rows([[field_entry(name, v, v % 2) for v in row] for row in rows])
         check_against_dense(a)
 
 
@@ -578,7 +673,7 @@ def test_exact_echelon_span_matches_rank(name, data):
     dense reference route: after each insert `dim` is that rank and `insert`
     returned whether it grew.  Sums of earlier rows are appended so that the
     rank also stalls."""
-    a = data.draw(zero_heavy_matrices(FIELDS[name]))
+    a = data.draw(zero_heavy_matrices(name))
     rows = [list(a.row(i)) for i in range(a.rows)]
     index = st.integers(0, a.rows - 1)
     for i, j in data.draw(st.lists(st.tuples(index, index), max_size=3)):

@@ -3,6 +3,7 @@ functions, canonical strings."""
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
@@ -47,6 +48,7 @@ from qbraid.scalar import (
     _conjugate_inverse,
     _digit_size,
     _int_mul,
+    _int_pdivmod,
     _kronecker_mul,
     _lp_divmod,
     _lp_divmod_generic,
@@ -153,6 +155,25 @@ def test_cyclotomic_polynomial_order_12_against_division_oracle():
 @pytest.mark.parametrize("m", [1, 3, 4, 5, 7, 8, 9, 12, 17])
 def test_cyclotomic_polynomial_matches_oracle(m):
     assert cyclotomic_polynomial(m) == tuple(phi_oracle(m))
+
+
+@lru_cache(maxsize=None)
+def phi_by_divisors(m):
+    """Phi_m by exact integer pseudo-division of x^m - 1 by Phi_d for every
+    proper divisor d, the reference route for the Moebius product."""
+    p = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            f, p, r = _int_pdivmod(p, phi_by_divisors(d))
+            assert f == 1 and not r
+    return tuple(p)
+
+
+def test_moebius_product_matches_the_divisor_route():
+    """Every order below 400, and orders with many prime factors (2310 =
+    2 3 5 7 11, 4620 = 2^2 3 5 7 11) or a square (9999 = 3^2 11 101)."""
+    for m in [*range(1, 400), 2310, 4620, 9999]:
+        assert cyclotomic_polynomial(m) == phi_by_divisors(m), m
 
 
 # --- field operations ----------------------------------------------------------
