@@ -49,6 +49,11 @@ def catalog_lambda(n, s, lam0):
 JOBS = [
     ["irr", "minors", "--n", "8", "--q", "2"],
     ["irr", "minors", "--n", "10", "--q", "2"],
+    # operator-irreducible points where the mod-p oracle certificates dominate
+    ["irr", "minors", "--n", "20", "--q", "2"],
+    ["irr", "minors", "--n", "30", "--q", "2"],
+    # a reducible point that is not a catalog point: the exact algebra span decides
+    ["irr", "minors", "--n", "10", "--q", "zeta(5)"],
     ["irr", "minors", "--n", "5", "--q", "q"],
     ["irr", "minors", "--n", "8", "--q", "q"],
     ["irr", "minors", "--n", "10", "--q", "q"],
