@@ -23,7 +23,15 @@ F_p.  Rank never rises under a ring map, so a full algebra image proves the
 algebra full, and a zero (or, for a commutant, one-dimensional) nullity image
 proves the exact nullity.  Any other image, or no pair that reduces, leaves
 the answer to the exact route over the field, which is unchanged; reducibility
-is never concluded from an image.
+is never concluded from an image.  Before either oracle, `analyze` runs
+Norton's irreducibility test from the MeatAxe (Parker 1984; Holt and Rees
+1994) on the same reduced pair (`_norton_certifies`): one null vector of
+sigma_1 - mu I and one of its transpose, spun under the generators and their
+transposes, reach n+1 dimensions only when the module mod p is absolutely
+irreducible.  That proves algebra dimension (n+1)^2 and commutant [I] from
+two spans of width n+1, each of at most 2(n+1) matrix-vector products, in
+place of the word span of width (n+1)^2 and the system in (n+1)^2 unknowns;
+any other outcome decides nothing and the oracles run as above.
 
 Over Q and Q(zeta_m) an intertwiner or commutant basis that the certificate
 does not settle is lifted from F_p instead (multi-modular linear algebra with
@@ -218,12 +226,15 @@ def commutant_dimension(rep):
     return len(basis), basis
 
 
-def _span_of_words(one, gens, mul, flat, span, full):
-    """Grow `span` by the words in `gens` breadth-first (words explored in
-    insertion order, left multiplication by each generator in turn) until it
-    reaches dimension `full` or no word adds to it; returns its dimension."""
+def _span_of_words(seeds, gens, mul, flat, span, full):
+    """Grow `span` from `seeds` by left multiplication with the words in
+    `gens`, breadth-first (elements explored in insertion order, each
+    generator in turn), until it reaches dimension `full` or no product adds
+    to it; returns its dimension.  Seeded with the identity and the
+    generators it spans their unital algebra; seeded with one vector, the
+    smallest invariant subspace holding it (a spin)."""
     queue = deque()
-    for seed in (one, *gens):
+    for seed in seeds:
         if span.insert(flat(seed)):
             queue.append(seed)
     while queue and span.dim < full:
@@ -256,7 +267,7 @@ def burnside_dimension(rep):
             return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
         one = [[int(i == j) for j in range(size)] for i in range(size)]
-        dim = _span_of_words(one, gens, mul, lambda m: [x for row in m for x in row],
+        dim = _span_of_words((one, *gens), gens, mul, lambda m: [x for row in m for x in row],
                              EchelonSpan(full, p), full)
         if dim == full:
             return full
@@ -267,10 +278,52 @@ def _burnside_exact(rep):
     """The algebra dimension by exact span growth over the field of the
     generators, in the order of `_span_of_words`."""
     size = rep.n + 1
-    return _span_of_words(ExactMatrix.identity(size, rep.sigma1.ctx),
-                          (rep.sigma1, rep.sigma2), lambda a, b: a * b,
+    gens = (rep.sigma1, rep.sigma2)
+    return _span_of_words((ExactMatrix.identity(size, rep.sigma1.ctx), *gens),
+                          gens, lambda a, b: a * b,
                           lambda m: [m[i, j].val for i in range(size) for j in range(size)],
                           EchelonSpan(size * size), size * size)
+
+
+def _norton_certifies(p, gens):
+    """Norton's irreducibility test (Parker 1984; Holt and Rees 1994) on the
+    generators (sigma_1, sigma_2) reduced mod p, as lists of int rows: True
+    when it proves F_p^(n+1) absolutely irreducible under them, so that they
+    generate all of M_(n+1)(F_p) and commute only with the scalars; False
+    decides nothing.
+
+    sigma_1 is upper triangular, so its eigenvalues mod p are its diagonal
+    residues.  At the first of them, in order, where theta = sigma_1 - mu I
+    has nullity 1, take the null vector v of theta and w of theta^T, and spin
+    v under (sigma_1, sigma_2) and w under their transposes
+    (`_span_of_words`).  When both spins reach n+1 no proper submodule U
+    exists: if U meets the line ker theta it holds v, and otherwise theta is
+    invertible on U, so w lies in the annihilator of U, a proper subspace
+    that the transposes keep.  Every endomorphism of the module commutes
+    with theta, so it keeps the line ker theta and is a scalar c on v; minus
+    c it kills the spin of v, which is everything, so the module is
+    absolutely irreducible.  A short spin, or no mu of nullity 1, leaves
+    the question to the oracles; it never makes the module reducible.
+    """
+    sigma1 = gens[0]
+    size = len(sigma1)
+    for mu in dict.fromkeys(sigma1[i][i] for i in range(size)):
+        theta = [[(x - mu) % p if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(sigma1)]
+        span = echelon(theta, size, p)
+        if span.dim == size - 1:
+            break
+    else:
+        return False
+    _, (v,) = span.nullspace()
+    _, (w,) = echelon(list(zip(*theta)), size, p).nullspace()
+    transposes = tuple(list(zip(*g)) for g in gens)
+
+    def apply(m, vec):
+        return [sum(x * y for x, y in zip(row, vec)) % p for row in m]
+
+    return all(_span_of_words((seed,), mats, apply, list, EchelonSpan(size, p), size) == size
+               for seed, mats in ((v, gens), (w, transposes)))
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +763,21 @@ def analyze(rep):
     I) and the verdict is operator-irreducible.  The minor criterion is
     reported per r but does not decide the verdict: it is only generically
     equivalent to operator irreducibility.
+
+    Norton's test runs first, once, on the generators reduced at the first
+    certificate pair (`_norton_certifies`).  When it certifies, the algebra
+    mod p is full and its commutant the scalars; rank never rises under the
+    reduction, so the exact values are (n+1)^2 and 1 and neither oracle runs.
     """
     n = rep.n
     per_r = [minor_criterion(rep, r) for r in range(n // 2 + 1)]
-    cdim, _ = commutant_dimension(rep)
-    bdim = burnside_dimension(rep)
     full = (n + 1) ** 2
+    reduced = _reduced((rep.sigma1, rep.sigma2))
+    if reduced is not None and _norton_certifies(*reduced[1:]):
+        cdim, bdim = 1, full
+    else:
+        cdim, _ = commutant_dimension(rep)
+        bdim = burnside_dimension(rep)
     if cdim > 1:
         verdict = "operator-reducible"
     elif bdim < full:

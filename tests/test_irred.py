@@ -586,7 +586,7 @@ def test_certified_and_exact_routes_agree(monkeypatch):
 
 
 def test_certificate_decides_irreducible_points_alone(monkeypatch):
-    # At irreducible points over Q, Q(q) and Q(zeta_5) the certificate decides
+    # At irreducible points over Q, Q(q) and Q(zeta_5) the certificates decide
     # both oracles, and the exact commutant basis there is exactly [I].
     one = Scalar.one(QQ)
     z5 = zeta(5)
@@ -611,6 +611,21 @@ def test_certificate_decides_irreducible_points_alone(monkeypatch):
     a, b = (build_representation(factored_spec(2, concrete_q(integer(q)), (one,) * 3))
             for q in (1, 2))
     assert intertwiner_space(a, b)["status"] == "inequivalent"
+    # Norton's test alone decides analyze: no word span over matrices and no
+    # commutation system, only the spins of one vector each
+    span_of_words = irred._span_of_words
+
+    def vectors_only(seeds, *args):
+        if not all(isinstance(x, int) for seed in seeds for x in seed):
+            raise AssertionError("a word span ran")
+        return span_of_words(seeds, *args)
+
+    monkeypatch.setattr(irred, "_span_of_words", vectors_only)
+    monkeypatch.setattr(irred, "_system_span", refuse)
+    for rep in reps:
+        report = analyze(rep)
+        assert report.verdict == "operator-irreducible"
+        assert (report.commutant_dim, report.burnside_dim) == (1, (rep.n + 1) ** 2)
 
 
 def pole_rep():
@@ -816,8 +831,10 @@ def tw_irreducible(lam):
                for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
 
 
-def test_oracles_match_tuba_wenzl_in_dimensions_2_and_3():
-    outcomes = set()
+def tuba_wenzl_reps():
+    """Dimensions 2 and 3 over Q(zeta_6) at each q of TW_Q_VALUES, with
+    lambda = (1, t) and (1, t, t^2) for t among units, roots of unity and q."""
+    reps = []
     for q_text in TW_Q_VALUES:
         q = parse_scalar(q_text)
         ctx = join_context(q.ctx, zeta(6).ctx)
@@ -825,13 +842,115 @@ def test_oracles_match_tuba_wenzl_in_dimensions_2_and_3():
         one = Scalar.one(ctx)
         ts = [one, -one, integer(2, ctx), integer(-4, ctx), rational(1, 2, ctx),
               zeta(3).coerce(ctx), zeta(6).coerce(ctx), -zeta(3).coerce(ctx), qc.q]
-        reps = [build_representation(raw_spec(1, qc, (one, t))) for t in ts]
+        reps += [build_representation(raw_spec(1, qc, (one, t))) for t in ts]
         reps += [build_representation(factored_spec(2, qc, (one, t, t * t))) for t in ts]
-        for rep in reps:
-            irreducible = tw_irreducible(rep.lam_raw)
-            report = analyze(rep)
-            assert (report.burnside_dim == (rep.n + 1) ** 2) == irreducible, \
-                (q_text, [str(v) for v in rep.lam_raw])
-            assert (report.verdict == "operator-irreducible") == irreducible
-            outcomes.add((rep.n, irreducible))
+    return reps
+
+
+def test_oracles_match_tuba_wenzl_in_dimensions_2_and_3():
+    outcomes = set()
+    for rep in tuba_wenzl_reps():
+        irreducible = tw_irreducible(rep.lam_raw)
+        report = analyze(rep)
+        assert (report.burnside_dim == (rep.n + 1) ** 2) == irreducible, \
+            (str(rep.ctx.q), [str(v) for v in rep.lam_raw])
+        assert (report.verdict == "operator-irreducible") == irreducible
+        outcomes.add((rep.n, irreducible))
     assert outcomes == {(1, True), (1, False), (2, True), (2, False)}
+
+
+# --- Norton's irreducibility test ------------------------------------------------
+
+def norton_certifies(rep):
+    """Norton's test at the first certificate pair where the generators reduce."""
+    reduced = irred._reduced((rep.sigma1, rep.sigma2))
+    return reduced is not None and irred._norton_certifies(*reduced[1:])
+
+
+def acceptance_reps():
+    """The representations with n <= 4 that the acceptance suite builds: the
+    braid-relation family at symbolic q (of its 20 random diagonals per n,
+    all for n <= 3 and the first 5 for n = 4, whose exact algebra spans over
+    Q(q) take about 1.7 s each), the q = 1 triple-product and oracle families,
+    the reducibility witnesses, the catalog and the random points of the
+    minor-criterion check, and the intertwiner pair."""
+    one = Scalar.one(QQ)
+    sym = symbolic_q()
+    q1 = concrete_q(integer(1))
+    one_sym = Scalar.one(sym.q.ctx)
+    reps = [build_representation(factored_spec(n, sym, (one_sym,) * (n + 1)))
+            for n in range(1, 5)]
+    rng = random.Random(101)
+    for n in range(1, 5):
+        for i in range(20):
+            lam = random_factored_lambda(rng, n, sym.q.ctx)
+            if n < 4 or i < 5:
+                reps.append(build_representation(factored_spec(n, sym, lam)))
+    reps += [build_representation(factored_spec(n, q1, (one,) * (n + 1))) for n in range(1, 5)]
+    reps += [rep_q1([(-1) ** k for k in range(n + 1)]) for n in (2, 3, 4)]
+    for n, s in ((2, 2), (3, 3), (4, 4)):
+        z = zeta(s)
+        reps.append(build_representation(
+            factored_spec(n, concrete_q(z), (Scalar.one(z.ctx),) * (n + 1))))
+    z6 = zeta(6)
+    reps.append(rep_q1([Scalar.one(z6.ctx), z6]))
+    reps += [catalog_rep(e) for n in (2, 3, 4) for e in suspected_catalog(n)]
+    rng = random.Random(1111)
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        reps.append(build_representation(
+            raw_spec(n, q1, random_factored_lambda(rng, n, QQ, wide=True))))
+    reps.append(build_representation(factored_spec(2, concrete_q(integer(2)), (one,) * 3)))
+    return reps
+
+
+def deficient_reps():
+    """Reducible or algebra-deficient points beyond the catalog: q = -1 at
+    n = 4, q = zeta_5 at n = 6 (algebra dimension 31 of 49), and
+    lambda = (1, zeta_6) at n = 1 over Q(zeta_6)(q)."""
+    z5, z6 = zeta(5), zeta(6)
+    qz6 = QContext(q_symbol().coerce(join_context(q_symbol().ctx, z6.ctx)))
+    one_qz6 = Scalar.one(qz6.q.ctx)
+    return [build_representation(factored_spec(4, concrete_q(integer(-1)), (Scalar.one(QQ),) * 5)),
+            build_representation(factored_spec(6, concrete_q(z5), (Scalar.one(z5.ctx),) * 7)),
+            build_representation(raw_spec(1, qz6, (one_qz6, z6.coerce(qz6.q.ctx))))]
+
+
+@pytest.mark.parametrize("make_reps", [reps_under_test, acceptance_reps, tuba_wenzl_reps,
+                                       deficient_reps])
+def test_norton_certifies_exactly_the_absolutely_irreducible_points(make_reps):
+    # Where Norton's test certifies, the exact algebra is full and the exact
+    # commutant basis is [I]; at every deficient or reducible point it decides
+    # nothing.  On these points it also certifies every full one.
+    outcomes = set()
+    for rep in make_reps():
+        size = rep.n + 1
+        full = (_burnside_exact(rep) == size * size and _intertwiner_basis_exact(rep, rep)
+                == [ExactMatrix.identity(size, rep.sigma1.ctx)])
+        assert norton_certifies(rep) == full, (rep.n, str(rep.ctx.q),
+                                               [str(v) for v in rep.lam_raw])
+        outcomes.add(full)
+    assert outcomes == ({False} if make_reps is deficient_reps else {True, False})
+
+
+P_SMALL = 101
+
+
+@pytest.mark.parametrize("gens", [
+    # sigma_1 = I has nullity 2 at mu = 1; with a symmetric sigma_2 both basis
+    # vectors spin to everything, yet the algebra is 2-dimensional
+    ([[1, 0], [0, 1]], [[1, 1], [1, 2]]),
+    # U = <(1, -1)> is invariant and misses ker theta = <e_0> at mu = 2, so
+    # v = e_0 spins to everything; w = (1, 1) spans the annihilator of U
+    ([[2, 1], [0, 1]], [[2, 1], [P_SMALL - 1, 0]]),
+    # sigma_1 alone keeps its eigenvector v = e_0
+    ([[1, 1], [0, 2]], [[1, 1], [0, 2]]),
+], ids=["nullity-2", "short-transpose-spin", "short-spin"])
+def test_norton_decides_nothing_on_reducible_images(gens):
+    assert not irred._norton_certifies(P_SMALL, gens)
+
+
+def test_norton_certifies_an_irreducible_image():
+    # sigma_1 = [[1, 1], [0, 2]] with the lower triangular sigma_2 = sigma_1^T
+    # has no common eigenvector, so F_p^2 is irreducible
+    assert irred._norton_certifies(P_SMALL, ([[1, 1], [0, 2]], [[1, 0], [1, 2]]))
