@@ -943,7 +943,7 @@ P_SMALL = 101
     # U = <(1, -1)> is invariant and misses ker theta = <e_0> at mu = 2, so
     # v = e_0 spins to everything; w = (1, 1) spans the annihilator of U
     ([[2, 1], [0, 1]], [[2, 1], [P_SMALL - 1, 0]]),
-    # sigma_1 alone keeps its eigenvector v = e_0
+    # sigma_2 = sigma_1 keeps the eigenvector v = e_0, so its spin stops at 1
     ([[1, 1], [0, 2]], [[1, 1], [0, 2]]),
 ], ids=["nullity-2", "short-transpose-spin", "short-spin"])
 def test_norton_decides_nothing_on_reducible_images(gens):
