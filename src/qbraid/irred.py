@@ -18,20 +18,19 @@ are ranks of linear systems, hence independent of field extension.
 
 Each oracle tries a mod-p certificate before its exact route.  The generators
 are reduced to F_p by the ring map `scalar.residue` at the first (q0, p) pair
-of `_CERTIFICATE_PAIRS` where every entry reduces, and the rank is taken over
-F_p.  Rank never rises under a ring map, so a full algebra image proves the
-algebra full, and a zero (or, for a commutant, one-dimensional) nullity image
-proves the exact nullity.  Any other image, or no pair that reduces, leaves
-the answer to the exact route over the field, which is unchanged; reducibility
-is never concluded from an image.  Before either oracle, `analyze` runs
-Norton's irreducibility test from the MeatAxe (Parker 1984; Holt and Rees
-1994) on the same reduced pair (`_norton_certifies`): one null vector of
-sigma_1 - mu I and one of its transpose, spun under the generators and their
-transposes, reach n+1 dimensions only when the module mod p is absolutely
-irreducible.  That proves algebra dimension (n+1)^2 and commutant [I] from
-two spans of width n+1, each of at most 2(n+1) matrix-vector products, in
-place of the word span of width (n+1)^2 and the system in (n+1)^2 unknowns;
-any other outcome decides nothing and the oracles run as above.
+of `_CERTIFICATE_PAIRS` where every entry reduces.  Rank never rises under a
+ring map, so an image can prove an exact value but never reducibility; any
+other image, or no pair that reduces, leaves the answer to the exact route
+over the field, which is unchanged.  The algebra's certificate is Norton's
+irreducibility test from the MeatAxe (Parker 1984; Holt and Rees 1994;
+`_norton_certifies`): one null vector of sigma_1 - mu I and one of its
+transpose, spun under the generators and their transposes, reach n+1
+dimensions only when the module mod p is absolutely irreducible, which
+proves the algebra full from two spans of width n+1.  The intertwiner
+certificate is the rank mod p of the stacked system: nullity 0, or 1 where
+I is a solution, proves the exact basis.  `analyze` asks for the
+commutant only below a full algebra, since the commutant of M_(n+1)(K) is
+the scalars.
 
 Over Q and Q(zeta_m) an intertwiner or commutant basis that the certificate
 does not settle is lifted from F_p instead (multi-modular linear algebra with
@@ -114,9 +113,12 @@ def f_matrix(spec):
 
 
 def _criterion_matrix_raw(n, ctx, lam_raw, r):
-    # sigma_1(q,n) - lam_raw[r] * diag(lam_raw)^-1; eigenvalue-shifted generator
-    shift = ExactMatrix.diagonal([lam_raw[r] / lam_raw[k] for k in range(n + 1)])
-    return sigma1_matrix(n, ctx) - shift
+    # sigma_1(q,n) - lam_raw[r] * diag(lam_raw)^-1, the eigenvalue-shifted
+    # generator: only the diagonal moves
+    sigma1 = sigma1_matrix(n, ctx)
+    shift = [lam_raw[r] / lam_raw[k] for k in range(n + 1)]
+    return ExactMatrix.from_fn(n + 1, n + 1, sigma1.ctx,
+                               lambda i, j: sigma1[i, j] - shift[i] if i == j else sigma1[i, j])
 
 
 def criterion_matrix(rep, r):
@@ -231,8 +233,9 @@ def _span_of_words(seeds, gens, mul, flat, span, full):
     `gens`, breadth-first (elements explored in insertion order, each
     generator in turn), until it reaches dimension `full` or no product adds
     to it; returns its dimension.  Seeded with the identity and the
-    generators it spans their unital algebra; seeded with one vector, the
-    smallest invariant subspace holding it (a spin)."""
+    generators it spans their unital algebra (`_burnside_exact`); seeded with
+    one vector, the smallest invariant subspace holding it, a spin
+    (`_norton_certifies`)."""
     queue = deque()
     for seed in seeds:
         if span.insert(flat(seed)):
@@ -249,28 +252,16 @@ def _span_of_words(seeds, gens, mul, flat, span, full):
 def burnside_dimension(rep):
     """Dimension of the unital algebra generated by the two dressed generators.
 
-    The certificate comes first: the span of the words in sigma_1 and sigma_2
-    is grown mod p, at the first pair of `_CERTIFICATE_PAIRS` where both
-    generators reduce.  Rank never rises under that ring map, so an image that
-    reaches (n+1)^2 proves the algebra full.  Otherwise, or when no pair
-    reduces, the exact span over the field decides (`_burnside_exact`); a
-    deficient image never does.
+    The certificate comes first: Norton's test (`_norton_certifies`) on the
+    generators reduced at the first pair of `_CERTIFICATE_PAIRS` where both
+    reduce.  When it certifies, the algebra mod p is all of M_(n+1)(F_p);
+    rank never rises under that ring map, so the exact algebra is full too.
+    Otherwise, or when no pair reduces, the exact span over the field decides
+    (`_burnside_exact`); a test that certifies nothing never does.
     """
-    size = rep.n + 1
-    full = size * size
     reduced = _reduced((rep.sigma1, rep.sigma2))
-    if reduced is not None:
-        _, p, gens = reduced
-
-        def mul(a, b):
-            cols = list(zip(*b))
-            return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
-
-        one = [[int(i == j) for j in range(size)] for i in range(size)]
-        dim = _span_of_words((one, *gens), gens, mul, lambda m: [x for row in m for x in row],
-                             EchelonSpan(full, p), full)
-        if dim == full:
-            return full
+    if reduced is not None and _norton_certifies(*reduced[1:]):
+        return (rep.n + 1) ** 2
     return _burnside_exact(rep)
 
 
@@ -303,7 +294,14 @@ def _norton_certifies(p, gens):
     with theta, so it keeps the line ker theta and is a scalar c on v; minus
     c it kills the spin of v, which is everything, so the module is
     absolutely irreducible.  A short spin, or no mu of nullity 1, leaves
-    the question to the oracles; it never makes the module reducible.
+    the question to the exact route; it never makes the module reducible.
+
+    The test is complete on the dressed generators wherever the superdiagonal
+    entries (n-k)_q lambda_(k+1) of sigma_1 are units mod p: rows 0..n-1 and
+    columns 1..n of theta are then triangular with a unit diagonal, so the
+    first mu has nullity 1, and at nullity 1 an absolutely irreducible module
+    spins v and w to everything.  It then certifies exactly when the words in
+    the generators span all of M_(n+1)(F_p).
     """
     sigma1 = gens[0]
     size = len(sigma1)
@@ -764,20 +762,16 @@ def analyze(rep):
     reported per r but does not decide the verdict: it is only generically
     equivalent to operator irreducibility.
 
-    Norton's test runs first, once, on the generators reduced at the first
-    certificate pair (`_norton_certifies`).  When it certifies, the algebra
-    mod p is full and its commutant the scalars; rank never rises under the
-    reduction, so the exact values are (n+1)^2 and 1 and neither oracle runs.
+    The algebra dimension comes first (`burnside_dimension`, certified by
+    Norton's test).  At (n+1)^2 the algebra is all of M_(n+1)(K), whose
+    commutant is the scalars, so the commutant dimension is 1 and
+    `commutant_dimension` runs only below a full algebra.
     """
     n = rep.n
     per_r = [minor_criterion(rep, r) for r in range(n // 2 + 1)]
     full = (n + 1) ** 2
-    reduced = _reduced((rep.sigma1, rep.sigma2))
-    if reduced is not None and _norton_certifies(*reduced[1:]):
-        cdim, bdim = 1, full
-    else:
-        cdim, _ = commutant_dimension(rep)
-        bdim = burnside_dimension(rep)
+    bdim = burnside_dimension(rep)
+    cdim = 1 if bdim == full else commutant_dimension(rep)[0]
     if cdim > 1:
         verdict = "operator-reducible"
     elif bdim < full:

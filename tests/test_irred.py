@@ -14,7 +14,7 @@ from qbraid.errors import (
     ShapeMismatch,
 )
 from qbraid import irred
-from qbraid.linalg import ExactMatrix
+from qbraid.linalg import EchelonSpan, ExactMatrix
 from qbraid.qcomb import QContext, concrete_q, symbolic_q
 from qbraid.rep import build_representation, factored_spec, raw_spec
 from qbraid.irred import (
@@ -611,8 +611,8 @@ def test_certificate_decides_irreducible_points_alone(monkeypatch):
     a, b = (build_representation(factored_spec(2, concrete_q(integer(q)), (one,) * 3))
             for q in (1, 2))
     assert intertwiner_space(a, b)["status"] == "inequivalent"
-    # Norton's test alone decides analyze: no word span over matrices and no
-    # commutation system, only the spins of one vector each
+    # Norton's test alone decides burnside_dimension and analyze: no word span
+    # over matrices and no commutation system, only the spins of one vector each
     span_of_words = irred._span_of_words
 
     def vectors_only(seeds, *args):
@@ -623,6 +623,7 @@ def test_certificate_decides_irreducible_points_alone(monkeypatch):
     monkeypatch.setattr(irred, "_span_of_words", vectors_only)
     monkeypatch.setattr(irred, "_system_span", refuse)
     for rep in reps:
+        assert burnside_dimension(rep) == (rep.n + 1) ** 2
         report = analyze(rep)
         assert report.verdict == "operator-irreducible"
         assert (report.commutant_dim, report.burnside_dim) == (1, (rep.n + 1) ** 2)
@@ -954,3 +955,46 @@ def test_norton_certifies_an_irreducible_image():
     # sigma_1 = [[1, 1], [0, 2]] with the lower triangular sigma_2 = sigma_1^T
     # has no common eigenvector, so F_p^2 is irreducible
     assert irred._norton_certifies(P_SMALL, ([[1, 1], [0, 2]], [[1, 0], [1, 2]]))
+
+
+def word_span_mod_p(p, gens):
+    """Reference for Norton's test: the dimension of the F_p span of the words
+    in the generators reduced mod p, grown breadth-first from I and the
+    generators (the algebra certificate that Norton's test replaced)."""
+    size = len(gens[0])
+
+    def mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+    one = [[int(i == j) for j in range(size)] for i in range(size)]
+    return irred._span_of_words((one, *gens), gens, mul, lambda m: [x for row in m for x in row],
+                                EchelonSpan(size * size, p), size * size)
+
+
+def norton_grid():
+    """n = 1..7 at q = 1, 2, -1, symbolic q and zeta_3..zeta_8, with
+    lambda' = 1 and four seeded factored diagonals each, and the
+    root-of-unity catalog points up to n = 7."""
+    rng = random.Random(17)
+    qctxs = [concrete_q(integer(v)) for v in (1, 2, -1)] + [symbolic_q()]
+    qctxs += [concrete_q(zeta(m)) for m in range(3, 9)]
+    reps = []
+    for qctx in qctxs:
+        one = Scalar.one(qctx.q.ctx)
+        for n in range(1, 8):
+            lams = [(one,) * (n + 1)] + [random_factored_lambda(rng, n, qctx.q.ctx)
+                                         for _ in range(4)]
+            reps += [build_representation(factored_spec(n, qctx, lam)) for lam in lams]
+    return reps + [catalog_rep(e) for n in range(2, 8) for e in suspected_catalog(n)]
+
+
+def test_norton_certifies_exactly_when_the_word_span_mod_p_is_full():
+    outcomes = set()
+    for rep in norton_grid():
+        _, p, gens = irred._reduced((rep.sigma1, rep.sigma2))
+        full = word_span_mod_p(p, gens) == (rep.n + 1) ** 2
+        assert irred._norton_certifies(p, gens) == full, (rep.n, str(rep.ctx.q),
+                                                          [str(v) for v in rep.lam_raw])
+        outcomes.add(full)
+    assert outcomes == {True, False}
