@@ -60,6 +60,11 @@ JOBS = [
     ["irr", "minors", "--n", "12", "--q", "q"],
     # symbolic determinants over Q(zeta_3)(q)
     ["irr", "minors", "--n", "6", "--q", "q", "--lambda-prime=1,zeta(3),2,1,1/2,zeta(3)^2,1"],
+    ["irr", "minors", "--n", "8", "--q", "q",
+     "--lambda-prime=1,zeta(3),2,zeta(3)^2,1,zeta(3),1/2,zeta(3)^2,1"],
+    # Laurent products over Q(zeta_3)
+    ["rep", "verify", "--n", "12", "--q", "q",
+     "--lambda-prime=1,zeta(3),2,zeta(3)^2,3,zeta(3),1,zeta(3)^2,1/3,zeta(3),1/2,zeta(3)^2,1"],
     ["rep", "verify", "--n", "20", "--q", "q"],
     ["identities", "--id", "all", "--max-n", "10"],
     ["exp", "check", "--max-n", "10"],
@@ -68,6 +73,8 @@ JOBS = [
     ["rep", "verify", "--n", "1", "--q", "zeta(9999)"],
     # reducible catalog points: commutant and intertwiners by the lift
     ["irr", "minors", "--n", "10", "--q", "1", "--lambda=" + catalog_lambda(10, 3, "2")],
+    # the exhaustive minor search: about 1,900 determinants over Q(zeta_3)
+    ["irr", "minors", "--n", "14", "--q", "1", "--lambda=" + catalog_lambda(14, 3, "2")],
     ["irr", "equiv", "--n", "8", "--q", "1", "--lambda=" + catalog_lambda(8, 4, "2"),
      "--lambda2=" + catalog_lambda(8, 4, "2")],
 ]
