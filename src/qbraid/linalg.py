@@ -10,10 +10,10 @@ the span.  Since the rank, the reduced row echelon form and the inverse of a
 matrix are unique, every result is independent of the insertion order and
 reproducible.
 
-A determinant is the one fraction-free (Bareiss) recurrence `_bareiss` for
-every field, with no division that is not exact and no gcd: over Q and Q(q)
-on the integer kernel, each row first made into ints or int coefficient
-lists, over Q(zeta_m) and Q(zeta_m)(q) on the field payloads.
+A determinant is the one fraction-free (Bareiss) recurrence `_bareiss` on
+the integer kernel, with no division that is not exact and no gcd: each row
+is first made into ints over Q, and otherwise into int lists in y under the
+ring map zeta -> y, q -> y^N of `scalar._zeta_pack`.
 
 A matrix product skips every term with an exactly zero factor.  Over Q(q),
 when every entry of both factors is a Laurent polynomial and some row of the
@@ -34,11 +34,13 @@ t is the ordinary transpose, s reflects in the antidiagonal
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 from math import lcm as _int_lcm
 
 from .errors import FieldMismatch, NonPolynomialQuotient, NonSquare, ShapeMismatch, Singular
 from .scalar import (
+    Cyclotomic,
     LaurentPoly,
     RatFunc,
     Scalar,
@@ -54,6 +56,9 @@ from .scalar import (
     _lp_monic_gcd,
     _pack,
     _unpack,
+    _zeta_pack,
+    _zeta_unpack,
+    euler_phi,
     laurent_exact_div,
 )
 
@@ -263,35 +268,35 @@ class ExactMatrix:
         return ExactMatrix(n, n, ctx, tuple(tuple(Scalar(ctx, x) for x in row[n:]) for row in rows))
 
     def determinant(self):
-        """Fraction-free (Bareiss) elimination, `_bareiss`; the empty 0x0
-        determinant is 1.
+        """Fraction-free (Bareiss) elimination, `_bareiss`; 1 for the 0x0 matrix.
 
-        Over Q and Q(q) each row is first put on the integer kernel: times the
-        lcm of its denominators, and over Q(q) times a q-power, it is a list
-        of ints or of int coefficient lists (`_integer_rows`,
-        `_polynomial_rows`).  The recurrence then divides exactly, checked,
-        with `divmod` or `_int_pdivmod`, and the row scales are divided out
-        once at the end.
-        Over Q(zeta_m) and Q(zeta_m)(q) it runs on the field payloads and
-        multiplies by the previous pivot's inverse, one inverse per step."""
+        Each row, times the lcm of its denominators and with q a q-power, is
+        put on the integer kernel: ints over Q (`_integer_rows`), otherwise
+        int lists in y under zeta -> y, q -> y^N (`_polynomial_rows`), N = 1
+        over Q(q) and size (phi(m) - 1) + 1 over Q(zeta_m) and Q(zeta_m)(q).
+        The map is a ring homomorphism, so the recurrence divides exactly,
+        checked, with no reduction modulo Phi_m between steps.  Every minor
+        has zeta-degree below N, so the determinant is read back per q-step,
+        each reduced modulo Phi_m once, and the row scales divided out."""
         if not self.is_square():
             raise NonSquare("determinant needs a square matrix")
         ctx = self.ctx
         rows = self._payloads()
-        if ctx.order != 1:
-            sign, det = _bareiss(rows, Scalar.one(ctx).val, _field_update, _field_prepare)
-            if not sign:
-                return Scalar.zero(ctx)
-            return Scalar(ctx, det if sign > 0 else -det)
-        if not ctx.with_q:
+        if ctx.order == 1 and not ctx.with_q:
             rows, scale = _integer_rows(rows)
             sign, det = _bareiss(rows, 1, _int_update)
             return Scalar(ctx, Fraction(sign * det, scale)) if sign else Scalar.zero(ctx)
-        rows, shift, scale, den = _polynomial_rows(rows)
-        sign, det = _bareiss(rows, [1], _poly_update)
+        stride = 1 if ctx.order == 1 else self.rows * (euler_phi(ctx.order) - 1) + 1
+        rows, shift, scale, den = _polynomial_rows(rows, stride)
+        sign, det = _bareiss(rows, [1], partial(_poly_update, stride=stride))
         if not sign:
             return Scalar.zero(ctx)
-        num = _laurent(1, shift, sign * scale, det)
+        det = [sign * c for c in det]
+        if ctx.order != 1:
+            det, scale = _zeta_unpack(det, stride, ctx.order, scale), 1
+            if not ctx.with_q:
+                return Scalar(ctx, det[0])
+        num = _laurent(ctx.order, shift, scale, det)
         return Scalar(ctx, RatFunc.make(num, den) if den else RatFunc.from_laurent(num))
 
     def submatrix(self, rows, cols):
@@ -571,7 +576,7 @@ def echelon(rows, width, p=None, target=None):
     return span
 
 
-def _bareiss(rows, one, update, prepare=None):
+def _bareiss(rows, one, update):
     """Bareiss's fraction-free elimination of the square list `rows` (lists
     of ring elements, zero falsy), in place: (sign, last pivot) with
     det = sign * last pivot, or (0, None) when the matrix is singular.
@@ -580,10 +585,9 @@ def _bareiss(rows, one, update, prepare=None):
     (p_kk p_ij - p_ik p_kj) / p_(k-1)(k-1), the previous pivot being `one`
     at k = 0.  Every entry is then a minor of the matrix (Sylvester's
     identity), so each division is exact and no gcd is taken.
-    `update(row, pivot_row, k, s)` applies it to one row below the pivot,
-    with s = prepare(p_kk, previous pivot) computed once per step, or the
-    pair itself without `prepare`.  A zero pivot is swapped with the first
-    lower row that has a nonzero entry in its column, and the sign flips."""
+    `update(row, pivot_row, k, (p_kk, previous pivot))` applies it to one
+    row below the pivot.  A zero pivot is swapped with the first lower row
+    that has a nonzero entry in its column, and the sign flips."""
     n, sign, prev = len(rows), 1, one
     for k in range(n):
         if not rows[k][k]:
@@ -594,9 +598,8 @@ def _bareiss(rows, one, update, prepare=None):
             sign = -sign
         pivot_row = rows[k]
         p = pivot_row[k]
-        s = (p, prev) if prepare is None else prepare(p, prev)
         for row in rows[k + 1:]:
-            update(row, pivot_row, k, s)
+            update(row, pivot_row, k, (p, prev))
         prev = p
     return sign, prev
 
@@ -612,22 +615,22 @@ def _int_update(row, pivot_row, k, s):
         row[j] = quo
 
 
-def _poly_update(row, pivot_row, k, s):
-    """One Bareiss row step on int coefficient lists ([] for zero), s =
-    (pivot, previous pivot).  Each product is checked against the degree
-    cap, as `_packed_product` checks its terms, and each division must be
-    exact (`_int_exact_div`)."""
+def _poly_update(row, pivot_row, k, s, stride):
+    """One Bareiss row step on int lists in y ([] for zero), s = (pivot,
+    previous pivot), q -> y^stride.  Each product's q-degree, the sum of its
+    factors' (len - 1) // stride, is checked against the degree cap, and
+    each division must be exact (`_int_exact_div`)."""
     p, d = s
     a = row[k]
     for j in range(k + 1, len(row)):
         x, y = row[j], pivot_row[j]
         if x:
-            _check_degree(0, len(p) + len(x) - 2)
+            _check_degree(0, (len(p) - 1) // stride + (len(x) - 1) // stride)
             t = _int_mul(p, x)
         else:
             t = []
         if a and y:
-            _check_degree(0, len(a) + len(y) - 2)
+            _check_degree(0, (len(a) - 1) // stride + (len(y) - 1) // stride)
             u = _int_mul(a, y)
             if len(t) < len(u):
                 t += [0] * (len(u) - len(t))
@@ -636,27 +639,6 @@ def _poly_update(row, pivot_row, k, s):
             while t and not t[-1]:
                 t.pop()
         row[j] = _int_exact_div(t, d) if t else t
-
-
-def _field_prepare(p, prev):
-    """(p d, d) for d the inverse of the previous pivot."""
-    d = _inverse(prev)
-    return p * d, d
-
-
-def _field_update(row, pivot_row, k, s):
-    """One Bareiss row step over the field, s = (p d, d) for the pivot p
-    and the inverse d of the previous pivot: (p x - a y) d is computed as
-    (p d) x - (a d) y, with a d taken once per row."""
-    pd, d = s
-    a = row[k]
-    ad = a * d if a else a
-    for j in range(k + 1, len(row)):
-        x, y = row[j], pivot_row[j]
-        t = x * pd if x else x
-        if ad and y:
-            t = t - ad * y
-        row[j] = t
 
 
 def _integer_rows(rows):
@@ -670,14 +652,21 @@ def _integer_rows(rows):
     return out, scale
 
 
-def _polynomial_rows(rows):
-    """Rows of `RatFunc`s over Q(q) as rows of int coefficient lists from
-    q^0 ([] for zero): row i times L_i, the lcm of its denominators, then
-    times d_i q^-s_i, d_i the lcm of the integer denominators and s_i the
-    lowest q-power of its entries.  Returns the lists, sum(s_i), prod(d_i)
-    and prod(L_i), the last None when every L_i is 1."""
+def _polynomial_rows(rows, stride):
+    """Rows of `RatFunc`s or `Cyclotomic`s as rows of int lists in y from
+    y^0 ([] for zero), q -> y^stride and zeta -> y (`_zeta_pack`): row i
+    times L_i, the lcm of its denominators, then times d_i q^-s_i, d_i the
+    lcm of the integer denominators and s_i the lowest q-power of its
+    entries.  Returns the lists, sum(s_i), prod(d_i) and prod(L_i), the
+    last None when every L_i is 1."""
     out, shift, scale, den = [], 0, 1, None
     for row in rows:
+        order = row[0].order
+        if isinstance(row[0], Cyclotomic):
+            d = _int_lcm(*[x.den for x in row])
+            out.append([[a * (d // x.den) for a in x.ints] for x in row])
+            scale *= d
+            continue
         lcm = None
         for x in row:
             if x and not _is_one(x.den) and x.den != lcm:
@@ -690,9 +679,14 @@ def _polynomial_rows(rows):
             row = [x.num if x else None for x in row]
         polys = [x for x in row if x is not None]
         s = min([x.shift for x in polys], default=0)
-        d = _int_lcm(*[x.den for x in polys])
-        out.append([[0] * (x.shift - s) + [c * (d // x.den) for c in x.coeffs]
-                    if x is not None else [] for x in row])
+        if order == 1:
+            d = _int_lcm(*[x.den for x in polys])
+            out.append([[0] * (x.shift - s) + [c * (d // x.den) for c in x.coeffs]
+                        if x is not None else [] for x in row])
+        else:
+            d = _int_lcm(*[c.den for x in polys for c in x.coeffs])
+            out.append([_zeta_pack(x.coeffs, stride, d, x.shift - s)
+                        if x is not None else [] for x in row])
         shift += s
         scale *= d
     return out, shift, scale, den

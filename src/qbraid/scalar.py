@@ -7,10 +7,11 @@ coercion is explicit.  Rationals are stdlib `fractions.Fraction`; cyclotomics ar
 residues modulo the m-th cyclotomic polynomial; q-field elements are canonical
 quotients of Laurent polynomials.
 
-Laurent polynomials over Q (order 1) and cyclotomic numbers share one integer
-kernel on dense `int` coefficient lists: products (schoolbook for short lists,
-Kronecker substitution for long ones, whose packing also serves the packed
-matrix product of `linalg`), exact division and gcds of primitive parts.  A Laurent polynomial over Q is stored in the kernel's form, a q-shift,
+Laurent polynomials and cyclotomic numbers share one integer kernel on dense
+`int` coefficient lists: products (schoolbook for short lists, Kronecker
+substitution for long ones, whose packing also serves the packed matrix
+product of `linalg`), exact division and gcds of primitive parts.  A Laurent
+polynomial over Q is stored in the kernel's form, a q-shift,
 a positive denominator and a tuple of ints, kept canonical so that equality
 and hashing compare the stored fields; every operation reads and writes that
 form, and its `terms` dict (exponent -> Fraction) is derived for printing.  A
@@ -21,9 +22,10 @@ the monic Phi_m by the same integer division; a Galois conjugate or an
 embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; the
 inverse of c zeta^k is c^-1 zeta^-k, and of any other element the product of
 the other conjugates over the rational norm.
-Laurent polynomials with coefficients in Q(zeta_m) store a tuple of
-`Cyclotomic`s and run as plain schoolbook and Euclid loops, which also serve
-as the reference route for the kernel's tests.
+Laurent polynomials over Q(zeta_m) store a tuple of `Cyclotomic`s; their
+products, and the determinants of `linalg` over Q(zeta_m) and Q(zeta_m)(q),
+run on the kernel under the ring map zeta -> y, q -> y^N (`_zeta_pack`), and
+their divisions and gcds as plain Euclid loops.
 
 `residue` maps a scalar to F_p (q -> q0 over Q(zeta_m)(q), zeta -> a fixed
 primitive m-th root of unity mod p), the ring map behind the rank
@@ -468,15 +470,19 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """One `_int_mul`, over Q(zeta_m) at stride 2 phi(m) - 1 (`_zeta_pack`)."""
         if self.order != other.order:
             raise FieldMismatch("base fields differ")
-        if self.order != 1:
-            return _lp_mul_generic(self, other)
         if not self.coeffs or not other.coeffs:
-            return LaurentPoly.zero(1)
+            return LaurentPoly.zero(self.order)
         shift = self.shift + other.shift
         _check_degree(shift, shift + len(self.coeffs) + len(other.coeffs) - 2)
-        return _laurent(1, shift, self.den * other.den, _int_mul(self.coeffs, other.coeffs))
+        if self.order == 1:
+            return _laurent(1, shift, self.den * other.den, _int_mul(self.coeffs, other.coeffs))
+        stride = 2 * euler_phi(self.order) - 1
+        da, db = (_int_lcm(*[c.den for c in p.coeffs]) for p in (self, other))
+        prod = _int_mul(_zeta_pack(self.coeffs, stride, da), _zeta_pack(other.coeffs, stride, db))
+        return _laurent(self.order, shift, 1, _zeta_unpack(prod, stride, self.order, da * db))
 
     def scale(self, coeff):
         """The product with a base-field coefficient."""
@@ -558,22 +564,6 @@ def _laurent_one(order):
 def _is_one(p):
     """True when the Laurent polynomial p is the constant 1."""
     return p.shift == 0 and p.den == 1 and p.coeffs == (1,)
-
-
-def _lp_mul_generic(a, b):
-    """Schoolbook product over any base field: the route for Q(zeta_m), and the
-    reference the integer kernel is tested against."""
-    if a.is_zero() or b.is_zero():
-        return LaurentPoly.zero(a.order)
-    sa, ca = a.dense()
-    sb, cb = b.dense()
-    _check_degree(sa + sb, sa + sb + len(ca) + len(cb) - 2)
-    out = [_base_zero(a.order)] * (len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca):
-        if x:
-            for j, y in enumerate(cb, i):
-                out[j] += x * y
-    return LaurentPoly.from_dense(a.order, sa + sb, out)
 
 
 def _lp_divmod_generic(a, b):
@@ -763,6 +753,8 @@ def _int_pdivmod(a, b):
     Each step multiplies by the least factor that makes the leading
     coefficient divisible by lead(b), so f == 1 whenever every step divides
     exactly, which it does when b is primitive and divides a (Gauss's lemma).
+    A step that divides exactly takes no gcd: every step of an exact
+    division, and every step for a monic b such as Phi_m.
     """
     lead, nb = b[-1], len(b)
     rem, quo, f = list(a), [0] * max(len(a) - nb + 1, 0), 1
@@ -770,14 +762,12 @@ def _int_pdivmod(a, b):
         c = rem[k + nb - 1]
         if not c:
             continue
-        g = _int_gcd(c, lead)
-        if lead < 0:
-            g = -g
-        s, c = lead // g, c // g
-        if s != 1:
+        if c % lead:
+            s = abs(lead) // _int_gcd(c, lead)
             rem = [s * x for x in rem]
             quo = [s * x for x in quo]
-            f *= s
+            f, c = f * s, c * s
+        c //= lead
         quo[k] = c
         for j in range(nb):
             rem[k + j] -= c * b[j]
@@ -820,6 +810,22 @@ def _int_primitive_gcd(a, b):
             return b
         a, b = b, _int_primitive(rem)[1]
     return [1]
+
+
+def _zeta_pack(coeffs, stride, den, pad=0):
+    """den q^pad sum(coeffs[e] q^e), `Cyclotomic` coeffs with denominators
+    dividing den and a nonzero last one, as an int list in y under zeta -> y,
+    q -> y^stride (stride above every zeta-degree), with no trailing zero."""
+    out = [0] * ((pad + len(coeffs) - 1) * stride + len(coeffs[-1].ints))
+    for e, c in enumerate(coeffs, pad):
+        out[e * stride:e * stride + len(c.ints)] = [a * (den // c.den) for a in c.ints]
+    return out
+
+
+def _zeta_unpack(ints, stride, order, den):
+    """The inverse of `_zeta_pack` over den: one `Cyclotomic` per q-step,
+    its stride digits reduced modulo Phi_order once."""
+    return [_cyclotomic(order, den, ints[i:i + stride]) for i in range(0, len(ints), stride)]
 
 
 # ---------------------------------------------------------------------------

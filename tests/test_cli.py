@@ -184,6 +184,27 @@ def test_degree_cap_stops_the_fraction_free_minors(capsys):
         set_degree_cap(None)
 
 
+def test_degree_cap_stops_the_cyclotomic_minors_at_their_q_degree(capsys):
+    """Over Q(zeta_3)(q) the Bareiss entries are int lists in y, with
+    zeta -> y and q -> y^N (N = 6 for a 5x5 minor), and the cap is checked
+    on their q-degree, not on their y-degree: at n = 4 the largest product
+    has q-degree 21."""
+    argv = ["irr", "minors", "--n", "4", "--q", "q",
+            "--lambda-prime=1,zeta(3),1,zeta(3)^2,1"]
+    set_degree_cap(20)
+    try:
+        assert run(argv) == 4
+    finally:
+        set_degree_cap(None)
+    assert capsys.readouterr().err == \
+        "degree cap exceeded: symbolic degree 21 exceeds cap 20\n"
+    set_degree_cap(21)
+    try:
+        assert run(argv) == EXIT_PASS
+    finally:
+        set_degree_cap(None)
+
+
 def test_degree_cap_holds_when_the_polynomials_are_cached():
     assert run(["triangle", "--n", "9"]) == EXIT_PASS   # fills the q-binomial cache
     set_degree_cap(3)

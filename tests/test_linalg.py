@@ -386,6 +386,39 @@ def test_fraction_free_division_must_be_exact():
         _int_exact_div([1, 0, 1], [1, 1])
 
 
+@pytest.mark.parametrize("ctx", [cyclotomic_field(5), function_field(5)],
+                         ids=["QQ(zeta5)", "QQ(zeta5)(q)"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_determinant_reaches_the_top_zeta_degree(ctx, size):
+    """Over Q(zeta_5) every entry below is zeta^3 or zeta^3 q, zeta^3 the top
+    power of the power basis, so a minor of size k reaches zeta-degree 3k
+    before its reduction modulo Phi_5: the stride size (phi - 1) + 1 holds
+    it inside one q-step, and a stride one less carries it into the next."""
+    z3 = zeta(5).coerce(ctx) ** 3
+    zero = Scalar.zero(ctx)
+    q = q_symbol(5) if ctx.with_q else rational(2, 3, ctx)
+    cyclic = ExactMatrix.from_fn(size, size, ctx, lambda i, j: z3 if i == j else
+                                 z3 * q if j == (i + 1) % size else zero)
+    dense = ExactMatrix.from_fn(size, size, ctx,
+                                lambda i, j: z3 * q ** ((i * j) % 3) + integer(i - j, ctx))
+    for a in (ExactMatrix.diagonal([z3] * size), cyclic, dense, -cyclic.transpose_t()):
+        assert a.determinant() == det_by_permutations(a)
+    assert ExactMatrix.diagonal([z3] * size).determinant() == z3 ** size
+
+
+@pytest.mark.parametrize("ctx", [cyclotomic_field(3), function_field(3)],
+                         ids=["QQ(zeta3)", "QQ(zeta3)(q)"])
+def test_determinant_that_vanishes_only_modulo_phi(ctx):
+    """det [[z t, -1 - z], [t, z]] = (z^2 + z + 1) t for t = 1 or q: nonzero
+    in y, zero once Phi_3 is reduced out; and a 3x3 matrix around it."""
+    z, one = zeta(3).coerce(ctx), Scalar.one(ctx)
+    t = q_symbol(3) if ctx.with_q else one
+    a = ExactMatrix.from_rows([[z * t, -one - z], [t, z]])
+    assert a.determinant().is_zero()
+    b = ExactMatrix.from_rows([[z * t, -one - z, one], [t, z, z], [one, t, z * z]])
+    assert b.determinant() == det_by_permutations(b)
+
+
 # Its determinant is q^2 and no entry has a degree above 2, but Bareiss forms
 # products of degree 4 at the first step and 6 at the second: the second
 # pivot 1 + q^2 + q^4 times an entry of degree 2, before the division by 1 + q^2.
@@ -586,14 +619,22 @@ def field_entry(name, a, b):
     """The entry of the field `name` coded by two small integers: a + b/2
     over Q, a + b zeta_6 over Q(zeta_6), (a + b q)/(1 + q^2) over Q(q),
     (a q^-2 + (b/3) q)/(1 + b q) over Q(q) again (negative q-powers, rational
-    coefficients and denominators that differ from entry to entry), and
-    (a + b zeta_3 q^-1)/(1 + a q) over Q(zeta_3)(q)."""
+    coefficients and denominators that differ from entry to entry),
+    (a + b zeta_3 q^-1)/(1 + a q) over Q(zeta_3)(q), a/2 + b zeta_5^3 over
+    Q(zeta_5) and (a zeta_5^3 q + (b/3) zeta_5^2)/(1 + q) over
+    Q(zeta_5)(q): zeta_5^3 has the top power phi(5) - 1 of the power basis."""
     ctx = FIELDS[name]
     if ctx == QQ:
         return rational(2 * a + b, 2)
     if ctx.order == 6:
         return integer(a, ctx) + integer(b, ctx) * zeta(6)
     one = Scalar.one(ctx)
+    if ctx.order == 5:
+        z = zeta(5).coerce(ctx)
+        if not ctx.with_q:
+            return rational(a, 2, ctx) + integer(b, ctx) * z ** 3
+        q = q_symbol(5)
+        return (integer(a, ctx) * z ** 3 * q + rational(b, 3, ctx) * z ** 2) / (one + q)
     if ctx.order == 3:
         q = q_symbol(3)
         return (integer(a, ctx) + integer(b, ctx) * zeta(3).coerce(ctx) * q ** -1) \
@@ -605,7 +646,8 @@ def field_entry(name, a, b):
 
 
 FIELDS = {"QQ": QQ, "QQ(zeta6)": cyclotomic_field(6), "QQ(q)": function_field(),
-          "QQ(q), Laurent": function_field(), "QQ(zeta3)(q)": function_field(3)}
+          "QQ(q), Laurent": function_field(), "QQ(zeta3)(q)": function_field(3),
+          "QQ(zeta5)": cyclotomic_field(5), "QQ(zeta5)(q)": function_field(5)}
 
 
 # (0, 0) codes zero: about two entries in three are zero

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbraid import scalar
 from qbraid.errors import (
     CoercionError,
     DegreeCapExceeded,
@@ -30,6 +31,7 @@ from qbraid.scalar import (
     conjugate_interpolation,
     cyclotomic_field,
     cyclotomic_polynomial,
+    euler_phi,
     function_field,
     integer,
     join_context,
@@ -54,7 +56,6 @@ from qbraid.scalar import (
     _lp_divmod_generic,
     _lp_monic_gcd,
     _lp_monic_gcd_generic,
-    _lp_mul_generic,
     _pack,
     _power,
     _unpack,
@@ -64,6 +65,21 @@ ONE = Fraction(1)
 
 
 # --- oracles -----------------------------------------------------------------
+
+def _lp_mul_generic(a, b):
+    """Schoolbook product of Laurent polynomials over any base field, the
+    reference the integer kernel is tested against."""
+    if a.is_zero() or b.is_zero():
+        return LaurentPoly.zero(a.order)
+    sa, ca = a.dense()
+    sb, cb = b.dense()
+    out = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        if x:
+            for j, y in enumerate(cb, i):
+                out[j] += x * y
+    return LaurentPoly.from_dense(a.order, sa + sb, out)
+
 
 def poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -929,6 +945,98 @@ def test_stored_form_operations_match_dict_reference(case):
     # Equal values reached by different routes are equal and hash equally.
     for x, y in (((a + b) - b, a), (a * b, b * a), (a + a, a.scale(2))):
         assert x == y and hash(x) == hash(y)
+
+
+# --- Laurent products over Q(zeta_m) on the integer kernel ----------------------------
+
+ZETA_PRODUCT_ORDERS = [3, 4, 5, 12]
+
+
+def top_power_poly(order, exponents, den=1):
+    """sum over the exponents e of (|e| + 1)/den zeta^(phi - 1) q^e: every
+    coefficient sits at the top power of the power basis, so a product of
+    two coefficients reaches zeta-degree 2 phi - 2."""
+    top = Cyclotomic.zeta_power(order, euler_phi(order) - 1)
+    return LaurentPoly(order, {e: top * Fraction(abs(e) + 1, den) for e in exponents})
+
+
+zeta_product_case = st.sampled_from(ZETA_PRODUCT_ORDERS).flatmap(
+    lambda m: st.tuples(terms_st(m, 8), terms_st(m, 8)).map(
+        lambda t: (LaurentPoly(m, t[0]), LaurentPoly(m, t[1]))))
+
+
+@given(zeta_product_case)
+@example((top_power_poly(3, [0]), top_power_poly(3, [0])))
+@example((top_power_poly(4, [-2, 5]), top_power_poly(4, [1, 3], 7)))
+@example((top_power_poly(5, [-3, -1, 4]), top_power_poly(5, [0, 2])))
+@example((top_power_poly(12, range(-4, 9)), top_power_poly(12, range(11), 3)))
+@example((top_power_poly(5, range(-6, 7), 10 ** 20), top_power_poly(5, range(13))))
+@settings(max_examples=150, deadline=None)
+def test_zeta_laurent_product_matches_schoolbook(pair):
+    a, b = pair
+    got = a * b
+    assert_canonical(got)
+    assert got == _lp_mul_generic(a, b)
+
+
+@pytest.mark.parametrize("m", ZETA_PRODUCT_ORDERS)
+def test_long_zeta_laurent_products_reach_kronecker(m, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(min(len(a), len(b)))
+        return _kronecker_mul(a, b)
+
+    monkeypatch.setattr(scalar, "_kronecker_mul", counted)
+    a, b = top_power_poly(m, range(-3, 9)), top_power_poly(m, range(6), 5)
+    assert a * b == _lp_mul_generic(a, b)
+    assert calls and min(calls) > _SCHOOLBOOK_MAX
+
+
+def pdivmod_always_gcd(a, b):
+    """`_int_pdivmod` with a gcd at every step, the reference for its
+    exact-step fast path."""
+    lead, nb = b[-1], len(b)
+    rem, quo, f = list(a), [0] * max(len(a) - nb + 1, 0), 1
+    for k in range(len(a) - nb, -1, -1):
+        c = rem[k + nb - 1]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        if lead < 0:
+            g = -g
+        s, c = lead // g, c // g
+        if s != 1:
+            rem = [s * x for x in rem]
+            quo = [s * x for x in quo]
+            f *= s
+        quo[k] = c
+        for j in range(nb):
+            rem[k + j] -= c * b[j]
+    del rem[nb - 1:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return f, quo, rem
+
+
+small_int_lists = st.lists(st.integers(-40, 40), min_size=1, max_size=7)
+
+
+@given(small_int_lists, small_int_lists.filter(lambda b: b[-1]), small_int_lists, st.booleans())
+@example([3, 1, -5], [2, 0, -3], [0], True)
+@example([3, 1, -5], [2, 0, -3], [7, 1], False)
+@example([1, 1, 1, 1], [1, -1], [0], False)
+@example([4, -6, 9], [5, 2, -1], [1, -1, 1], False)
+@settings(max_examples=300, deadline=None)
+def test_int_pdivmod_fast_path_matches_the_always_gcd_reference(c, b, r, exact):
+    """(f, quo, rem) are those of a gcd at every step, for a = c b when
+    exact, else a = c b + r, with leads of either sign."""
+    a = [int(x) for x in poly_mul(c, b)]
+    if not exact:
+        a = [x + (r[i] if i < len(r) else 0) for i, x in enumerate(a + [0] * (len(r) - len(a)))]
+    assert _int_pdivmod(a, b) == pdivmod_always_gcd(a, b)
+    if exact:
+        assert _int_pdivmod(a, b)[0] == 1
 
 
 def test_function_field_one_hashes_like_an_equal_product():
