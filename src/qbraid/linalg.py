@@ -15,15 +15,15 @@ the integer kernel, with no division that is not exact and no gcd: each row
 is first made into ints over Q, and otherwise into int lists in y under the
 ring map zeta -> y, q -> y^N of `scalar._zeta_pack`.
 
-A matrix product skips every term with an exactly zero factor.  Over Q(q),
-when every entry of both factors is a Laurent polynomial and some row of the
-left factor and some column of the right one have two or more nonzero
-entries, the product is packed: each entry is one big-integer dot product of
-Kronecker-packed rows and columns (Kronecker substitution lifted to
-matrices), on the integer kernel of `scalar`.  Every other product (over Q,
-Q(zeta_m) or Q(zeta_m)(q), with an entry that has a denominator, or with a
-diagonal-like factor, where each entry is a single term) adds up its terms
-one by one.
+A matrix product skips every term with an exactly zero factor.  Over Q and
+Q(zeta_m) it is row-packed: each row of the right factor is one big integer
+with a slot of 2 phi(m) - 1 digits per column (Kronecker substitution lifted
+to matrices, on the integer kernel of `scalar`).  Over Q(q), when every entry
+of both factors is a Laurent polynomial and some row of the left factor and
+some column of the right one have two or more nonzero entries, each entry is
+one big-integer dot product of packed rows and columns, since slots as wide
+as the longest Laurent entry would waste digits.  Every other product (over
+Q(q) or Q(zeta_m)(q)) adds up its terms one by one.
 
 Index conventions for the three involutions on an (n+1)x(n+1) matrix:
 t is the ordinary transpose, s reflects in the antidiagonal
@@ -46,6 +46,7 @@ from .scalar import (
     Scalar,
     _check_degree,
     _common_den,
+    _cyclotomic,
     _degree_cap,
     _digit_size,
     _int_exact_div,
@@ -177,12 +178,15 @@ class ExactMatrix:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         # Terms with an exactly zero factor are skipped: they add nothing to an
         # exact sum, and triangular factors make about half of them zero.  The
-        # sums run on the field payloads; the shared context was checked once.
+        # term-by-term sums run on the field payloads; the context was checked once.
+        ctx = self.ctx
         rows_a = [[(k, x.val) for k, x in enumerate(r) if x.val] for r in self._e]
+        if not ctx.with_q:
+            return ExactMatrix(self.rows, other.cols, ctx,
+                               _row_packed_product(rows_a, other, ctx))
         cols_b = [{k: x.val for k, x in enumerate(other.col(j)) if x.val}
                   for j in range(other.cols)]
-        ctx = self.ctx
-        if ctx.with_q and ctx.order == 1 and _packable(rows_a, cols_b):
+        if ctx.order == 1 and _packable(rows_a, cols_b):
             return ExactMatrix(self.rows, other.cols, ctx,
                                _packed_product(rows_a, cols_b, ctx))
         zero = Scalar.zero(ctx)
@@ -399,6 +403,69 @@ def _aligned(terms):
         width = max(width, pad + len(p.coeffs))
         top = max(top, max(map(abs, p.coeffs)) * f)
     return shift, den, width, top, packing
+
+
+def _base_ints(x):
+    """A nonzero Fraction or `Cyclotomic` as (den, power-basis ints)."""
+    if type(x) is Cyclotomic:
+        return x.den, x.ints
+    return x.denominator, (x.numerator,)
+
+
+def _row_packed_product(rows_a, b, ctx):
+    """The entries of a product over Q or Q(zeta_m), given by the nonzero
+    (k, payload) pairs of each row of a and the matrix b.
+
+    All of b is put on one integer denominator e, and row i of a on one, d_i,
+    so that entry (i, j) is sum_k A_ik B_kj / (d_i e), a sum of products of
+    int lists of length phi or less (phi = 1 over Q).  Each nonzero row k of
+    b is packed once into one big integer whose slot j, 2 phi - 1 digits
+    wide, holds B_kj, so A_ik packed times it holds A_ik B_kj in slot j; row
+    i of the product is the sum of these over k, unpacked once.  The digit
+    width covers the largest ints of a and of b on their denominators, times
+    phi, times the number of terms.  Each slot is read back with one
+    reduction modulo Phi_m and one gcd with d_i e (`_cyclotomic`).
+    """
+    phi, cols, zero = euler_phi(ctx.order), b.cols, Scalar.zero(ctx)
+    order, stride = ctx.order, 2 * phi - 1
+    entries_b = [(k, j, *_base_ints(x.val)) for k, r in enumerate(b._e)
+                 for j, x in enumerate(r) if x.val]
+    e = _int_lcm(*[d for _, _, d, _ in entries_b])
+    rows, top_a, terms = [], 0, 0
+    nonzero = {k for k, _, _, _ in entries_b}
+    for r in rows_a:
+        row, d, top = [], 1, 0
+        for k, x in r:
+            if k in nonzero:
+                den, ints = _base_ints(x)
+                d = _int_lcm(d, den)
+                top = max(top, max(map(abs, ints)))
+                row.append((k, den, ints))
+        rows.append((d, row))
+        top_a, terms = max(top_a, top * d), max(terms, len(row))
+    if not terms:
+        return ((zero,) * cols,) * len(rows)
+    top_b = max([max(map(abs, ints)) for _, _, _, ints in entries_b]) * e
+    size = _digit_size(top_a * top_b * phi * terms)
+    w = 8 * size * stride
+    packed_b = dict.fromkeys(nonzero, 0)
+    for k, j, den, ints in entries_b:
+        packed_b[k] += _pack(ints, size) * (e // den) << w * j
+    out = []
+    for d, row in rows:
+        acc = 0
+        for k, den, ints in row:
+            acc += _pack(ints, size) * (d // den) * packed_b[k]
+        slots, den = _unpack(acc, cols * stride, size), d * e
+        if order == 1:
+            out.append(tuple(Scalar(ctx, Fraction(c, den)) if c else zero for c in slots))
+            continue
+        out_row = []
+        for j in range(0, cols * stride, stride):
+            ints = slots[j:j + stride]
+            out_row.append(Scalar(ctx, _cyclotomic(order, den, ints)) if any(ints) else zero)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def _packed_product(rows_a, cols_b, ctx):

@@ -10,7 +10,7 @@ quotients of Laurent polynomials.
 Laurent polynomials and cyclotomic numbers share one integer kernel on dense
 `int` coefficient lists: products (schoolbook for short lists, Kronecker
 substitution for long ones, whose packing also serves the packed matrix
-product of `linalg`), exact division and gcds of primitive parts.  A Laurent
+products of `linalg`), exact division and gcds of primitive parts.  A Laurent
 polynomial over Q is stored in the kernel's form, a q-shift,
 a positive denominator and a tuple of ints, kept canonical so that equality
 and hashing compare the stored fields; every operation reads and writes that
@@ -18,7 +18,8 @@ form, and its `terms` dict (exponent -> Fraction) is derived for printing.  A
 cyclotomic number is stored the same way, a positive denominator and a tuple
 of ints in the power basis of zeta, and its `coeffs` Fractions are derived; a
 sum aligns the denominators; a product is an integer product reduced modulo
-the monic Phi_m by the same integer division; a Galois conjugate or an
+the monic Phi_m from its top power down, by the nonzero terms of Phi_m
+(`_phi_tail`); a Galois conjugate or an
 embedding Q(zeta_a) -> Q(zeta_b) relabels the powers of zeta and reduces; the
 inverse of c zeta^k is c^-1 zeta^-k, and of any other element the product of
 the other conjugates over the rational norm.
@@ -153,17 +154,31 @@ def euler_phi(m):
     return len(cyclotomic_polynomial(m)) - 1
 
 
+@lru_cache(maxsize=None)
+def _phi_tail(order):
+    """phi(order), and zeta^phi as its nonzero (power, int) terms: y^phi - Phi_order."""
+    mod = cyclotomic_polynomial(order)
+    return len(mod) - 1, tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
+
+
 def _cyclotomic(order, den, ints):
     """The canonical Cyclotomic sum(ints[i] * zeta^i) / den, den a positive int.
 
-    A list longer than phi(order) is reduced modulo Phi_order, which is monic,
-    so the pseudo-division never scales and is exact.  Then trailing zeros are
+    A list longer than phi(order) is reduced modulo the monic Phi_order from
+    its top power down: the int c at each power t >= phi becomes c zeta^(t-phi)
+    times the terms of zeta^phi (`_phi_tail`).  Then trailing zeros are
     trimmed and den is made coprime to the ints.
     """
-    mod = cyclotomic_polynomial(order)
-    if len(ints) >= len(mod):
-        ints = _int_pdivmod(ints, mod)[2]
+    phi, tail = _phi_tail(order)
     n = len(ints)
+    if n > phi:
+        ints = list(ints)
+        for t in range(n - 1, phi - 1, -1):
+            c = ints[t]
+            if c:
+                for i, a in tail:
+                    ints[t - phi + i] += a * c
+        n = phi
     while n and not ints[n - 1]:
         n -= 1
     if not n:
@@ -725,7 +740,13 @@ def _bias(n, size):
 
 
 def _pack(coeffs, size):
-    """sum(coeffs[i] * 2^(w*i)) for signed coeffs below 2^(w-1) in absolute value."""
+    """sum(coeffs[i] * 2^(w*i)) for signed coeffs below 2^(w-1) in absolute value;
+    up to four by Horner's rule, which beats the set-up of `struct` there."""
+    if len(coeffs) <= 4:
+        w, value = 8 * size, 0
+        for c in reversed(coeffs):
+            value = (value << w) + c
+        return value
     half = 1 << (8 * size - 1)
     code = _STRUCT_CODES.get(size)
     if code:
@@ -754,7 +775,7 @@ def _int_pdivmod(a, b):
     coefficient divisible by lead(b), so f == 1 whenever every step divides
     exactly, which it does when b is primitive and divides a (Gauss's lemma).
     A step that divides exactly takes no gcd: every step of an exact
-    division, and every step for a monic b such as Phi_m.
+    division, and every step for a monic b.
     """
     lead, nb = b[-1], len(b)
     rem, quo, f = list(a), [0] * max(len(a) - nb + 1, 0), 1

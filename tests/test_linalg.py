@@ -2,6 +2,7 @@
 
 import threading
 from fractions import Fraction
+from functools import partial
 
 import pytest
 import sympy
@@ -21,6 +22,7 @@ from qbraid.linalg import (
     ExactMatrix,
     _int_update,
     _packed_product,
+    _row_packed_product,
     compare_all,
     det_by_permutations,
     first_mismatch,
@@ -31,11 +33,13 @@ from qbraid.qcomb import concrete_q, symbolic_q
 from qbraid.rep import lambda_canonical, s_matrix, sigma1_matrix, sigma2_matrix
 from qbraid.scalar import (
     QQ,
+    Cyclotomic,
     LaurentPoly,
     RatFunc,
     Scalar,
     _int_exact_div,
     cyclotomic_field,
+    euler_phi,
     function_field,
     integer,
     q_symbol,
@@ -118,16 +122,18 @@ def _sparse_entry(rng, ctx, laurent=False):
                                           (function_field(), False), (function_field(), True)],
                          ids=["QQ", "QQ(zeta6)", "QQ(q)", "QQ[q,q^-1]"])
 def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
-    packed = []
+    routes = []
     monkeypatch.setattr(linalg, "_packed_product",
-                        lambda *args: packed.append(1) or _packed_product(*args))
+                        lambda *args: routes.append("packed") or _packed_product(*args))
+    monkeypatch.setattr(linalg, "_row_packed_product",
+                        lambda *args: routes.append("row-packed") or _row_packed_product(*args))
     # Row 1 of a and column 2 of b are all zero, and so is column 3 of a.
     a = ExactMatrix.from_fn(4, 5, ctx, lambda i, j: Scalar.zero(ctx) if i == 1 or j == 3
                             else _sparse_entry(rng, ctx, laurent))
     b = ExactMatrix.from_fn(5, 3, ctx, lambda i, j: Scalar.zero(ctx) if j == 2
                             else _sparse_entry(rng, ctx, laurent))
     prod = a * b
-    assert packed == ([1] if laurent else [])
+    assert routes == (["packed"] if laurent else [] if ctx.with_q else ["row-packed"])
     for i in range(a.rows):
         for j in range(b.cols):
             acc = a[i, 0] * b[0, j]
@@ -141,18 +147,19 @@ def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
     assert ExactMatrix.zeros(2, 3, ctx) * ExactMatrix.zeros(3, 2, ctx) == ExactMatrix.zeros(2, 2, ctx)
 
 
-# --- the packed product over Q[q, q^-1] against the term-by-term loop ---------------
+# --- the packed products against the term-by-term loop -------------------------------
 
 QQ_Q = function_field()
 
 
 def term_by_term(a, b):
-    """The reference product: every nonzero term in (i, j, k) order, added up."""
+    """The reference product over any field: every nonzero term in (i, j, k)
+    order, added up."""
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
-            acc = Scalar.zero(QQ_Q)
+            acc = Scalar.zero(a.ctx)
             for k in range(a.cols):
                 if not a[i, k].is_zero() and not b[k, j].is_zero():
                     acc = acc + a[i, k] * b[k, j]
@@ -248,6 +255,80 @@ def test_packed_product_checks_the_cap_term_by_term():
             a * early
     finally:
         set_degree_cap(None)
+
+
+BASE_FIELDS = {"QQ": QQ, "QQ(zeta3)": cyclotomic_field(3), "QQ(zeta4)": cyclotomic_field(4),
+               "QQ(zeta5)": cyclotomic_field(5), "QQ(zeta12)": cyclotomic_field(12)}
+
+
+def base_entry(ctx, den, coeffs):
+    """sum(coeffs[i] zeta^i) / den over Q or Q(zeta_m); over Q coeffs[0] / den.
+    Coefficients past phi(m) are reduced, so they reach every power of zeta."""
+    if ctx.order == 1:
+        return Scalar(ctx, Fraction(coeffs[0], den))
+    return Scalar(ctx, Cyclotomic(ctx.order, [Fraction(c, den) for c in coeffs]))
+
+
+@st.composite
+def base_pairs(draw, ctx):
+    """Factors of shapes 1..6 over Q or Q(zeta_m), with about a third of
+    their entries zero, denominators on both sides and coefficients up to
+    2^60, so that digits are wider than 8 bytes.  Some rows of a, some
+    columns of b and a tail of rows of b are zero; when the inner size
+    allows, a last row of a is added whose product with column 0 of b
+    cancels to an exact zero."""
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.one_of(st.just(Scalar.zero(ctx)), st.builds(
+        partial(base_entry, ctx), st.integers(1, 12), st.lists(coeff_st, min_size=1, max_size=6)))
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    zero = Scalar.zero(ctx)
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)):
+        a[i] = [zero] * inner
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1)):
+        for row in b:
+            row[j] = zero
+    for k in range(inner - draw(st.integers(0, inner - 1)), inner):
+        b[k] = [zero] * cols
+    if inner >= 2:
+        a.append([b[1][0], -b[0][0]] + [zero] * (inner - 2))
+    return ExactMatrix.from_rows(a), ExactMatrix.from_rows(b)
+
+
+@pytest.mark.parametrize("name", list(BASE_FIELDS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_packed_product_matches_term_by_term(name, data):
+    a, b = data.draw(base_pairs(BASE_FIELDS[name]))
+    assert a * b == term_by_term(a, b)
+
+
+@pytest.mark.parametrize("ctx, c", [(QQ, 3037000499), (cyclotomic_field(3), 2 ** 31 - 1),
+                                    (QQ, -(2 ** 59 + 1))], ids=["QQ", "QQ(zeta3)", "QQ-wide"])
+def test_row_packed_digits_cover_the_sum_of_the_terms(ctx, c):
+    """One product c^2 over Q, or the middle int 2 c^2 of (c + c zeta_3)^2,
+    fits the digit width that phi times the largest ints of the factors
+    give; the sum of two such products needs the extra bit of the term
+    count: 2 c^2 is above 2^63 and 2^119 for the two c over Q, and 4 c^2
+    above 2^63 for the c over Q(zeta_3)."""
+    x = base_entry(ctx, 1, [c] * euler_phi(ctx.order))
+    a = ExactMatrix.from_rows([[x, x], [x, -x]])
+    want, zero = x * x + x * x, Scalar.zero(ctx)
+    assert a * a == ExactMatrix.from_rows([[want, zero], [zero, want]]) == term_by_term(a, a)
+
+
+def test_row_packed_product_aligns_every_row_of_b():
+    """Rows of b on different denominators, and a trailing zero row of b
+    under a factor a with more rows than b has nonzero rows."""
+    ctx = cyclotomic_field(3)
+    z, zero = zeta(3), Scalar.zero(ctx)
+    a = ExactMatrix.from_rows([[rational(1, 2, ctx), z, z * z],
+                               [z, rational(3, 5, ctx), z],
+                               [integer(2, ctx), z * z, rational(-1, 3, ctx)]])
+    b = ExactMatrix.from_rows([[z, integer(1, ctx)],
+                               [rational(2, 7, ctx) * z, rational(1, 3, ctx)],
+                               [zero, zero]])
+    assert a * b == term_by_term(a, b)
 
 
 def test_braid_word_in_sl2():

@@ -48,6 +48,7 @@ from qbraid.scalar import (
 from qbraid.scalar import (
     _SCHOOLBOOK_MAX,
     _conjugate_inverse,
+    _cyclotomic,
     _digit_size,
     _int_mul,
     _int_pdivmod,
@@ -847,6 +848,20 @@ def test_cyclotomic_stored_form_matches_fraction_reference(case):
         routes.append(((x * y) * y.inverse(), x))
     for u, v in routes:
         assert u == v and hash(u) == hash(v)
+
+
+@given(st.sampled_from([3, 4, 5, 9, 12, 15, 16, 17, 105]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=3 * m),
+                        st.integers(1, 60))))
+@settings(max_examples=150, deadline=None)
+def test_top_down_reduction_matches_long_division(case):
+    """Int lists up to three times the order long, reduced modulo Phi_m by
+    the nonzero terms of Phi_m (sparse for 9, 12, 15, 16 and 105), against
+    long division over Q."""
+    m, ints, den = case
+    got = _cyclotomic(m, den, list(ints))
+    assert_cyclotomic_canonical(got)
+    assert ref_from(got) == tuple(c / den for c in reduce_oracle(ints, m))
 
 
 def test_cyclotomic_stored_form_examples():
