@@ -68,6 +68,10 @@ JOBS = [
     ["rep", "verify", "--n", "20", "--q", "q"],
     ["identities", "--id", "all", "--max-n", "10"],
     ["exp", "check", "--max-n", "10"],
+    # the q-binomial identities and the q-exponential at symbolic q, where
+    # most terms have a zero or one-term factor
+    ["identities", "--id", "all", "--max-n", "14"],
+    ["exp", "check", "--max-n", "14"],
     ["rep", "verify", "--n", "12", "--q", "zeta(5)"],
     # one root of unity of large order: phi(9999) = 6000
     ["rep", "verify", "--n", "1", "--q", "zeta(9999)"],
