@@ -15,15 +15,20 @@ the integer kernel, with no division that is not exact and no gcd: each row
 is first made into ints over Q, and otherwise into int lists in y under the
 ring map zeta -> y, q -> y^N of `scalar._zeta_pack`.
 
-A matrix product skips every term with an exactly zero factor.  Over Q and
-Q(zeta_m) it is row-packed: each row of the right factor is one big integer
-with a slot of 2 phi(m) - 1 digits per column (Kronecker substitution lifted
-to matrices, on the integer kernel of `scalar`).  Over Q(q), when every entry
-of both factors is a Laurent polynomial and some row of the left factor and
-some column of the right one have two or more nonzero entries, each entry is
-one big-integer dot product of packed rows and columns, since slots as wide
-as the longest Laurent entry would waste digits.  Every other product (over
-Q(q) or Q(zeta_m)(q)) adds up its terms one by one.
+Sums, negatives and scalings return exact-zero entries as they are.  A
+matrix product skips every term with an exactly zero factor.  A monomial
+factor (a left factor with at most one nonzero entry in every row, or a
+right factor with at most one in every column: a diagonal, an
+antidiagonal, a permutation times a diagonal, the superdiagonal T) leaves
+one term or none per entry, and the product scales and moves the rows or
+columns of the other factor, over every field.  Otherwise, over Q and
+Q(zeta_m) the product is row-packed: each row of the right factor is one big
+integer with a slot of 2 phi(m) - 1 digits per column (Kronecker
+substitution lifted to matrices, on the integer kernel of `scalar`).  Over
+Q(q), when every entry of both factors is a Laurent polynomial, each entry
+is one big-integer dot product of packed rows and columns, since slots as
+wide as the longest Laurent entry would waste digits.  Every other product
+(over Q(q) or Q(zeta_m)(q)) adds up its terms one by one.
 
 Index conventions for the three involutions on an (n+1)x(n+1) matrix:
 t is the ordinary transpose, s reflects in the antidiagonal
@@ -160,7 +165,8 @@ class ExactMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition of different shapes")
         return ExactMatrix(self.rows, self.cols, self.ctx,
-                           tuple(tuple(a + b for a, b in zip(ra, rb))
+                           tuple(tuple(a if not b.val else b if not a.val else a + b
+                                       for a, b in zip(ra, rb))
                                  for ra, rb in zip(self._e, other._e)))
 
     def __sub__(self, other):
@@ -168,7 +174,7 @@ class ExactMatrix:
 
     def __neg__(self):
         return ExactMatrix(self.rows, self.cols, self.ctx,
-                           tuple(tuple(-a for a in r) for r in self._e))
+                           tuple(tuple(-a if a.val else a for a in r) for r in self._e))
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -181,11 +187,14 @@ class ExactMatrix:
         # term-by-term sums run on the field payloads; the context was checked once.
         ctx = self.ctx
         rows_a = [[(k, x.val) for k, x in enumerate(r) if x.val] for r in self._e]
+        cols_b = [[(k, x.val) for k, x in enumerate(c) if x.val] for c in zip(*other._e)]
+        if all(len(r) < 2 for r in rows_a) or all(len(c) < 2 for c in cols_b):
+            return ExactMatrix(self.rows, other.cols, ctx,
+                               _monomial_product(rows_a, cols_b, self, other))
         if not ctx.with_q:
             return ExactMatrix(self.rows, other.cols, ctx,
                                _row_packed_product(rows_a, other, ctx))
-        cols_b = [{k: x.val for k, x in enumerate(other.col(j)) if x.val}
-                  for j in range(other.cols)]
+        cols_b = [dict(c) for c in cols_b]
         if ctx.order == 1 and _packable(rows_a, cols_b):
             return ExactMatrix(self.rows, other.cols, ctx,
                                _packed_product(rows_a, cols_b, ctx))
@@ -212,7 +221,7 @@ class ExactMatrix:
         if s.ctx != self.ctx:
             raise FieldMismatch("scalar from a different field")
         return ExactMatrix(self.rows, self.cols, self.ctx,
-                           tuple(tuple(s * a for a in r) for r in self._e))
+                           tuple(tuple(s * a if a.val else a for a in r) for r in self._e))
 
     def apply(self, vec):
         """Matrix-vector product; vec is a tuple of Scalars."""
@@ -371,14 +380,27 @@ def leading_one(vec):
     return [inv * x for x in vec]
 
 
+def _monomial_product(rows_a, cols_b, a, b):
+    """The entries of a product with a monomial factor, given by the nonzero
+    (k, payload) pairs of each row of a and each column of b: either every
+    row of a or every column of b has at most one nonzero entry, so every
+    entry of the product is one term or none.  Row i of the product is then
+    row k of b times a_ik, or column j is column k of a times b_kj; each term
+    is one payload product, in the (i, j) order of the term-by-term loop, so
+    that a degree cap stops at the same term."""
+    ctx = a.ctx
+    zero = Scalar.zero(ctx)
+    if all(len(r) < 2 for r in rows_a):
+        return tuple(tuple(Scalar(ctx, r[0][1] * y.val) if y.val else y for y in b._e[r[0][0]])
+                     if r else (zero,) * b.cols for r in rows_a)
+    return tuple(tuple(Scalar(ctx, row[c[0][0]].val * c[0][1]) if c and row[c[0][0]].val
+                       else zero for c in cols_b) for row in a._e)
+
+
 def _packable(rows_a, cols_b):
     """True when every nonzero entry over Q(q), given by the nonzero (k, entry)
-    pairs of each row of a and each column of b, is a Laurent polynomial, and
-    some row of a and some column of b have two nonzero entries or more.  With
-    a diagonal-like factor every entry of the product is a single term, and
-    there is no sum to pack."""
-    return (min(max(map(len, rows_a), default=0), max(map(len, cols_b), default=0)) > 1
-            and all(_is_one(x.den) for r in rows_a for _, x in r)
+    pairs of each row of a and each column of b, is a Laurent polynomial."""
+    return (all(_is_one(x.den) for r in rows_a for _, x in r)
             and all(_is_one(x.den) for c in cols_b for x in c.values()))
 
 

@@ -11,7 +11,9 @@ and then read by index.  At a symbolic q the integer entry is evaluated
 the rows are filled by the same rule in the field, one product and one sum
 per entry, which measured faster than evaluating each integer entry.  Nothing
 divides, so every specialization is defined, including the zeros at roots of
-unity, which are the suspected reducibility points.
+unity, which are the suspected reducibility points.  Each `QContext`
+memoizes its q-powers too (`q_power`), which the q_j, Lambda_n(q) and the
+identity checks read.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from math import comb
 from fractions import Fraction
 
 from .errors import ZeroQ
+from .linalg import ExactMatrix
 from .scalar import (
     FieldContext,
     LaurentPoly,
@@ -44,13 +47,16 @@ class QContext:
     A context memoizes its triangle entries at q: `_rows` maps n to row n,
     each entry a pair (value, q-degree to check against the degree cap on
     every read); in a function field an entry stays None until first read.
-    The memo is left out of equality, hashing and repr, so equal contexts
-    stay equal keys whatever they have memoized.
+    Beside them `_powers` maps e to the pair (q^e, its q-degree) in the same
+    way, for `q_power`.  The memos are left out of equality, hashing and
+    repr, so equal contexts stay equal keys whatever they have memoized.
     """
 
     q: Scalar
     _rows: dict = field(default_factory=dict, init=False, compare=False, hash=False,
                         repr=False)
+    _powers: dict = field(default_factory=dict, init=False, compare=False, hash=False,
+                          repr=False)
 
     def __post_init__(self):
         if self.q.is_zero():
@@ -181,9 +187,21 @@ def tri_exponent(j):
     return j * (j - 1) // 2
 
 
+def q_power(e, ctx):
+    """q^e for any integer e, memoized on ctx.  Every read checks the power's
+    q-degree against the degree cap, as computing it does; a concrete q has
+    no q-degree."""
+    entry = ctx._powers.get(e)
+    if entry is None:
+        value = ctx.q ** e
+        entry = ctx._powers[e] = (value, _q_degree(value) if ctx.q.ctx.with_q else 0)
+    _check_degree(0, entry[1])
+    return entry[0]
+
+
 def q_tri(j, ctx):
     """q_j = q^(j(j-1)/2) for any integer j (negative indices included)."""
-    return ctx.q ** tri_exponent(j)
+    return q_power(tri_exponent(j), ctx)
 
 
 def q_binomial(n, k, ctx):
@@ -293,68 +311,63 @@ def verify_identity(identity, n, ctx):
            C_r^m(q^-1) = (q_(k-(n-m))/q_k) C_k^(n-m)(q).
     qsymmetry: C_n^k(q) = (q_n/(q_k q_(n-k))) C_n^k(q^-1).
     bin1/bin2: the classical q=1 specializations over the integers.
+
+    The q-binomial identities are checked as matrix products: with
+    P = [C_m^i(q)] and M = [(-1)^(i+j) q_(i-j) C_i^j(q)], bin1q says
+    P M = M P = I, and bin2q says A B = R for A = P^# = sigma_1(q,n),
+    B_rm = (-1)^(n-r) (q_r q_(n-r)/q_n) q^-1_(r-m) C_r^m(q^-1) and
+    R_km = (q_(k-(n-m))/q_k) C_k^(n-m)(q).  The first failure is the first
+    index pair, in row-major order, where a product differs, and `checked`
+    counts the pairs up to it.
     """
     if identity not in IDENTITY_NAMES:
         raise ValueError(f"unknown identity {identity!r}")
     checked = 0
-    one = ctx.one()
+    one, zero, size = ctx.one(), ctx.zero(), n + 1
     qinv_ctx = QContext(ctx.q.inverse()) if identity in ("bin2q", "qsymmetry") else None
 
     def fail(**kw):
         return IdentityReport(identity, n, False, checked, kw)
 
-    powers = {}   # q^e, each exponent computed once per check
+    def matrix(entry):
+        return ExactMatrix.from_fn(size, size, ctx.ctx, entry)
 
-    def q_pow(e):
-        value = powers.get(e)
-        if value is None:
-            value = powers[e] = ctx.q ** e
-        return value
+    def signed(value, e, s):
+        """(-1)^s q^e value; zero, with no q-power read, when value is zero."""
+        if value.is_zero():
+            return zero
+        value = q_power(e, ctx) * value
+        return -value if s % 2 else value
 
+    if identity in ("bin1q", "bin2q"):
+        pascal = matrix(lambda m, i: q_binomial(m, i, ctx))
     if identity == "bin1q":
-        for m in range(n + 1):
-            for j in range(n + 1):
-                first = ctx.zero()
-                second = ctx.zero()
-                for i in range(n + 1):
-                    cmi = q_binomial(m, i, ctx)
-                    cij = q_binomial(i, j, ctx)
-                    if cmi.is_zero() or cij.is_zero():
-                        continue
-                    prod = cmi * cij
-                    term = q_pow(tri_exponent(i - j)) * prod
-                    first = first - term if (i + j) % 2 else first + term
-                    term = q_pow(tri_exponent(m - i)) * prod
-                    second = second - term if (i + m) % 2 else second + term
-                expected = one if m == j else ctx.zero()
+        inverse = matrix(lambda i, j: signed(q_binomial(i, j, ctx), tri_exponent(i - j), i + j))
+        first, second = pascal * inverse, inverse * pascal
+        for m in range(size):
+            for j in range(size):
+                expected = one if m == j else zero
                 checked += 1
-                if first != expected or second != expected:
-                    return fail(m=m, j=j, first=str(first), second=str(second),
+                if first[m, j] != expected or second[m, j] != expected:
+                    return fail(m=m, j=j, first=str(first[m, j]), second=str(second[m, j]),
                                 expected=str(expected))
     elif identity == "bin2q":
         qn = tri_exponent(n)
-        for k in range(n + 1):
-            for m in range(n + 1):
-                lhs = ctx.zero()
-                for r in range(n + 1):
-                    c1 = q_binomial(n - k, n - r, ctx)
-                    c2 = q_binomial(r, m, qinv_ctx)
-                    if c1.is_zero() or c2.is_zero():
-                        continue
-                    e = tri_exponent(r) + tri_exponent(n - r) - qn - tri_exponent(r - m)
-                    term = c1 * q_pow(e) * c2
-                    lhs = lhs - term if (n - r) % 2 else lhs + term
-                ck = q_binomial(k, n - m, ctx)
-                rhs = q_pow(tri_exponent(k - (n - m)) - tri_exponent(k)) * ck \
-                    if not ck.is_zero() else ctx.zero()
+        lhs = pascal.sharp() * matrix(lambda r, m: signed(
+            q_binomial(r, m, qinv_ctx),
+            tri_exponent(r) + tri_exponent(n - r) - qn - tri_exponent(r - m), n - r))
+        rhs = matrix(lambda k, m: signed(
+            q_binomial(k, n - m, ctx), tri_exponent(k - (n - m)) - tri_exponent(k), 0))
+        for k in range(size):
+            for m in range(size):
                 checked += 1
-                if lhs != rhs:
-                    return fail(k=k, m=m, lhs=str(lhs), rhs=str(rhs))
+                if lhs[k, m] != rhs[k, m]:
+                    return fail(k=k, m=m, lhs=str(lhs[k, m]), rhs=str(rhs[k, m]))
     elif identity == "qsymmetry":
         for k in range(n + 1):
             lhs = q_binomial(n, k, ctx)
             e = tri_exponent(n) - tri_exponent(k) - tri_exponent(n - k)
-            rhs = q_pow(e) * q_binomial(n, k, qinv_ctx)
+            rhs = q_power(e, ctx) * q_binomial(n, k, qinv_ctx)
             checked += 1
             if lhs != rhs:
                 return fail(k=k, lhs=str(lhs), rhs=str(rhs))

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .errors import CondQViolated, NotUnitUpperTriangular
 from .linalg import ExactMatrix, compare_all
-from .qcomb import QContext, q_binomial, q_tri
+from .qcomb import QContext, q_binomial, q_power, q_tri, tri_exponent
 from .scalar import Scalar
 
 
@@ -82,7 +82,7 @@ def s_matrix(n, ctx):
     def entry(k, m):
         if k + m != n:
             return zero
-        val = q_tri(k, ctx).inverse()
+        val = q_power(-tri_exponent(k), ctx)
         return -val if k % 2 else val
 
     return ExactMatrix.from_fn(n + 1, n + 1, ctx.q.ctx, entry)
@@ -97,7 +97,7 @@ def d_matrix(n, ctx):
 @lru_cache(maxsize=256)
 def lambda_canonical(n, ctx):
     """Lambda_n(q) = diag(q^(-(n-r)r)), that is q_n^-1 D_n D_n^#."""
-    return ExactMatrix.diagonal([ctx.q ** (-(n - r) * r) for r in range(n + 1)])
+    return ExactMatrix.diagonal([q_power(-(n - r) * r, ctx) for r in range(n + 1)])
 
 
 @dataclass(frozen=True)

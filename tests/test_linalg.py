@@ -21,6 +21,7 @@ from qbraid.linalg import (
     EchelonSpan,
     ExactMatrix,
     _int_update,
+    _monomial_product,
     _packed_product,
     _row_packed_product,
     compare_all,
@@ -127,6 +128,8 @@ def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
                         lambda *args: routes.append("packed") or _packed_product(*args))
     monkeypatch.setattr(linalg, "_row_packed_product",
                         lambda *args: routes.append("row-packed") or _row_packed_product(*args))
+    monkeypatch.setattr(linalg, "_monomial_product",
+                        lambda *args: routes.append("monomial") or _monomial_product(*args))
     # Row 1 of a and column 2 of b are all zero, and so is column 3 of a.
     a = ExactMatrix.from_fn(4, 5, ctx, lambda i, j: Scalar.zero(ctx) if i == 1 or j == 3
                             else _sparse_entry(rng, ctx, laurent))
@@ -144,7 +147,11 @@ def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
     zero = Scalar.zero(ctx)
     assert prod.row(1) == (zero,) * 3
     assert prod.col(2) == (zero,) * 4
+    routes.clear()
     assert ExactMatrix.zeros(2, 3, ctx) * ExactMatrix.zeros(3, 2, ctx) == ExactMatrix.zeros(2, 2, ctx)
+    diagonal = ExactMatrix.diagonal([a[0, 0] if a[0, 0].val else Scalar.one(ctx)] * 4)
+    assert diagonal * a == term_by_term(diagonal, a)
+    assert routes == ["monomial"] * 2
 
 
 # --- the packed products against the term-by-term loop -------------------------------
@@ -743,6 +750,73 @@ def zero_heavy_matrices(draw, name):
     codes = draw(st.lists(st.lists(ENTRY_CODES, min_size=cols, max_size=cols),
                           min_size=rows, max_size=rows))
     return ExactMatrix.from_rows([[field_entry(name, a, b) for a, b in row] for row in codes])
+
+
+# --- entrywise operations and monomial factors ------------------------------------
+
+# Entries coded by two small integers as in `field_entry`, over Q(zeta_3) as
+# (a + b zeta_3)/2.
+ENTRYWISE_FIELDS = {"QQ": partial(field_entry, "QQ"),
+                    "QQ(zeta3)": lambda a, b: base_entry(cyclotomic_field(3), 2, [a, b]),
+                    "QQ(q)": partial(field_entry, "QQ(q)")}
+
+
+@pytest.mark.parametrize("name", list(ENTRYWISE_FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_entrywise_operations_agree_on_zero_heavy_matrices(name, data):
+    """scale, + and - return exact zeros as they are and agree entrywise
+    with the Scalar operations, about two entries in three being zero."""
+    entry = ENTRYWISE_FIELDS[name]
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    a, b = (ExactMatrix.from_rows([[entry(*data.draw(ENTRY_CODES)) for _ in range(cols)]
+                                   for _ in range(rows)]) for _ in range(2))
+    s = entry(*data.draw(ENTRY_CODES))
+    for got, want in ((a + b, lambda i, j: a[i, j] + b[i, j]),
+                      (a - b, lambda i, j: a[i, j] - b[i, j]),
+                      (-a, lambda i, j: -a[i, j]),
+                      (a.scale(s), lambda i, j: s * a[i, j])):
+        assert got == ExactMatrix.from_fn(rows, cols, a.ctx, want)
+
+
+def monomial_factors(name):
+    """4x4 monomial matrices over the field `name` with nonzero entries: a
+    diagonal, the antidiagonal, a permutation times a diagonal, and the
+    superdiagonal T, whose last row and first column are zero."""
+    ctx = FIELDS[name]
+    zero = Scalar.zero(ctx)
+
+    def entry(i):
+        return field_entry(name, i + 1, i % 3 - 1)
+
+    return [ExactMatrix.from_fn(4, 4, ctx, lambda i, j: entry(i) if j == col[i] else zero)
+            for col in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (1, 2, 3, None))]
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_monomial_factors_match_term_by_term(name, monkeypatch):
+    """Monomial factors on either side, against dense factors with zeros,
+    take the monomial route and agree with the reference; over Q(q) a
+    degree cap stops at the same term with the same message."""
+    routes = []
+    monkeypatch.setattr(linalg, "_monomial_product",
+                        lambda *args: routes.append("monomial") or _monomial_product(*args))
+    ctx = FIELDS[name]
+    tall, wide = (ExactMatrix.from_fn(r, c, ctx, lambda i, j: field_entry(
+        name, (3 * i + j) % 5 - 2, (i + 2 * j) % 3 - 1)) for r, c in ((4, 3), (3, 4)))
+    factors = monomial_factors(name)
+    pairs = [(m, tall) for m in factors] + [(wide, m) for m in factors] \
+        + [(m, p) for m in factors for p in factors]
+    for a, b in pairs:
+        assert a * b == term_by_term(a, b)
+        for cap in (0, 1) if ctx.with_q else ():
+            set_degree_cap(cap)
+            try:
+                assert outcome(ExactMatrix.__mul__, a, b) == outcome(term_by_term, a, b)
+            finally:
+                set_degree_cap(None)
+    assert routes == ["monomial"] * (len(pairs) * (3 if ctx.with_q else 1))
+    assert all(factor.row(3) == (Scalar.zero(ctx),) * 4 for factor in factors[3:])
 
 
 @pytest.mark.parametrize("name", list(FIELDS))

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbraid import qcomb
 from qbraid.errors import DegreeCapExceeded, NonPolynomialQuotient, ZeroQ
 from qbraid.qcomb import (
     IDENTITY_NAMES,
     _TRIANGLE,
+    IdentityReport,
     QContext,
     _eval_poly,
     _pascal_row,
@@ -22,6 +24,7 @@ from qbraid.qcomb import (
     q_factorial,
     q_int,
     q_pochhammer,
+    q_power,
     q_tri,
     symbolic_q,
     triangle_row,
@@ -35,6 +38,7 @@ from qbraid.scalar import (
     Scalar,
     function_field,
     integer,
+    rational,
     laurent_exact_div,
     parse_scalar,
     q_symbol,
@@ -297,6 +301,77 @@ def test_identities_full_range(name, ctx):
         assert verify_identity(name, n, ctx).passed
 
 
+def identity_by_loops(identity, n, ctx):
+    """The reference for bin1q and bin2q: each index pair's sum term by term,
+    in row-major order, stopping at the first failure, with q-powers taken
+    afresh and every Gaussian entry read through `qcomb.q_binomial`."""
+    checked, one, zero = 0, ctx.one(), ctx.zero()
+    for a in range(n + 1):
+        for b in range(n + 1):
+            checked += 1
+            if identity == "bin1q":   # (a, b) = (m, j)
+                first = second = zero
+                for i in range(n + 1):
+                    cmi, cij = qcomb.q_binomial(a, i, ctx), qcomb.q_binomial(i, b, ctx)
+                    if cmi.is_zero() or cij.is_zero():
+                        continue
+                    term = ctx.q ** tri_exponent(i - b) * cmi * cij
+                    first = first - term if (i + b) % 2 else first + term
+                    term = ctx.q ** tri_exponent(a - i) * cmi * cij
+                    second = second - term if (i + a) % 2 else second + term
+                expected = one if a == b else zero
+                if first != expected or second != expected:
+                    return IdentityReport(identity, n, False, checked, dict(
+                        m=a, j=b, first=str(first), second=str(second), expected=str(expected)))
+                continue
+            qinv, lhs = QContext(ctx.q.inverse()), zero   # (a, b) = (k, m)
+            for r in range(n + 1):
+                c1, c2 = qcomb.q_binomial(n - a, n - r, ctx), qcomb.q_binomial(r, b, qinv)
+                if c1.is_zero() or c2.is_zero():
+                    continue
+                e = tri_exponent(r) + tri_exponent(n - r) - tri_exponent(n) - tri_exponent(r - b)
+                term = c1 * ctx.q ** e * c2
+                lhs = lhs - term if (n - r) % 2 else lhs + term
+            ck = qcomb.q_binomial(a, n - b, ctx)
+            rhs = ctx.q ** (tri_exponent(a - (n - b)) - tri_exponent(a)) * ck \
+                if not ck.is_zero() else zero
+            if lhs != rhs:
+                return IdentityReport(identity, n, False, checked,
+                                      dict(k=a, m=b, lhs=str(lhs), rhs=str(rhs)))
+    return IdentityReport(identity, n, True, checked, None)
+
+
+IDENTITY_POINTS = {"q": q_symbol, "2": lambda: integer(2), "-1": lambda: integer(-1),
+                   "zeta3": lambda: zeta(3), "zeta5": lambda: zeta(5)}
+
+
+@pytest.mark.parametrize("point", list(IDENTITY_POINTS))
+@pytest.mark.parametrize("name", ["bin1q", "bin2q"])
+def test_matrix_identities_match_the_loops(name, point):
+    qc = QContext(IDENTITY_POINTS[point]())
+    for n in range(9):
+        want = identity_by_loops(name, n, qc).to_payload()
+        assert want["passed"]
+        assert verify_identity(name, n, qc).to_payload() == want
+
+
+@pytest.mark.parametrize("point", list(IDENTITY_POINTS))
+@pytest.mark.parametrize("name", ["bin1q", "bin2q"])
+def test_a_wrong_gaussian_entry_is_located_as_by_the_loops(name, point, monkeypatch):
+    """C_3^1 is replaced by 1/2 (at q and, for bin2q, at q^-1 too): the
+    first failure, its values and the pairs checked up to it agree."""
+    qc, true_entry = QContext(IDENTITY_POINTS[point]()), qcomb.q_binomial
+
+    def wrong_entry(n, k, ctx):
+        return rational(1, 2, ctx.ctx) if (n, k) == (3, 1) else true_entry(n, k, ctx)
+
+    monkeypatch.setattr(qcomb, "q_binomial", wrong_entry)
+    for n in (3, 5):
+        want = identity_by_loops(name, n, qc).to_payload()
+        assert not want["passed"] and want["checked"] < (n + 1) ** 2
+        assert verify_identity(name, n, qc).to_payload() == want
+
+
 def test_identity_failure_reporting(ctx):
     # a deliberately wrong identity name is rejected; failure paths carry locators
     with pytest.raises(ValueError):
@@ -332,6 +407,31 @@ def test_evaluation_at_q_and_inverse_q_matches_substitute(p, order, exponent):
     want = Scalar(function_field(), RatFunc.from_laurent(p)).substitute(q0)
     assert got == want
     assert got.ctx == want.ctx == function_field(order)
+
+
+@pytest.mark.parametrize("q, degree", [("q", 12), ("q^-1", 12), ("q^2", 24), ("1+q", 12),
+                                       ("q/(1+q)", 12)])
+def test_degree_cap_holds_when_the_q_powers_are_cached(q, degree):
+    """q^-12, memoized on its context, raises under a cap below its q-degree
+    on every later read, as computing it does; so do the q_j read from the
+    memo, and a concrete q has no q-degree."""
+    qc = QContext(sym(q))
+    assert q_power(-12, qc) == sym(q) ** -12 and q_tri(5, qc) == sym(q) ** 10
+    concrete = concrete_q(integer(2))
+    assert q_power(-12, concrete) == rational(1, 4096)
+    try:
+        for read, reached in ((lambda: q_power(-12, qc), degree),
+                              (lambda: q_tri(5, qc), degree * 10 // 12)):
+            set_degree_cap(reached - 1)
+            with pytest.raises(DegreeCapExceeded,
+                               match=f"^symbolic degree {reached} exceeds cap {reached - 1}$"):
+                read()
+            assert q_power(-12, concrete) == rational(1, 4096)
+            set_degree_cap(reached)
+            read()
+    finally:
+        set_degree_cap(None)
+    assert q_power(-12, qc) == sym(q) ** -12
 
 
 @pytest.mark.parametrize("order", [1, 3])
