@@ -185,20 +185,22 @@ class ExactMatrix:
         # Terms with an exactly zero factor are skipped: they add nothing to an
         # exact sum, and triangular factors make about half of them zero.  The
         # term-by-term sums run on the field payloads; the context was checked once.
-        ctx = self.ctx
+        ctx, cols, zero = self.ctx, other.cols, Scalar.zero(self.ctx)
         rows_a = [[(k, x.val) for k, x in enumerate(r) if x.val] for r in self._e]
-        cols_b = [[(k, x.val) for k, x in enumerate(c) if x.val] for c in zip(*other._e)]
-        if all(len(r) < 2 for r in rows_a) or all(len(c) < 2 for c in cols_b):
-            return ExactMatrix(self.rows, other.cols, ctx,
-                               _monomial_product(rows_a, cols_b, self, other))
+        terms_b = [(k, j, x.val) for k, r in enumerate(other._e) for j, x in enumerate(r) if x.val]
+        # A monomial factor: every row of a, or every column of b (no column
+        # index repeated among the terms of b), has one nonzero entry or none.
+        if max(map(len, rows_a), default=0) < 2 or (
+                len(terms_b) <= cols and len({j for _, j, _ in terms_b}) == len(terms_b)):
+            return ExactMatrix(self.rows, cols, ctx,
+                               _monomial_product(rows_a, terms_b, other.rows, cols, zero))
         if not ctx.with_q:
-            return ExactMatrix(self.rows, other.cols, ctx,
-                               _row_packed_product(rows_a, other, ctx))
-        cols_b = [dict(c) for c in cols_b]
+            return ExactMatrix(self.rows, cols, ctx, _row_packed_product(rows_a, terms_b, cols, ctx))
+        cols_b = [{} for _ in range(cols)]
+        for k, j, y in terms_b:
+            cols_b[j][k] = y
         if ctx.order == 1 and _packable(rows_a, cols_b):
-            return ExactMatrix(self.rows, other.cols, ctx,
-                               _packed_product(rows_a, cols_b, ctx))
-        zero = Scalar.zero(ctx)
+            return ExactMatrix(self.rows, cols, ctx, _packed_product(rows_a, cols_b, ctx))
         out = []
         for terms_a in rows_a:
             out_row = []
@@ -210,7 +212,7 @@ class ExactMatrix:
                         acc = x * y if acc is None else acc + x * y
                 out_row.append(zero if acc is None else Scalar(ctx, acc))
             out.append(tuple(out_row))
-        return ExactMatrix(self.rows, other.cols, ctx, tuple(out))
+        return ExactMatrix(self.rows, cols, ctx, tuple(out))
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -380,21 +382,34 @@ def leading_one(vec):
     return [inv * x for x in vec]
 
 
-def _monomial_product(rows_a, cols_b, a, b):
+def _monomial_product(rows_a, terms_b, rows, cols, zero):
     """The entries of a product with a monomial factor, given by the nonzero
-    (k, payload) pairs of each row of a and each column of b: either every
-    row of a or every column of b has at most one nonzero entry, so every
-    entry of the product is one term or none.  Row i of the product is then
-    row k of b times a_ik, or column j is column k of a times b_kj; each term
-    is one payload product, in the (i, j) order of the term-by-term loop, so
+    (k, payload) pairs of each row of a and the nonzero (k, j, payload)
+    triples of the rows x cols matrix b in row-major order: either every row
+    of a or every column of b has at most one nonzero entry, so every entry
+    of the product is one term or none.  Row i of the product is then row k
+    of b times a_ik, or column j is column k of a times b_kj; each term is
+    one payload product, in the (i, j) order of the term-by-term loop, so
     that a degree cap stops at the same term."""
-    ctx = a.ctx
-    zero = Scalar.zero(ctx)
-    if all(len(r) < 2 for r in rows_a):
-        return tuple(tuple(Scalar(ctx, r[0][1] * y.val) if y.val else y for y in b._e[r[0][0]])
-                     if r else (zero,) * b.cols for r in rows_a)
-    return tuple(tuple(Scalar(ctx, row[c[0][0]].val * c[0][1]) if c and row[c[0][0]].val
-                       else zero for c in cols_b) for row in a._e)
+    ctx, out = zero.ctx, []
+    if max(map(len, rows_a), default=0) < 2:
+        rows_b = [[] for _ in range(rows)]
+        for k, j, y in terms_b:
+            rows_b[k].append((j, y))
+        for r in rows_a:
+            row = [zero] * cols
+            for k, x in r:
+                for j, y in rows_b[k]:
+                    row[j] = Scalar(ctx, x * y)
+            out.append(tuple(row))
+        return tuple(out)
+    terms = [(None, None)] * cols   # column j of b: its one nonzero (k, b_kj)
+    for k, j, y in terms_b:
+        terms[j] = (k, y)
+    for r in rows_a:
+        row = dict(r)
+        out.append(tuple(Scalar(ctx, row[k] * y) if k in row else zero for k, y in terms))
+    return tuple(out)
 
 
 def _packable(rows_a, cols_b):
@@ -434,9 +449,10 @@ def _base_ints(x):
     return x.denominator, (x.numerator,)
 
 
-def _row_packed_product(rows_a, b, ctx):
+def _row_packed_product(rows_a, terms_b, cols, ctx):
     """The entries of a product over Q or Q(zeta_m), given by the nonzero
-    (k, payload) pairs of each row of a and the matrix b.
+    (k, payload) pairs of each row of a and the nonzero (k, j, payload)
+    triples of b, which has `cols` columns.
 
     All of b is put on one integer denominator e, and row i of a on one, d_i,
     so that entry (i, j) is sum_k A_ik B_kj / (d_i e), a sum of products of
@@ -448,10 +464,9 @@ def _row_packed_product(rows_a, b, ctx):
     phi, times the number of terms.  Each slot is read back with one
     reduction modulo Phi_m and one gcd with d_i e (`_cyclotomic`).
     """
-    phi, cols, zero = euler_phi(ctx.order), b.cols, Scalar.zero(ctx)
+    phi, zero = euler_phi(ctx.order), Scalar.zero(ctx)
     order, stride = ctx.order, 2 * phi - 1
-    entries_b = [(k, j, *_base_ints(x.val)) for k, r in enumerate(b._e)
-                 for j, x in enumerate(r) if x.val]
+    entries_b = [(k, j, *_base_ints(y)) for k, j, y in terms_b]
     e = _int_lcm(*[d for _, _, d, _ in entries_b])
     rows, top_a, terms = [], 0, 0
     nonzero = {k for k, _, _, _ in entries_b}
