@@ -796,8 +796,8 @@ def monomial_factors(name):
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_monomial_factors_match_term_by_term(name, monkeypatch):
     """Monomial factors on either side, against dense factors with zeros,
-    take the monomial route and agree with the reference; over Q(q) a
-    degree cap stops at the same term with the same message."""
+    take the monomial route and agree with the reference; over the fields
+    with q a degree cap stops at the same term with the same message."""
     routes = []
     monkeypatch.setattr(linalg, "_monomial_product",
                         lambda *args: routes.append("monomial") or _monomial_product(*args))
