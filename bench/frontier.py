@@ -52,8 +52,12 @@ JOBS = [
     # operator-irreducible points where the mod-p oracle certificates dominate
     ["irr", "minors", "--n", "20", "--q", "2"],
     ["irr", "minors", "--n", "30", "--q", "2"],
+    # a determinant beyond CPython's 4,300-digit limit on int-to-str conversion
+    ["irr", "minors", "--n", "40", "--q", "2"],
     # a reducible point that is not a catalog point: the exact algebra span decides
     ["irr", "minors", "--n", "10", "--q", "zeta(5)"],
+    ["irr", "minors", "--n", "6", "--q", "zeta(5)"],
+    ["irr", "burnside", "--n", "8", "--q", "zeta(7)"],
     ["irr", "minors", "--n", "5", "--q", "q"],
     ["irr", "minors", "--n", "8", "--q", "q"],
     ["irr", "minors", "--n", "10", "--q", "q"],
