@@ -3,7 +3,8 @@ machine-readable JSON reports.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive (only `irr equiv` when no
 invertible intertwiner is found among those tried), 3 usage error, 4
-symbolic-degree cap exceeded (QBRAID_MAX_DEGREE).
+symbolic-degree cap exceeded (QBRAID_MAX_DEGREE), 5 internal error (an
+exception that is not a `QBraidError`: a defect, never a verdict).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_DEGREE_CAP = 4
+EXIT_INTERNAL = 5
 
 _STATUS_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
@@ -399,6 +401,8 @@ def run(argv=None, out=None):
         started = time.perf_counter()
         try:
             report = next(generator)
+            report.timing_ms = (time.perf_counter() - started) * 1000.0
+            text = report.to_json() if args.json else report.to_text()
         except StopIteration:
             break
         except DegreeCapExceeded as exc:
@@ -410,8 +414,14 @@ def run(argv=None, out=None):
         except QBraidError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        report.timing_ms = (time.perf_counter() - started) * 1000.0
-        print(report.to_json() if args.json else report.to_text(), file=out)
+        except Exception as exc:
+            # a defect, not a verdict: exit 1 would read as a failed check
+            import traceback
+            traceback.print_exc(file=sys.stderr)
+            command = " ".join(["qbraid", args.command, getattr(args, "action", "")]).strip()
+            print(f"internal error in '{command}': {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        print(text, file=out)
         worst = max(worst, _STATUS_CODE[report.status])
     return worst
 

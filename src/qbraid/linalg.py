@@ -2,13 +2,16 @@
 
 Matrices are immutable, 0-indexed, row-major grids of Scalars sharing one
 FieldContext.  `EchelonSpan` is the one elimination routine for spans, over
-the field or over F_p: an incremental row-echelon span whose stored rows keep
-their supports, so that reducing a vector touches only nonzero entries.  Ranks
-grown vector by vector insert into it directly; `echelon` inserts the rows of
-a matrix sparsest first, and rank, rref, nullspace and inverse are read off
-the span.  Since the rank, the reduced row echelon form and the inverse of a
-matrix are unique, every result is independent of the insertion order and
-reproducible.
+the field or over F_p: an incremental row-echelon span.  Over Q and Q(zeta_m)
+it stores primitive integer rows with rational-integer pivots and reduces a
+vector on the integer kernel of `scalar`, by whole-row int products and one
+gcd per step (`_IntegerRows`); over F_p, Q(q) and Q(zeta_m)(q) its stored
+rows hold payloads with a leading 1 and keep their supports, so that reducing
+a vector touches only nonzero entries.  Ranks grown vector by vector insert
+into it directly; `echelon` inserts the rows of a matrix sparsest first, and
+rank, rref, nullspace and inverse are read off the span.  Since the rank, the
+reduced row echelon form and the inverse of a matrix are unique, every result
+is independent of the insertion order and of the route, and reproducible.
 
 A determinant is the one fraction-free (Bareiss) recurrence `_bareiss` on
 the integer kernel, with no division that is not exact and no gcd: each row
@@ -40,8 +43,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import permutations
+from itertools import compress, count, islice, permutations, repeat
+from math import gcd as _int_gcd
 from math import lcm as _int_lcm
+from operator import floordiv, mul, sub
 
 from .errors import FieldMismatch, NonPolynomialQuotient, NonSquare, ShapeMismatch, Singular
 from .scalar import (
@@ -61,6 +66,8 @@ from .scalar import (
     _laurent,
     _lp_monic_gcd,
     _pack,
+    _phi_reduce,
+    _phi_tail,
     _unpack,
     _zeta_pack,
     _zeta_unpack,
@@ -187,11 +194,21 @@ class ExactMatrix:
         # term-by-term sums run on the field payloads; the context was checked once.
         ctx, cols, zero = self.ctx, other.cols, Scalar.zero(self.ctx)
         rows_a = [[(k, x.val) for k, x in enumerate(r) if x.val] for r in self._e]
-        terms_b = [(k, j, x.val) for k, r in enumerate(other._e) for j, x in enumerate(r) if x.val]
+        # Over Q and Q(zeta_m) each term of b also carries its denominator and
+        # power-basis ints, for `_row_packed_product`, in the same scan.
+        if ctx.with_q:
+            terms_b = [(k, j, x.val) for k, r in enumerate(other._e)
+                       for j, x in enumerate(r) if x.val]
+        elif ctx.order == 1:
+            terms_b = [(k, j, y, y.denominator, (y.numerator,)) for k, r in enumerate(other._e)
+                       for j, x in enumerate(r) if (y := x.val)]
+        else:
+            terms_b = [(k, j, y, y.den, y.ints) for k, r in enumerate(other._e)
+                       for j, x in enumerate(r) if (y := x.val)]
         # A monomial factor: every row of a, or every column of b (no column
         # index repeated among the terms of b), has one nonzero entry or none.
         if max(map(len, rows_a), default=0) < 2 or (
-                len(terms_b) <= cols and len({j for _, j, _ in terms_b}) == len(terms_b)):
+                len(terms_b) <= cols and len({t[1] for t in terms_b}) == len(terms_b)):
             return ExactMatrix(self.rows, cols, ctx,
                                _monomial_product(rows_a, terms_b, other.rows, cols, zero))
         if not ctx.with_q:
@@ -384,8 +401,8 @@ def leading_one(vec):
 
 def _monomial_product(rows_a, terms_b, rows, cols, zero):
     """The entries of a product with a monomial factor, given by the nonzero
-    (k, payload) pairs of each row of a and the nonzero (k, j, payload)
-    triples of the rows x cols matrix b in row-major order: either every row
+    (k, payload) pairs of each row of a and the nonzero (k, j, payload, ...)
+    terms of the rows x cols matrix b in row-major order: either every row
     of a or every column of b has at most one nonzero entry, so every entry
     of the product is one term or none.  Row i of the product is then row k
     of b times a_ik, or column j is column k of a times b_kj; each term is
@@ -394,7 +411,7 @@ def _monomial_product(rows_a, terms_b, rows, cols, zero):
     ctx, out = zero.ctx, []
     if max(map(len, rows_a), default=0) < 2:
         rows_b = [[] for _ in range(rows)]
-        for k, j, y in terms_b:
+        for k, j, y, *_ in terms_b:
             rows_b[k].append((j, y))
         for r in rows_a:
             row = [zero] * cols
@@ -404,7 +421,7 @@ def _monomial_product(rows_a, terms_b, rows, cols, zero):
             out.append(tuple(row))
         return tuple(out)
     terms = [(None, None)] * cols   # column j of b: its one nonzero (k, b_kj)
-    for k, j, y in terms_b:
+    for k, j, y, *_ in terms_b:
         terms[j] = (k, y)
     for r in rows_a:
         row = dict(r)
@@ -451,8 +468,8 @@ def _base_ints(x):
 
 def _row_packed_product(rows_a, terms_b, cols, ctx):
     """The entries of a product over Q or Q(zeta_m), given by the nonzero
-    (k, payload) pairs of each row of a and the nonzero (k, j, payload)
-    triples of b, which has `cols` columns.
+    (k, payload) pairs of each row of a and the nonzero (k, j, payload, den,
+    power-basis ints) terms of b, which has `cols` columns.
 
     All of b is put on one integer denominator e, and row i of a on one, d_i,
     so that entry (i, j) is sum_k A_ik B_kj / (d_i e), a sum of products of
@@ -466,10 +483,9 @@ def _row_packed_product(rows_a, terms_b, cols, ctx):
     """
     phi, zero = euler_phi(ctx.order), Scalar.zero(ctx)
     order, stride = ctx.order, 2 * phi - 1
-    entries_b = [(k, j, *_base_ints(y)) for k, j, y in terms_b]
-    e = _int_lcm(*[d for _, _, d, _ in entries_b])
+    e = _int_lcm(*[t[3] for t in terms_b])
     rows, top_a, terms = [], 0, 0
-    nonzero = {k for k, _, _, _ in entries_b}
+    nonzero = {t[0] for t in terms_b}
     for r in rows_a:
         row, d, top = [], 1, 0
         for k, x in r:
@@ -482,11 +498,11 @@ def _row_packed_product(rows_a, terms_b, cols, ctx):
         top_a, terms = max(top_a, top * d), max(terms, len(row))
     if not terms:
         return ((zero,) * cols,) * len(rows)
-    top_b = max([max(map(abs, ints)) for _, _, _, ints in entries_b]) * e
+    top_b = max([max(map(abs, t[4])) for t in terms_b]) * e
     size = _digit_size(top_a * top_b * phi * terms)
     w = 8 * size * stride
     packed_b = dict.fromkeys(nonzero, 0)
-    for k, j, den, ints in entries_b:
+    for k, j, _, den, ints in terms_b:
         packed_b[k] += _pack(ints, size) * (e // den) << w * j
     out = []
     for d, row in rows:
@@ -577,25 +593,40 @@ class EchelonSpan:
     or `RatFunc`s of one field) when p is None.  It is the one elimination
     routine; `echelon` fills it from a row list.
 
-    `insert` reduces a vector by the stored rows in pivot order and keeps it,
-    scaled to a leading 1, when a nonzero entry is left, and returns whether
-    it did; `dim` is the rank of everything inserted.  Each
-    stored row keeps its support, so reducing a vector touches only the row's
-    nonzero entries; over F_p an entry is taken mod p only when its column is
-    reached.  Reduction stops at the first column without a pivot, which
-    becomes the new row's pivot.  Only that reduction mod p and the pivot
-    inverse depend on the field.  `reduced` back-reduces the stored rows to
-    the reduced row echelon form, and `nullspace` solves them by back
-    substitution.
+    `insert` reduces a vector by the stored rows in pivot order and keeps it
+    when a nonzero entry is left, and returns whether it did; `dim` is the
+    rank of everything inserted.  Reduction stops at the first column
+    without a pivot, which becomes the new row's pivot.  `reduced`
+    back-reduces the stored rows to the reduced row echelon form, and
+    `nullspace` solves them by back substitution.
+
+    Over F_p, Q(q) and Q(zeta_m)(q) a stored row is scaled to a leading 1
+    and keeps its support, so that reducing a vector touches only the row's
+    nonzero entries; over F_p an entry is taken mod p only when its column
+    is reached.  Over Q and Q(zeta_m) the stored rows are primitive integer
+    rows with rational-integer pivots, and a vector is reduced on the integer
+    kernel (`_IntegerRows`), with no Fraction or `Cyclotomic` built; `reduced`
+    and `nullspace` divide each such row by its pivot first, so that every
+    result is the one the field payloads give.
     """
 
     def __init__(self, width, p=None):
         self.p = p
         self.dim = 0
-        self._rows = [None] * width   # pivot column -> (row, support)
+        # pivot column -> (row, support), or over Q and Q(zeta_m) the (pivot,
+        # multiples) of `_IntegerRows`, found at the first nonzero vector
+        self._rows = [None] * width
+        self._ints = None
 
     def insert(self, vec):
         p, rows = self.p, self._rows
+        if p is None:
+            if self._ints is None:
+                self._ints = _IntegerRows.of(vec)
+            if self._ints:
+                grew = self._ints.insert(rows, vec)
+                self.dim += grew
+                return grew
         vec = list(vec)
         for k, stored in enumerate(rows):
             c = vec[k] if p is None else vec[k] % p
@@ -616,13 +647,27 @@ class EchelonSpan:
                 vec[j] -= c * row[j]
         return False
 
+    def _field_rows(self):
+        """pivot column -> (row of field payloads, or of ints mod p, with a
+        leading 1, support)."""
+        if not self._ints:
+            return self._rows
+        rows = []
+        for stored in self._rows:
+            if stored is not None:
+                row = self._ints.field_row(stored)
+                stored = row, [j for j, x in enumerate(row) if x]
+            rows.append(stored)
+        return rows
+
     def reduced(self):
         """Over the field: the pivot columns in increasing order and copies
         of the stored rows in that order, back-reduced (last pivot first) to
         the reduced row echelon form of everything inserted.  Each row holds
         int 0 before its pivot."""
-        pivots = [c for c, stored in enumerate(self._rows) if stored is not None]
-        rows = [list(self._rows[c][0]) for c in pivots]
+        stored_rows = self._field_rows()
+        pivots = [c for c, stored in enumerate(stored_rows) if stored is not None]
+        rows = [list(stored_rows[c][0]) for c in pivots]
         for i in range(len(rows) - 1, 0, -1):
             col, prow = pivots[i], rows[i]
             support = [j for j in range(col, len(prow)) if prow[j]]
@@ -646,7 +691,7 @@ class EchelonSpan:
         row's leading 1 meets the still-zero pivot entry, and the entries of
         v_f after f are 0).
         """
-        p, rows = self.p, self._rows
+        p, rows = self.p, self._field_rows()
         free = [k for k, stored in enumerate(rows) if stored is None]
         basis = []
         for f in free:
@@ -665,6 +710,143 @@ class EchelonSpan:
                     vec[k] = -acc if p is None else -acc % p
             basis.append(vec)
         return free, basis
+
+
+class _IntegerRows:
+    """The integer kernel of an `EchelonSpan` over Q (order 1) or Q(zeta_m)
+    (order m).
+
+    A vector is a flat list of phi(m) power-basis ints per column (one int
+    over Q).  A stored row is primitive (the gcd of all its ints is 1) with
+    a positive rational-integer pivot E: E times the field route's row,
+    whose pivot is 1.  An incoming vector becomes ints, times the lcm of its
+    denominators.  Reducing it by the stored row R at column k, where it
+    holds c, is
+
+        v <- (E/g) v - (c/g) R,    g = gcd(E, content of c),
+
+    a nonzero rational multiple of the field route's step v <- v - c R/E,
+    and the removal of v's content follows.  c R is sum_i c_i (zeta^i R),
+    and each stored row keeps its multiples zeta^i R reduced modulo Phi_m,
+    i < phi(m), so that a step is a few `map`s of int products over the
+    columns from k on, with no Python loop over them, no product of power
+    bases and no reduction modulo Phi_m.  A vector left nonzero at a column
+    without a pivot is stored there: over Q(zeta_m) it is first multiplied
+    by the numerator of the pivot's inverse, the product of the pivot's
+    other Galois conjugates (`Cyclotomic.inverse`), which makes the pivot
+    rational, and then divided by its content; over Q its sign is made that
+    of a positive pivot.  Every vector is thus a rational multiple of the
+    field route's, so `insert` answers as that route does, and a stored row
+    divided by its pivot is the field route's row (`field_row`).
+    """
+
+    __slots__ = ("order", "phi")
+
+    def __init__(self, order):
+        self.order = order
+        self.phi = euler_phi(order) if order > 1 else 1
+
+    @classmethod
+    def of(cls, vec):
+        """The kernel for the field of vec's payloads, False over a field
+        with q, None while vec is zero."""
+        x = next((x for x in vec if x), None)
+        if x is None:
+            return None
+        if isinstance(x, RatFunc):
+            return False
+        return cls(x.order if isinstance(x, Cyclotomic) else 1)
+
+    def insert(self, rows, vec):
+        """Reduce the vector vec of field payloads by `rows` (pivot column ->
+        (pivot, multiples) or None) and store what is left; True when it
+        was stored."""
+        phi = self.phi
+        if self.order == 1:
+            den = _int_lcm(*[x.denominator for x in vec])
+            ints = [x.numerator * (den // x.denominator) for x in vec]
+        else:
+            den = _int_lcm(*[x.den for x in vec])
+            ints, pad = [], (0,) * phi
+            for x in vec:
+                f = den // x.den
+                ints += [a * f for a in x.ints] if f != 1 else x.ints
+                ints += pad[len(x.ints):]
+        start = 0
+        while True:
+            g = _int_gcd(*ints)
+            if not g:
+                return False
+            if g != 1:
+                ints = list(map(floordiv, ints, repeat(g)))
+            # the first nonzero int from `start` on, past every column reduced
+            # so far, lies in the first column left to reduce
+            k = next(compress(count(start), islice(ints, start, None))) // phi
+            start = k * phi
+            c = ints[start:start + phi]
+            stored = rows[k]
+            if stored is None:
+                rows[k] = self._row(k, ints)
+                return True
+            e, multiples = stored
+            g = _int_gcd(e, *c)
+            if g != 1:
+                e, c = e // g, [a // g for a in c]
+            tail = ints[start:]
+            if e != 1:
+                tail = map(mul, tail, repeat(e))
+            for a, m in zip(c, multiples):
+                if a:
+                    tail = map(sub, tail, map(mul, islice(m, start, None), repeat(a)))
+            ints[start:] = tail
+            start += phi
+
+    def _row(self, k, ints):
+        """The stored row (pivot, multiples) for the primitive vector `ints`
+        whose first nonzero column is k."""
+        phi, order = self.phi, self.order
+        start = k * phi
+        if order == 1:
+            if ints[start] < 0:
+                ints = [-a for a in ints]
+            return ints[start], (ints,)
+        inv = _cyclotomic(order, 1, ints[start:start + phi]).inverse()
+        row = [0] * start + [inv.den] + [0] * (phi - 1)
+        for j in range(start + phi, len(ints), phi):
+            x = ints[j:j + phi]
+            if any(x):
+                x = _phi_reduce(order, _int_mul(inv.ints, x))
+                row += x
+                row += [0] * (phi - len(x))
+            else:
+                row += x
+        g = _int_gcd(*row)
+        if g != 1:
+            row = [a // g for a in row]
+        multiples = [row]
+        _, tail = _phi_tail(order)
+        for _ in range(phi - 1):
+            prev, nxt = multiples[-1], [0] * len(row)
+            for j in range(start, len(row), phi):
+                nxt[j + 1:j + phi] = prev[j:j + phi - 1]
+                top = prev[j + phi - 1]
+                if top:
+                    for i, a in tail:
+                        nxt[j + i] += a * top
+            multiples.append(nxt)
+        return row[start], multiples
+
+    def field_row(self, stored):
+        """The stored row divided by its pivot, as field payloads, int 0
+        before the pivot."""
+        phi, order = self.phi, self.order
+        e, multiples = stored
+        ints = multiples[0]
+        k = next(compress(count(), ints)) // phi
+        if order == 1:
+            return [0] * k + [Fraction(a, e) for a in ints[k:]]
+        return [0] * k + [_cyclotomic(order, e, ints[j:j + phi])
+                          for j in range(k * phi, len(ints), phi)]
 
 
 def echelon(rows, width, p=None, target=None):

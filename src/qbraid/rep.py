@@ -199,14 +199,16 @@ class BraidReport:
 
 def verify_braid(rep):
     """Check s1 s2 s1 = s2 s1 s2 = lambda_0 lambda_n S(q) L exactly, plus the
-    bare equivalent forms; failures are reported, never raised."""
+    bare equivalent forms; failures are reported, never raised.  Both triple
+    products share s1 s2: (s1 s2) s1 and s2 (s1 s2)."""
     n, ctx = rep.n, rep.ctx
     s = s_matrix(n, ctx)
-    t121 = rep.sigma1 * rep.sigma2 * rep.sigma1
+    s12 = rep.sigma1 * rep.sigma2
+    t121 = s12 * rep.sigma1
     scale = rep.lam_raw[0] * rep.lam_raw[n]
     core = sigma1_matrix(n, ctx) * lambda_canonical(n, ctx) * sigma2_matrix(n, ctx)
     checks, first = compare_all((
-        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * rep.sigma1 * rep.sigma2),
+        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * s12),
         ("s1*s2*s1 == c*S(q)*Lambda", t121,
          (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)),
         ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),

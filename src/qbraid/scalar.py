@@ -161,13 +161,13 @@ def _phi_tail(order):
     return len(mod) - 1, tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
 
 
-def _cyclotomic(order, den, ints):
-    """The canonical Cyclotomic sum(ints[i] * zeta^i) / den, den a positive int.
+def _phi_reduce(order, ints):
+    """The int list sum(ints[i] * y^i) reduced modulo the monic Phi_order, as
+    a tuple of at most phi(order) ints with no trailing zero.
 
-    A list longer than phi(order) is reduced modulo the monic Phi_order from
-    its top power down: the int c at each power t >= phi becomes c zeta^(t-phi)
-    times the terms of zeta^phi (`_phi_tail`).  Then trailing zeros are
-    trimmed and den is made coprime to the ints.
+    A list longer than phi(order) is reduced from its top power down: the int
+    c at each power t >= phi becomes c zeta^(t-phi) times the terms of
+    zeta^phi (`_phi_tail`).
     """
     phi, tail = _phi_tail(order)
     n = len(ints)
@@ -181,15 +181,21 @@ def _cyclotomic(order, den, ints):
         n = phi
     while n and not ints[n - 1]:
         n -= 1
-    if not n:
-        den, ints = 1, ()
-    else:
-        ints = tuple(ints[:n])
-        if den != 1:
-            g = _int_gcd(den, *ints)
-            if g != 1:
-                den //= g
-                ints = tuple(c // g for c in ints)
+    return tuple(ints[:n])
+
+
+def _cyclotomic(order, den, ints):
+    """The canonical Cyclotomic sum(ints[i] * zeta^i) / den, den a positive
+    int: the ints reduced modulo Phi_order (`_phi_reduce`), and den made
+    coprime to them."""
+    ints = _phi_reduce(order, ints)
+    if not ints:
+        den = 1
+    elif den != 1:
+        g = _int_gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = tuple(c // g for c in ints)
     c = object.__new__(Cyclotomic)
     c.order, c.den, c.ints = order, den, ints
     return c
@@ -1136,7 +1142,8 @@ class Scalar:
         return num / den
 
     def __str__(self):
-        return str(self.val)
+        v = self.val
+        return _fmt_rational(v) if type(v) is Fraction else str(v)
 
     def __repr__(self):
         return f"Scalar[{self.ctx.describe()}]({self})"
@@ -1374,22 +1381,42 @@ def q_monomial_exponent(s):
 # e.g. `1+q`, `-1-q^-1`, `q^-3`, `(1/2)*zeta6`.
 # ---------------------------------------------------------------------------
 
+def _int_str(x):
+    """The decimal digits of the int x, of any size.  CPython's str refuses
+    ints of more than 4,300 digits (a process-wide limit, from 3.10.7 and
+    3.11 on); `decimal` converts exactly without it, and is imported only
+    for such an int."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(x))
+
+
+def _fmt_rational(f):
+    """str(f) for a Fraction (or an int) of any size: its numerator, or
+    numerator/denominator.  Every rational in a scalar's text is written
+    here."""
+    num = _int_str(f.numerator)
+    return num if f.denominator == 1 else f"{num}/{_int_str(f.denominator)}"
+
+
 def _fmt_coeff_atom(f, atom):
     """Render f * atom with f a Fraction and atom like 'q^2' (or None for 1)."""
     f = Fraction(f)
     if atom is None:
         if f.denominator == 1:
-            return str(f)
-        return f"-({-f})" if f < 0 else f"({f})"
+            return _fmt_rational(f)
+        return f"-({_fmt_rational(-f)})" if f < 0 else f"({_fmt_rational(f)})"
     if f == 1:
         return atom
     if f == -1:
         return "-" + atom
     if f.denominator == 1:
-        return f"{f}*{atom}"
+        return f"{_fmt_rational(f)}*{atom}"
     if f < 0:
-        return f"-({-f})*{atom}"
-    return f"({f})*{atom}"
+        return f"-({_fmt_rational(-f)})*{atom}"
+    return f"({_fmt_rational(f)})*{atom}"
 
 
 def _zeta_atom(m, k):
@@ -1454,6 +1481,16 @@ def format_ratfunc(r):
 _DIGITS = "0123456789"
 
 
+def _parse_int(digits):
+    """int(digits) for a literal of any length, through `decimal` beyond
+    CPython's 4,300-digit limit (see `_int_str`)."""
+    try:
+        return int(digits)
+    except ValueError:
+        from decimal import Decimal
+        return int(Decimal(digits))
+
+
 class _Tokens:
     def __init__(self, text):
         self.text = text
@@ -1473,7 +1510,7 @@ class _Tokens:
                 j = i
                 while j < n and t[j] in _DIGITS:
                     j += 1
-                self.toks.append(("INT", int(t[i:j]), i))
+                self.toks.append(("INT", _parse_int(t[i:j]), i))
                 i = j
                 continue
             if ch.isalpha():

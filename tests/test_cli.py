@@ -9,6 +9,7 @@ from qbraid import cli
 from qbraid.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
     UsageError,
@@ -218,6 +219,33 @@ def test_exit_codes_are_deterministic():
     first = run_cli("irr", "minors", "--n", "2", "--q", "1", "--lambda", "1,-1,1")
     second = run_cli("irr", "minors", "--n", "2", "--q", "1", "--lambda", "1,-1,1")
     assert first[0] == second[0] == EXIT_FAIL
+
+
+def test_an_internal_error_exits_5_and_names_the_command(monkeypatch, capsys):
+    """An exception that is not a QBraidError is not a verdict: exit 5, nothing
+    on stdout, and the message names the command."""
+    def broken(args):
+        raise RuntimeError("boom")
+        yield
+
+    monkeypatch.setitem(cli._HANDLERS, "irr", broken)
+    assert run_cli("irr", "minors", "--n", "2", "--q", "2", "--json") == (EXIT_INTERNAL, "")
+    err = capsys.readouterr().err
+    assert "internal error in 'qbraid irr minors': RuntimeError: boom" in err
+
+
+def test_a_report_beyond_the_int_string_limit_is_written():
+    """irr minors at n = 36, q = 2 has minors of more than 4,300 digits; it
+    exits 0 and reports them exactly, and a lambda literal that long parses."""
+    code, reports = run_json("irr", "minors", "--n", "36", "--q", "2")
+    assert code == EXIT_PASS
+    minors = [r["minor"] for r in reports[0]["payload"]["per_r"]]
+    assert max(len(v) for v in minors) > 4300
+    assert all(parse_scalar(v) != integer(0) for v in minors)
+    big = "1" + "0" * 5000
+    code, reports = run_json("rep", "verify", "--n", "1", "--q", "2", f"--lambda={big},{big}")
+    assert code == EXIT_PASS
+    assert reports[0]["payload"]["passed"]
 
 
 def test_json_schema_stability():

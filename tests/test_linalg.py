@@ -3,6 +3,7 @@
 import threading
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 import sympy
@@ -881,6 +882,158 @@ def test_exact_echelon_span_matches_rank(name, data):
         prefix_rank = len(dense_gauss_jordan([list(r) for r in rows[:k + 1]])[0])
         assert (span.dim, grew) == (prefix_rank, prefix_rank > rank), k
         rank = prefix_rank
+
+
+# --- the integer kernel of the span against the field-payload route -----------------
+
+class PayloadSpan:
+    """The reference span over Q and Q(zeta_m): the field-payload route that
+    `EchelonSpan` took before its integer kernel.  Each stored row is scaled
+    to a leading 1 and a vector is reduced one payload product at a time over
+    the row's support; `reduced` and `nullspace` are those of `EchelonSpan`
+    on these rows."""
+
+    def __init__(self, width):
+        self.dim = 0
+        self.rows = [None] * width   # pivot column -> (row, support)
+
+    def insert(self, vec):
+        vec = list(vec)
+        for k, stored in enumerate(self.rows):
+            c = vec[k]
+            if not c:
+                continue
+            if stored is None:
+                inv = 1 / c if type(c) is Fraction else c.inverse()
+                row = [0] * k + [inv * x if x else x for x in vec[k:]]
+                self.rows[k] = (row, [j for j in range(k, len(row)) if row[j]])
+                self.dim += 1
+                return True
+            row, support = stored
+            for j in support:
+                vec[j] -= c * row[j]
+        return False
+
+    def reduced(self):
+        pivots = [c for c, stored in enumerate(self.rows) if stored is not None]
+        rows = [list(self.rows[c][0]) for c in pivots]
+        for i in range(len(rows) - 1, 0, -1):
+            col, prow = pivots[i], rows[i]
+            support = [j for j in range(col, len(prow)) if prow[j]]
+            for row in rows[:i]:
+                f = row[col]
+                if f:
+                    for j in support:
+                        row[j] = row[j] - f * prow[j]
+        return pivots, rows
+
+    def nullspace(self, zero, one):
+        free = [k for k, stored in enumerate(self.rows) if stored is None]
+        basis = []
+        for f in free:
+            vec = [zero] * len(self.rows)
+            vec[f] = one
+            for k in range(f - 1, -1, -1):
+                if self.rows[k] is not None:
+                    row, support = self.rows[k]
+                    acc = zero
+                    for j in support:
+                        if j > f:
+                            break
+                        if vec[j]:
+                            acc = acc + row[j] * vec[j]
+                    vec[k] = -acc
+            basis.append(vec)
+        return free, basis
+
+
+SPAN_ORDERS = {"QQ": 1, "QQ(zeta3)": 3, "QQ(zeta5)": 5, "QQ(zeta7)": 7}
+# small numerators and ones past 64 bits, denominators up to 2^64 and past 10^20
+SPAN_NUMS = st.one_of(st.integers(-3, 3), st.sampled_from([2 ** 70 + 1, -(3 ** 50)]))
+SPAN_DENS = st.sampled_from([1, 1, 2, 3, 10 ** 20 + 39, 2 ** 64])
+
+
+def span_payload(order, coeffs):
+    """sum(coeffs[i] zeta^i) over Q (order 1) or Q(zeta_order)."""
+    if order == 1:
+        return Fraction(coeffs[0])
+    return Cyclotomic(order, coeffs)
+
+
+@st.composite
+def span_vectors(draw, order):
+    """Rows of field payloads, about half of the entries zero, then sums of
+    multiples of earlier rows (so that the rank stalls), a zero row and a
+    row times 2^200."""
+    phi = 1 if order == 1 else euler_phi(order)
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, SPAN_NUMS, SPAN_DENS.filter(bool)))
+    entry = st.one_of(st.just([Fraction(0)] * phi), st.lists(coeff, min_size=phi, max_size=phi))
+    width = draw(st.integers(1, 6))
+    rows = [[span_payload(order, c) for c in draw(st.lists(entry, min_size=width,
+                                                           max_size=width))]
+            for _ in range(draw(st.integers(1, 5)))]
+    index = st.integers(0, len(rows) - 1)
+    for i, j, a, b in draw(st.lists(st.tuples(index, index, entry, entry), max_size=3)):
+        a, b = span_payload(order, a), span_payload(order, b)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    rows.insert(draw(st.integers(0, len(rows))), [span_payload(order, [0] * phi)] * width)
+    rows.append([x * 2 ** 200 for x in rows[draw(index)]])
+    return rows
+
+
+def typed(value):
+    """A nested result with each payload paired with its type, so that an
+    int 0 and a Fraction 0 differ."""
+    if isinstance(value, (list, tuple)):
+        return [typed(x) for x in value]
+    return type(value).__name__, value
+
+
+@pytest.mark.parametrize("name", list(SPAN_ORDERS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_span_matches_payload_span(name, data):
+    """`EchelonSpan` over Q and Q(zeta_m), on primitive integer rows, against
+    the field-payload route: every insert's answer, the dimension after it,
+    the reduced rows and the nullspace, payload types included.  Each stored
+    row is primitive, with a positive rational pivot."""
+    order = SPAN_ORDERS[name]
+    rows = data.draw(span_vectors(order))
+    width = len(rows[0])
+    span, ref = EchelonSpan(width), PayloadSpan(width)
+    for k, row in enumerate(rows):
+        assert span.insert(row) == ref.insert(row), k
+        assert span.dim == ref.dim, k
+    assert typed(span.reduced()) == typed(ref.reduced())
+    zero, one = span_payload(order, [0]), span_payload(order, [1])
+    assert typed(span.nullspace(zero, one)) == typed(ref.nullspace(zero, one))
+    phi = 1 if order == 1 else euler_phi(order)
+    for k, stored in enumerate(span._rows):
+        if stored is not None:
+            pivot, (ints, *_) = stored
+            assert gcd(*ints) == 1 and pivot > 0
+            assert ints[k * phi:(k + 1) * phi] == [pivot] + [0] * (phi - 1)
+            assert not any(ints[:k * phi])
+
+
+def test_integer_span_examples():
+    """A rank-deficient 3x3 system over Q(zeta_5) with a pivot that is not
+    rational, and the same rows over Q."""
+    z = Cyclotomic.zeta_power(5, 1)
+    one = Cyclotomic.from_rational(5, 1)
+    zero = Cyclotomic.from_rational(5, 0)
+    rows = [[1 + z, z, zero], [(1 + z) * z, z * z, one], [zero, zero, one]]
+    span, ref = EchelonSpan(3), PayloadSpan(3)
+    assert [span.insert(r) for r in rows] == [ref.insert(r) for r in rows] == [True, True, False]
+    assert typed(span.reduced()) == typed(ref.reduced())
+    assert typed(span.nullspace(zero, one)) == typed(ref.nullspace(zero, one))
+    rational_rows = [[Fraction(2), Fraction(4), Fraction(0)],
+                     [Fraction(1, 3), Fraction(2, 3), Fraction(0)],
+                     [Fraction(0), Fraction(-5), Fraction(7, 2)]]
+    span, ref = EchelonSpan(3), PayloadSpan(3)
+    assert [span.insert(r) for r in rational_rows] == [ref.insert(r) for r in rational_rows]
+    assert span.reduced() == ref.reduced() == ([0, 1], [[1, 0, Fraction(7, 5)], [0, 1, Fraction(-7, 10)]])
 
 
 # --- the F_p nullspace against the exact one ----------------------------------------

@@ -5,7 +5,9 @@ import pytest
 from qbraid.errors import CondQViolated, NotUnitUpperTriangular
 from qbraid.linalg import ExactMatrix
 from qbraid.qcomb import QContext, concrete_q, q_tri, symbolic_q
+from qbraid.linalg import compare_all
 from qbraid.rep import (
+    BraidReport,
     build_representation,
     check_cond_q,
     d_matrix,
@@ -228,6 +230,41 @@ def test_braid_report_carries_first_failure(ctx):
         {"check": "sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", "passed": True}]
     assert report.first_failure == {"check": "s1*s2*s1 == s2*s1*s2", "entry": [0, 0],
                                     "lhs": "1+q", "rhs": "1"}
+
+
+def braid_report_by_separate_products(rep):
+    """The reference `verify_braid`: both triple products formed on their own,
+    s1 s2 s1 and s2 s1 s2, each left to right."""
+    n, ctx = rep.n, rep.ctx
+    s = s_matrix(n, ctx)
+    t121 = rep.sigma1 * rep.sigma2 * rep.sigma1
+    scale = rep.lam_raw[0] * rep.lam_raw[n]
+    core = sigma1_matrix(n, ctx) * lambda_canonical(n, ctx) * sigma2_matrix(n, ctx)
+    checks, first = compare_all((
+        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * rep.sigma1 * rep.sigma2),
+        ("s1*s2*s1 == c*S(q)*Lambda", t121,
+         (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)),
+        ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),
+        ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
+    return BraidReport(n, first is None, checks, first)
+
+
+@pytest.mark.parametrize("q", ["q", "2", "-1", "zeta(5)", "(1+q)/(1-q)"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_shared_product_report_matches_separate_products(q, n):
+    """The whole report, verdict, checks and first failure, equals the
+    reference's on a valid pair and with sigma_2 perturbed in one entry."""
+    from dataclasses import replace
+    ctx = symbolic_q() if q == "q" else concrete_q(parse_scalar(q))
+    field = sigma1_matrix(n, ctx).ctx
+    # lambda'_k = (3/2)^k, so lambda'_k lambda'_(n-k) is the same for every k
+    lam = tuple(rational(3, 2, field) ** k for k in range(n + 1))
+    rep = build_representation(factored_spec(n, ctx, lam))
+    bump = ExactMatrix.from_fn(n + 1, n + 1, field, lambda i, j: Scalar.one(field)
+                               if (i, j) == (n, n // 2) else Scalar.zero(field))
+    for r in (rep, replace(rep, sigma2=rep.sigma2 + bump)):
+        assert verify_braid(r) == braid_report_by_separate_products(r)
+    assert not verify_braid(replace(rep, sigma2=rep.sigma2 + bump)).passed
 
 
 # --- unipotent path-sum inverse ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact field tower: rationals, cyclotomics, Laurent polynomials, rational
 functions, canonical strings."""
 
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -387,6 +388,49 @@ def test_zeta_tower_embedding():
 def test_parse_format_round_trip(text):
     value = parse_scalar(text)
     assert parse_scalar(str(value)) == value
+
+
+# Integers of more than 4,300 digits, beyond CPython's int-to-str limit.
+BIG = 7 ** 6000           # 5,071 digits
+BIG2 = 2 ** 16700         # 5,028 digits, coprime to BIG
+
+
+def without_int_str_limit(fn, *args):
+    """fn(*args) with CPython's int-to-str limit lifted: the reference."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return fn(*args)
+    old = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return fn(*args)
+    finally:
+        set_limit(old)
+
+
+@pytest.mark.parametrize("value", [
+    Scalar.of_fraction(Fraction(-BIG, BIG2)),
+    Scalar.of_fraction(Fraction(BIG)),
+    Cyclotomic(5, [Fraction(BIG, BIG2), 0, Fraction(-3, BIG2), Fraction(BIG)]),
+    Cyclotomic(7, [0, Fraction(-BIG)]),
+    LaurentPoly.from_dense(1, -2, [Fraction(BIG, 3), Fraction(0), Fraction(-1, BIG2)]),
+    RatFunc.make(LaurentPoly.from_dense(1, 0, [Fraction(-BIG), Fraction(1)]),
+                 LaurentPoly.from_dense(1, 0, [Fraction(1, BIG2), Fraction(1)])),
+], ids=["fraction", "integer", "cyclotomic", "zeta-term", "laurent", "ratfunc"])
+def test_values_beyond_the_int_string_limit_format_exactly(value):
+    """Scalars with 5,000-digit parts format as with the limit lifted, and the
+    text parses back (literals of more than 4,300 digits)."""
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        with pytest.raises(ValueError):
+            str(BIG)
+    text = str(value)
+    assert text == without_int_str_limit(str, value)
+    assert len(text) > 5000
+    parsed = parse_scalar(text)
+    if isinstance(value, Scalar):
+        assert parsed == value
+    else:
+        assert str(parsed) == text
 
 
 def test_parse_examples():
