@@ -67,7 +67,6 @@ from .scalar import (
     _lp_monic_gcd,
     _pack,
     _phi_reduce,
-    _phi_tail,
     _unpack,
     _zeta_pack,
     _zeta_unpack,
@@ -653,9 +652,9 @@ class EchelonSpan:
         if not self._ints:
             return self._rows
         rows = []
-        for stored in self._rows:
+        for k, stored in enumerate(self._rows):
             if stored is not None:
-                row = self._ints.field_row(stored)
+                row = self._ints.field_row(k, stored)
                 stored = row, [j for j, x in enumerate(row) if x]
             rows.append(stored)
         return rows
@@ -744,7 +743,7 @@ class _IntegerRows:
 
     def __init__(self, order):
         self.order = order
-        self.phi = euler_phi(order) if order > 1 else 1
+        self.phi = euler_phi(order)
 
     @classmethod
     def of(cls, vec):
@@ -810,39 +809,35 @@ class _IntegerRows:
             if ints[start] < 0:
                 ints = [-a for a in ints]
             return ints[start], (ints,)
+        pad = (0,) * phi
+
+        def times(f, ints):
+            """f times each column of ints, reduced modulo Phi_m; the columns
+            before k are zero."""
+            out = [0] * start
+            for j in range(start, len(ints), phi):
+                x = ints[j:j + phi]
+                x = _phi_reduce(order, _int_mul(f, x)) if any(x) else ()
+                out += x
+                out += pad[len(x):]
+            return out
+
         inv = _cyclotomic(order, 1, ints[start:start + phi]).inverse()
-        row = [0] * start + [inv.den] + [0] * (phi - 1)
-        for j in range(start + phi, len(ints), phi):
-            x = ints[j:j + phi]
-            if any(x):
-                x = _phi_reduce(order, _int_mul(inv.ints, x))
-                row += x
-                row += [0] * (phi - len(x))
-            else:
-                row += x
+        row = times(inv.ints, ints)
         g = _int_gcd(*row)
         if g != 1:
             row = [a // g for a in row]
         multiples = [row]
-        _, tail = _phi_tail(order)
         for _ in range(phi - 1):
-            prev, nxt = multiples[-1], [0] * len(row)
-            for j in range(start, len(row), phi):
-                nxt[j + 1:j + phi] = prev[j:j + phi - 1]
-                top = prev[j + phi - 1]
-                if top:
-                    for i, a in tail:
-                        nxt[j + i] += a * top
-            multiples.append(nxt)
+            multiples.append(times((0, 1), multiples[-1]))
         return row[start], multiples
 
-    def field_row(self, stored):
-        """The stored row divided by its pivot, as field payloads, int 0
-        before the pivot."""
+    def field_row(self, k, stored):
+        """The stored row at pivot column k divided by its pivot, as field
+        payloads, int 0 before the pivot."""
         phi, order = self.phi, self.order
         e, multiples = stored
         ints = multiples[0]
-        k = next(compress(count(), ints)) // phi
         if order == 1:
             return [0] * k + [Fraction(a, e) for a in ints[k:]]
         return [0] * k + [_cyclotomic(order, e, ints[j:j + phi])

@@ -965,7 +965,7 @@ def span_vectors(draw, order):
     """Rows of field payloads, about half of the entries zero, then sums of
     multiples of earlier rows (so that the rank stalls), a zero row and a
     row times 2^200."""
-    phi = 1 if order == 1 else euler_phi(order)
+    phi = euler_phi(order)
     coeff = st.one_of(st.just(Fraction(0)),
                       st.builds(Fraction, SPAN_NUMS, SPAN_DENS.filter(bool)))
     entry = st.one_of(st.just([Fraction(0)] * phi), st.lists(coeff, min_size=phi, max_size=phi))
@@ -1008,7 +1008,7 @@ def test_integer_span_matches_payload_span(name, data):
     assert typed(span.reduced()) == typed(ref.reduced())
     zero, one = span_payload(order, [0]), span_payload(order, [1])
     assert typed(span.nullspace(zero, one)) == typed(ref.nullspace(zero, one))
-    phi = 1 if order == 1 else euler_phi(order)
+    phi = euler_phi(order)
     for k, stored in enumerate(span._rows):
         if stored is not None:
             pivot, (ints, *_) = stored

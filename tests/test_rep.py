@@ -3,9 +3,8 @@
 import pytest
 
 from qbraid.errors import CondQViolated, NotUnitUpperTriangular
-from qbraid.linalg import ExactMatrix
+from qbraid.linalg import ExactMatrix, compare_all
 from qbraid.qcomb import QContext, concrete_q, q_tri, symbolic_q
-from qbraid.linalg import compare_all
 from qbraid.rep import (
     BraidReport,
     build_representation,
@@ -262,9 +261,10 @@ def test_shared_product_report_matches_separate_products(q, n):
     rep = build_representation(factored_spec(n, ctx, lam))
     bump = ExactMatrix.from_fn(n + 1, n + 1, field, lambda i, j: Scalar.one(field)
                                if (i, j) == (n, n // 2) else Scalar.zero(field))
-    for r in (rep, replace(rep, sigma2=rep.sigma2 + bump)):
+    perturbed = replace(rep, sigma2=rep.sigma2 + bump)
+    for r in (rep, perturbed):
         assert verify_braid(r) == braid_report_by_separate_products(r)
-    assert not verify_braid(replace(rep, sigma2=rep.sigma2 + bump)).passed
+    assert not verify_braid(perturbed).passed
 
 
 # --- unipotent path-sum inverse ----------------------------------------------------------
