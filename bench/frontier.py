@@ -47,6 +47,8 @@ def catalog_lambda(n, s, lam0):
 
 
 JOBS = [
+    # the start-up floor: a command whose arithmetic takes well under a millisecond
+    ["sl2", "--word", "s1,s2,s1"],
     ["irr", "minors", "--n", "8", "--q", "2"],
     ["irr", "minors", "--n", "10", "--q", "2"],
     # operator-irreducible points where the mod-p oracle certificates dominate
