@@ -10,7 +10,6 @@ exception that is not a `QBraidError`: a defect, never a verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -99,6 +98,7 @@ class Report:
         self.timing_ms = 0.0
 
     def to_json(self):
+        import json   # only --json needs it, so a text run never loads it
         return json.dumps({"command": self.command, "status": self.status,
                            "payload": self.payload,
                            "timing_ms": round(self.timing_ms, 3)})

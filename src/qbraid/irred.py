@@ -47,25 +47,12 @@ dimension, the exact intertwiner solve and every minor.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    AlphaDegenerate,
-    ConstraintViolated,
-    NotAReduciblePoint,
-    ShapeMismatch,
-    SingularDiagonal,
-)
+from .errors import ShapeMismatch
 from .linalg import EchelonSpan, ExactMatrix, echelon, leading_one
-from .qcomb import QContext, concrete_q, q_int, q_tri
-from .rep import (
-    build_representation,
-    factored_spec,
-    raw_spec,
-    sigma1_matrix,
-    sigma2_matrix,
-)
+from .records import FrozenRecord, Record
+from .rep import sigma1_matrix
 from .scalar import (
     Cyclotomic,
     Scalar,
@@ -75,42 +62,11 @@ from .scalar import (
     residue,
     zeta,
 )
-from .structure import q_exp_nilpotent, t_matrix
 
 
 # ---------------------------------------------------------------------------
 # The criterion matrices.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FMatrixSpec:
-    """Parameters (r, n, q, lambda) of one shifted q-exponential matrix; lambda
-    is the factored-form diagonal."""
-
-    r: int
-    n: int
-    ctx: QContext
-    lam: tuple
-
-    def __post_init__(self):
-        if not 0 <= self.r <= self.n // 2:
-            raise ShapeMismatch("r must lie in 0..floor(n/2)")
-        if len(self.lam) != self.n + 1:
-            raise ShapeMismatch(f"lambda needs {self.n + 1} entries")
-        if any(v.is_zero() for v in self.lam):
-            raise SingularDiagonal("lambda entries must be nonzero")
-
-
-def f_matrix(spec):
-    """F_(r,n)(q,lambda) by the q-exponential route."""
-    n, r, ctx = spec.n, spec.r, spec.ctx
-    lam_sharp = [spec.lam[n - k] for k in range(n + 1)]
-    d_diag = [q_tri(k, ctx) for k in range(n + 1)]
-    scale = q_tri(n - r, ctx) * spec.lam[r]
-    shift = ExactMatrix.diagonal(
-        [scale / (d_diag[k] * lam_sharp[k]) for k in range(n + 1)])
-    return q_exp_nilpotent(t_matrix(n, ctx), ctx) - shift
-
 
 def _criterion_matrix_raw(n, ctx, lam_raw, r):
     # sigma_1(q,n) - lam_raw[r] * diag(lam_raw)^-1, the eigenvalue-shifted
@@ -126,13 +82,12 @@ def criterion_matrix(rep, r):
     return _criterion_matrix_raw(rep.n, rep.ctx, list(rep.lam_raw), r)
 
 
-@dataclass
-class MinorOutcome:
-    r: int
-    witness: tuple | None
-    minor_value: str | None
-    subsets_checked: int
-    reduction_consistent: bool
+class MinorOutcome(Record):
+    __slots__ = _fields = ("r", "witness", "minor_value", "subsets_checked",
+                           "reduction_consistent")
+
+    def __init__(self, r, witness, minor_value, subsets_checked, reduction_consistent):
+        self._set(r, witness, minor_value, subsets_checked, reduction_consistent)
 
     @property
     def exhausted(self):
@@ -325,17 +280,17 @@ def _norton_certifies(p, gens):
 
 
 # ---------------------------------------------------------------------------
-# Suspected-value catalog and reducibility witnesses.
+# Suspected-value catalog.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuspectedCatalogEntry:
+class SuspectedCatalogEntry(FrozenRecord):
     """Lambda = lambda_0 diag(zeta_s^k) over Q(zeta_s), a candidate degenerate
     point of the q=1 family."""
 
-    n: int
-    s: int
-    lam: tuple
+    __slots__ = _fields = ("n", "s", "lam")
+
+    def __init__(self, n, s, lam):
+        self._set(n, s, lam)
 
     def to_payload(self):
         return {"n": self.n, "s": self.s, "lambda": [str(v) for v in self.lam],
@@ -355,155 +310,6 @@ def suspected_catalog(n, lam0=None):
         entries.append(SuspectedCatalogEntry(
             n, s, tuple(scale * z ** k for k in range(n + 1))))
     return entries
-
-
-def catalog_rep(entry):
-    """Build the q=1 representation at a catalog point."""
-    ctx = entry.lam[0].ctx
-    return build_representation(raw_spec(entry.n, concrete_q(Scalar.one(ctx)),
-                                         entry.lam))
-
-
-def d0_determinant(n, lam):
-    """The distinguished r=0 minor of sigma_1(1,n) - lambda_0 Lambda^(-1):
-    rows 0..n-1 against columns 1..n."""
-    if n < 2:
-        raise ShapeMismatch("defined for n >= 2")
-    if len(lam) != n + 1 or any(v.is_zero() for v in lam):
-        raise SingularDiagonal("lambda needs n+1 nonzero entries")
-    ctx = concrete_q(Scalar.one(lam[0].ctx))
-    g = _criterion_matrix_raw(n, ctx, list(lam), 0)
-    return g.minor(list(range(n)), list(range(1, n + 1)))
-
-
-def d0_starred_check(n, lam):
-    """Compare the direct minor against the closed form
-    (n-1)! lambda_0^(n-2) (sum_(k<n) lambda_k) / (prod_(0<k<n) lambda_k),
-    valid under lambda_r lambda_(n-r) = c with lambda_0 = lambda_n; for n = 4
-    the branch lambda_2 = -lambda_0 uses the two-term sum lambda_0 + lambda_2.
-    """
-    direct = d0_determinant(n, lam)
-    c = lam[0] * lam[n]
-    for r in range(n + 1):
-        if lam[r] * lam[n - r] != c:
-            raise ConstraintViolated(f"(*) fails at r={r}")
-    if lam[0] != lam[n]:
-        raise ConstraintViolated("starred closed form needs lambda_0 = lambda_n")
-    from math import factorial
-    ctx = lam[0].ctx
-    branch = "principal"
-    if n % 2 == 0 and lam[n // 2] == -lam[0]:
-        if n == 2:
-            pass  # principal formula already vanishes with lambda_1 = -lambda_0
-        elif n == 4:
-            branch = "second"
-        else:
-            raise ConstraintViolated(
-                "second starred branch is only available for n = 4")
-    coeff = Scalar.of_fraction(factorial(n - 1), ctx) * lam[0] ** (n - 2)
-    denom = lam[1]
-    for k in range(2, n):
-        denom = denom * lam[k]
-    if branch == "second":
-        total = lam[0] + lam[2]
-    else:
-        total = lam[0]
-        for k in range(1, n):
-            total = total + lam[k]
-    closed = coeff * total / denom
-    return {"direct": direct, "closed": closed, "match": direct == closed,
-            "branch": branch}
-
-
-def eigenvector_closed_forms(alpha, n):
-    """e_0(alpha) and f_0(alpha), the fixed vectors of sigma_1(1,n) Lambda(alpha)
-    and Lambda^#(alpha) sigma_2(1,n) with Lambda(alpha) = diag(alpha^(n-k));
-    verified by multiplication."""
-    one = Scalar.one(alpha.ctx)
-    if alpha.is_zero() or alpha == one:
-        raise AlphaDegenerate("alpha must avoid 0 and 1")
-    ctx = concrete_q(one)
-    mu = (one - alpha).inverse()
-    nu = one - alpha.inverse()
-    e0 = tuple(mu ** (n - k) for k in range(n + 1))
-    f0 = tuple(nu ** (n - k) for k in range(n + 1))
-    lam = ExactMatrix.diagonal([alpha ** (n - k) for k in range(n + 1)])
-    op1 = sigma1_matrix(n, ctx) * lam
-    op2 = lam.sharp() * sigma2_matrix(n, ctx)
-    if op1.apply(e0) != e0:
-        raise AssertionError("e_0(alpha) is not fixed by sigma_1 Lambda(alpha)")
-    if op2.apply(f0) != f0:
-        raise AssertionError("f_0(alpha) is not fixed by Lambda^#(alpha) sigma_2")
-    return e0, f0
-
-
-@dataclass
-class WitnessReport:
-    name: str
-    passed: bool
-    detail: dict
-
-    def to_payload(self):
-        return {"name": self.name, "passed": self.passed, **self.detail}
-
-
-def fixed_vector_check(rep, vec):
-    """Check sigma_1 v = v and sigma_2 v = v exactly."""
-    vec = tuple(vec)
-    if len(vec) != rep.n + 1:
-        raise ShapeMismatch("vector length mismatch")
-    im1, im2 = rep.sigma1.apply(vec), rep.sigma2.apply(vec)
-    ok1, ok2 = im1 == vec, im2 == vec
-    return WitnessReport("fixed-vector", ok1 and ok2,
-                         {"sigma1_fixes": ok1, "sigma2_fixes": ok2,
-                          "vector": [str(v) for v in vec]})
-
-
-def root_of_unity_reducibility(n, s):
-    """At q = zeta_s with (n)_q = 0, exhibit the middle-coordinate subspace
-    {(0, t_1, ..., t_(n-1), 0)} and verify its invariance under both dressed
-    generators of the Lambda' = I family."""
-    if s < 2:
-        raise NotAReduciblePoint("s must be at least 2")
-    q = zeta(s)
-    ctx = concrete_q(q)
-    if not q_int(n, ctx).is_zero():
-        raise NotAReduciblePoint(f"(({n}))_q != 0 at q = zeta_{s}")
-    one = Scalar.one(q.ctx)
-    rep = build_representation(factored_spec(n, ctx, tuple(one for _ in range(n + 1))))
-    zero = Scalar.zero(q.ctx)
-    basis = []
-    for k in range(1, n):
-        v = [zero] * (n + 1)
-        v[k] = one
-        basis.append(tuple(v))
-    invariant = True
-    for v in basis:
-        for image in (rep.sigma1.apply(v), rep.sigma2.apply(v)):
-            if not (image[0].is_zero() and image[n].is_zero()):
-                invariant = False
-    return WitnessReport("root-of-unity-subspace", invariant,
-                         {"n": n, "s": s, "invariant": invariant,
-                          "basis": [[str(x) for x in v] for v in basis]})
-
-
-def n1_subspace_test(lam0, lam1):
-    """Size-2 subspace criterion: reducible iff alpha^2 - alpha + 1 = 0 for
-    alpha = lambda_1/lambda_0 (equivalently lambda_0/lambda_1 +
-    lambda_1/lambda_0 - 1 = 0, since that is (alpha^2 - alpha + 1)/alpha; the
-    tests prove the two agree); cross-checked against the algebra dimension."""
-    if lam0.is_zero() or lam1.is_zero():
-        raise SingularDiagonal("parameters must be nonzero")
-    one = Scalar.one(lam0.ctx)
-    alpha = lam1 / lam0
-    reducible = (alpha * alpha - alpha + one).is_zero()
-    rep = build_representation(raw_spec(1, concrete_q(one), (lam0, lam1)))
-    dim = burnside_dimension(rep)
-    if (dim < 4) != reducible:
-        raise AssertionError("algebra-dimension oracle disagrees with the criterion")
-    return WitnessReport("n1-subspace", True,
-                         {"verdict": "reducible" if reducible else "irreducible",
-                          "burnside_dim": dim})
 
 
 # ---------------------------------------------------------------------------
@@ -733,15 +539,12 @@ def intertwiner_space(rep_a, rep_b):
 # Combined report.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IrreducibilityReport:
-    n: int
-    q: str
-    lam: list
-    per_r: list
-    commutant_dim: int
-    burnside_dim: int
-    verdict: str
+class IrreducibilityReport(Record):
+    __slots__ = _fields = ("n", "q", "lam", "per_r", "commutant_dim", "burnside_dim",
+                           "verdict")
+
+    def __init__(self, n, q, lam, per_r, commutant_dim, burnside_dim, verdict):
+        self._set(n, q, lam, per_r, commutant_dim, burnside_dim, verdict)
 
     def to_payload(self):
         return {"n": self.n, "q": self.q, "lambda": self.lam,

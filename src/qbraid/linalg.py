@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import compress, count, islice, permutations, repeat
+from itertools import compress, count, islice, repeat
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from operator import floordiv, mul, sub
@@ -97,7 +97,7 @@ class ExactMatrix:
             if len(r) != width:
                 raise ShapeMismatch("ragged rows")
             for x in r:
-                if x.ctx != ctx:
+                if x.ctx is not ctx and x.ctx != ctx:
                     raise FieldMismatch("mixed field contexts in matrix")
         return cls(len(rows), width, ctx, tuple(tuple(r) for r in rows))
 
@@ -263,11 +263,6 @@ class ExactMatrix:
         return hash((self.rows, self.cols, self._e))
 
     # -- involutions -----------------------------------------------------------
-
-    def transpose_t(self):
-        return ExactMatrix(self.cols, self.rows, self.ctx,
-                           tuple(tuple(self._e[i][j] for i in range(self.rows))
-                                 for j in range(self.cols)))
 
     def transpose_s(self):
         if not self.is_square():
@@ -1005,48 +1000,3 @@ def _index_subset(indices, bound):
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ShapeMismatch("index subset must be strictly increasing")
     return out
-
-
-def generalized_charpoly(c, lam):
-    """det(C + sum_k lam_k E_kk)."""
-    if not c.is_square():
-        raise NonSquare("generalized characteristic polynomial needs a square matrix")
-    m = c.rows
-    if len(lam) != m:
-        raise ShapeMismatch("diagonal shift length must match the matrix size")
-    shifted = c + ExactMatrix.diagonal(list(lam)) if m else c
-    return shifted.determinant()
-
-
-def superdiagonal_component(a, k):
-    """The k-th diagonal component A_k of the decomposition A = sum_r A_r."""
-    if not a.is_square():
-        raise NonSquare("diagonal decomposition needs a square matrix")
-    zero = Scalar.zero(a.ctx)
-    return ExactMatrix.from_fn(a.rows, a.cols, a.ctx,
-                               lambda i, j: a[i, j] if j - i == k else zero)
-
-
-def det_by_permutations(a):
-    """Brute-force Leibniz determinant (test oracle; factorial cost)."""
-    if not a.is_square():
-        raise NonSquare("determinant needs a square matrix")
-    n = a.rows
-    total = Scalar.zero(a.ctx)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if not seen[i]:
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        term = a[0, perm[0]] if n else Scalar.one(a.ctx)
-        for i in range(1, n):
-            term = term * a[i, perm[i]]
-        total = (total + term) if sign > 0 else (total - term)
-    return total

@@ -1,6 +1,6 @@
-"""q-combinatorics: q-integers, q-factorials, q-shifted factorials, Gaussian
-polynomials, the q-Pascal triangle, and machine verification of the binomial
-identities the braid construction rests on.
+"""q-combinatorics: q-integers, q-factorials, Gaussian polynomials, the
+q-Pascal triangle, and machine verification of the binomial identities the
+braid construction rests on.
 
 Gaussian polynomials come from the q-Pascal triangle itself: row n over Z is
 built from row n-1 by the deformed Pascal rule C_n^k = C_(n-1)^(k-1) +
@@ -13,12 +13,13 @@ per entry, which measured faster than evaluating each integer entry.  Nothing
 divides, so every specialization is defined, including the zeros at roots of
 unity, which are the suspected reducibility points.  Each `QContext`
 memoizes its q-powers too (`q_power`), which the q_j, Lambda_n(q) and the
-identity checks read.
+identity checks read.  The context at q^-1 is one per q as well
+(`inverse_context`), so sigma_2, sigma_2^-1 and the identity checks at q^-1
+share its memos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -26,6 +27,7 @@ from fractions import Fraction
 
 from .errors import ZeroQ
 from .linalg import ExactMatrix
+from .records import FrozenRecord, Record
 from .scalar import (
     FieldContext,
     LaurentPoly,
@@ -39,8 +41,7 @@ from .scalar import (
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(FrozenRecord):
     """The deformation parameter: a symbolic indeterminate or a concrete nonzero
     field element.
 
@@ -50,17 +51,27 @@ class QContext:
     Beside them `_powers` maps e to the pair (q^e, its q-degree) in the same
     way, for `q_power`.  The memos are left out of equality, hashing and
     repr, so equal contexts stay equal keys whatever they have memoized.
+    Every cached builder is keyed by a context, so its hash is taken once,
+    at construction.
     """
 
-    q: Scalar
-    _rows: dict = field(default_factory=dict, init=False, compare=False, hash=False,
-                        repr=False)
-    _powers: dict = field(default_factory=dict, init=False, compare=False, hash=False,
-                          repr=False)
+    _fields = ("q",)
+    __slots__ = ("q", "_rows", "_powers", "_hash")
 
-    def __post_init__(self):
-        if self.q.is_zero():
+    def __init__(self, q):
+        if q.is_zero():
             raise ZeroQ("q must be nonzero")
+        self._set(q, {}, {}, hash((q,)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not QContext:
+            return NotImplemented
+        return self.q == other.q
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def ctx(self):
@@ -80,6 +91,12 @@ def symbolic_q(order=1):
 
 def concrete_q(value):
     return QContext(value)
+
+
+@lru_cache(maxsize=256)
+def inverse_context(ctx):
+    """The context at q^-1: one per q, so every reader shares its memos."""
+    return QContext(ctx.q.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +186,6 @@ def q_factorial(n, ctx):
     return _eval_poly(_qfact_poly(n), ctx)
 
 
-def q_pochhammer(a, n, ctx):
-    """(a; q)_n = (1-a)(1-aq)...(1-aq^(n-1)); (a; q)_0 = 1."""
-    if n < 0:
-        raise ValueError("q-shifted factorials are defined for n >= 0")
-    one = ctx.one()
-    out = one
-    power = one
-    for _ in range(n):
-        out = out * (one - a * power)
-        power = power * ctx.q
-    return out
-
-
 def tri_exponent(j):
     """The triangular exponent j(j-1)/2, defined for every integer j."""
     return j * (j - 1) // 2
@@ -249,31 +253,13 @@ def _memo_row(n, ctx):
     return rows[n]
 
 
-def gauss_expand(k, ctx):
-    """Coefficients of (1+x)(1+xq)...(1+xq^(k-1)) as a polynomial in x.
-
-    Coefficient r equals q^(r(r-1)/2) C_k^r(q).
-    """
-    if k < 0:
-        raise ValueError("defined for k >= 0")
-    one = ctx.one()
-    coeffs = [one]
-    power = one
-    for _ in range(k):
-        nxt = coeffs + [ctx.zero()]
-        for r in range(len(nxt) - 1, 0, -1):
-            nxt[r] = nxt[r] + power * coeffs[r - 1]
-        coeffs = nxt
-        power = power * ctx.q
-    return coeffs
-
-
-@dataclass(frozen=True)
-class QTriangleRow:
+class QTriangleRow(FrozenRecord):
     """One row of the q-Pascal triangle."""
 
-    n: int
-    entries: tuple
+    __slots__ = _fields = ("n", "entries")
+
+    def __init__(self, n, entries):
+        self._set(n, entries)
 
 
 def triangle_row(n, ctx):
@@ -287,13 +273,11 @@ def triangle_row(n, ctx):
 IDENTITY_NAMES = ("bin1q", "bin2q", "qsymmetry", "bin1", "bin2")
 
 
-@dataclass
-class IdentityReport:
-    identity: str
-    n: int
-    passed: bool
-    checked: int
-    first_failure: dict | None
+class IdentityReport(Record):
+    __slots__ = _fields = ("identity", "n", "passed", "checked", "first_failure")
+
+    def __init__(self, identity, n, passed, checked, first_failure):
+        self._set(identity, n, passed, checked, first_failure)
 
     def to_payload(self):
         out = {"identity": self.identity, "n": self.n, "passed": self.passed,
@@ -324,7 +308,7 @@ def verify_identity(identity, n, ctx):
         raise ValueError(f"unknown identity {identity!r}")
     checked = 0
     one, zero, size = ctx.one(), ctx.zero(), n + 1
-    qinv_ctx = QContext(ctx.q.inverse()) if identity in ("bin2q", "qsymmetry") else None
+    qinv_ctx = inverse_context(ctx) if identity in ("bin2q", "qsymmetry") else None
 
     def fail(**kw):
         return IdentityReport(identity, n, False, checked, kw)

@@ -30,13 +30,12 @@ cached builder too, by verify_braid and by the raw form's compatibility check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CondQViolated, NotUnitUpperTriangular
+from .errors import CondQViolated
 from .linalg import ExactMatrix, compare_all
-from .qcomb import QContext, q_binomial, q_power, q_tri, tri_exponent
-from .scalar import Scalar
+from .qcomb import inverse_context, q_binomial, q_power, q_tri, tri_exponent
+from .records import FrozenRecord, Record
 
 
 @lru_cache(maxsize=256)
@@ -65,13 +64,13 @@ def sigma1_inverse_closed(n, ctx):
 def sigma2_matrix(n, ctx):
     """sigma_2(q,n) = (sigma_1(q^-1,n)^-1)^#, from sigma_1^-1's closed form
     at q^-1."""
-    return sigma1_inverse_closed(n, QContext(ctx.q.inverse())).sharp()
+    return sigma1_inverse_closed(n, inverse_context(ctx)).sharp()
 
 
 @lru_cache(maxsize=256)
 def sigma2_inverse_closed(n, ctx):
     """sigma_2^-1(q,n) = sigma_1(q^-1,n)^#, that is C_k^m(q^-1) at (k, m)."""
-    return sigma1_matrix(n, QContext(ctx.q.inverse())).sharp()
+    return sigma1_matrix(n, inverse_context(ctx)).sharp()
 
 
 @lru_cache(maxsize=256)
@@ -100,20 +99,17 @@ def lambda_canonical(n, ctx):
     return ExactMatrix.diagonal([q_power(-(n - r) * r, ctx) for r in range(n + 1)])
 
 
-@dataclass(frozen=True)
-class RepSpec:
+class RepSpec(FrozenRecord):
     """Parameter triple (n, q, lambda) with its validity constraints.
 
     form 'raw': lam is the full diagonal, checked against the compatibility
     condition.  form 'factored': lam is L' with L' L'^# = c I, c derived.
     """
 
-    n: int
-    ctx: QContext
-    lam: tuple
-    form: str = "factored"
+    __slots__ = _fields = ("n", "ctx", "lam", "form")
 
-    def __post_init__(self):
+    def __init__(self, n, ctx, lam, form="factored"):
+        self._set(n, ctx, lam, form)
         if self.form not in ("raw", "factored"):
             raise ValueError("form must be 'raw' or 'factored'")
         if len(self.lam) != self.n + 1:
@@ -131,14 +127,13 @@ def factored_spec(n, ctx, lam_prime):
     return RepSpec(n, ctx, tuple(lam_prime), "factored")
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(FrozenRecord):
     """The realized pair: the dressed generators and the raw diagonal L."""
 
-    spec: RepSpec
-    sigma1: ExactMatrix
-    sigma2: ExactMatrix
-    lam_raw: tuple
+    __slots__ = _fields = ("spec", "sigma1", "sigma2", "lam_raw")
+
+    def __init__(self, spec, sigma1, sigma2, lam_raw):
+        self._set(spec, sigma1, sigma2, lam_raw)
 
     @property
     def n(self):
@@ -181,14 +176,13 @@ def build_representation(spec):
     return Representation(spec, sigma1, sigma2, lam_raw)
 
 
-@dataclass
-class BraidReport:
+class BraidReport(Record):
     """Outcome of the braid-identity verification, with a first-failure locator."""
 
-    n: int
-    passed: bool
-    checks: list
-    first_failure: dict | None
+    __slots__ = _fields = ("n", "passed", "checks", "first_failure")
+
+    def __init__(self, n, passed, checks, first_failure):
+        self._set(n, passed, checks, first_failure)
 
     def to_payload(self):
         out = {"n": self.n, "passed": self.passed, "checks": self.checks}
@@ -215,29 +209,3 @@ def verify_braid(rep):
         ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
     return BraidReport(n, first is None, checks, first)
 
-
-def unipotent_inverse(x):
-    """Inverse of a unit upper-triangular matrix by the alternating path-sum:
-    entry (k,m) sums (-1)^t x_(k,i1) x_(i1,i2) ... x_(i_(t-1),m) over strictly
-    increasing paths k < i1 < ... < m."""
-    if not x.is_unit_upper_triangular():
-        raise NotUnitUpperTriangular("path-sum inverse needs a unit upper-triangular matrix")
-    from itertools import combinations
-    n = x.rows
-    ctx = x.ctx
-    zero, one = Scalar.zero(ctx), Scalar.one(ctx)
-    inv = [[zero] * n for _ in range(n)]
-    for k in range(n):
-        inv[k][k] = one
-        for m in range(k + 1, n):
-            acc = zero
-            inner = range(k + 1, m)
-            for t in range(m - k):
-                for mid in combinations(inner, t):
-                    path = (k,) + mid + (m,)
-                    prod = one
-                    for a, b in zip(path, path[1:]):
-                        prod = prod * x[a, b]
-                    acc = acc - prod if t % 2 == 0 else acc + prod
-            inv[k][m] = acc
-    return ExactMatrix.from_rows(inv)

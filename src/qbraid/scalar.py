@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import struct
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
@@ -59,6 +58,7 @@ from .errors import (
     PoleAtPoint,
     ZeroSubstitution,
 )
+from .records import FrozenRecord
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -974,21 +974,33 @@ class RatFunc:
 # Field contexts and the Scalar wrapper.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(FrozenRecord):
     """Ambient field: Q(zeta_order), optionally extended by the indeterminate q.
 
-    Orders 1 and 2 both denote plain Q (zeta_2 = -1 is rational).
+    Orders 1 and 2 both denote plain Q (zeta_2 = -1 is rational).  Every
+    scalar operation compares contexts and every `_constants` lookup hashes
+    one, so the hash is taken once, at construction.
     """
 
-    order: int = 1
-    with_q: bool = False
+    _fields = ("order", "with_q")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order=1, with_q=False):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if self.order == 2:
-            object.__setattr__(self, "order", 1)
+        if order == 2:
+            order = 1
+        self._set(order, with_q, hash((order, with_q)))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FieldContext:
+            return NotImplemented
+        return self.order == other.order and self.with_q == other.with_q
+
+    def __hash__(self):
+        return self._hash
 
     def describe(self):
         base = "QQ" if self.order == 1 else f"QQ(zeta{self.order})"
@@ -1052,7 +1064,7 @@ class Scalar:
     def _need(self, other):
         if not isinstance(other, Scalar):
             return None
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise FieldMismatch(f"{self.ctx.describe()} vs {other.ctx.describe()}")
         return other
 
@@ -1102,7 +1114,7 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ctx == other.ctx and self.val == other.val
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.val == other.val
 
     def __hash__(self):
         return hash((self.ctx, self.val))

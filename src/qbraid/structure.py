@@ -14,18 +14,17 @@ that these agree with the operator action on monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     ConstraintViolated,
     NotStrictlyUpperTriangular,
-    NotUnitUpperTriangular,
     QFactorialZero,
     UnsupportedDimension,
 )
 from .linalg import ExactMatrix, compare_all, first_mismatch
 from .qcomb import QContext, concrete_q, q_factorial, q_int
+from .records import FrozenRecord, Record
 from .rep import d_matrix, sigma1_matrix, sigma2_matrix
 from .scalar import QQ, Scalar, integer
 
@@ -61,30 +60,13 @@ def q_exp_nilpotent(t, ctx):
     return out
 
 
-def unipotent_log(u):
-    """Nilpotent N with exp(N) = U, by the finite classical series
-    sum (-1)^(r+1)/r (U-I)^r."""
-    if not u.is_unit_upper_triangular():
-        raise NotUnitUpperTriangular("log needs a unit upper-triangular matrix")
-    n = u.rows
-    x = u - ExactMatrix.identity(n, u.ctx)
-    out = ExactMatrix.zeros(n, n, u.ctx)
-    power = ExactMatrix.identity(n, u.ctx)
-    for r in range(1, n):
-        power = power * x
-        term = power.scale(Scalar.of_fraction(Fraction(1, r), u.ctx))
-        out = out + term if r % 2 else out - term
-    return out
-
-
-@dataclass
-class LemmaReport:
+class LemmaReport(Record):
     """Generic pass/fail report for one of the structural identities."""
 
-    name: str
-    n: int
-    passed: bool
-    detail: dict
+    __slots__ = _fields = ("name", "n", "passed", "detail")
+
+    def __init__(self, name, n, passed, detail):
+        self._set(name, n, passed, detail)
 
     def to_payload(self):
         return {"name": self.name, "n": self.n, "passed": self.passed, **self.detail}
@@ -159,8 +141,7 @@ def verify_braid_like(a, b):
 # Normal forms for sizes 2..5 and their explicit equivalences.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TWParams:
+class TWParams(FrozenRecord):
     """Eigenvalue data (1-based, as in the source normal forms) for size n.
 
     n=4 needs the square root d of lambda_2 lambda_3 / (lambda_1 lambda_4)
@@ -168,11 +149,10 @@ class TWParams:
     and verifies it against the product of the eigenvalues.
     """
 
-    n: int
-    lam: tuple
-    d: Scalar | None = None
+    __slots__ = _fields = ("n", "lam", "d")
 
-    def __post_init__(self):
+    def __init__(self, n, lam, d=None):
+        self._set(n, lam, d)
         if self.n not in (2, 3, 4, 5):
             raise UnsupportedDimension("normal forms exist for sizes 2..5 only")
         if len(self.lam) != self.n:
@@ -258,14 +238,11 @@ def tw_matrices(params):
     return s1, None
 
 
-@dataclass
-class TWEquivalenceReport:
-    n: int
-    passed: bool
-    q: str
-    conjugator: list
-    checks: list
-    first_failure: dict | None
+class TWEquivalenceReport(Record):
+    __slots__ = _fields = ("n", "passed", "q", "conjugator", "checks", "first_failure")
+
+    def __init__(self, n, passed, q, conjugator, checks, first_failure):
+        self._set(n, passed, q, conjugator, checks, first_failure)
 
     def to_payload(self):
         out = {"n": self.n, "passed": self.passed, "q": self.q,

@@ -26,20 +26,14 @@ from qbraid.rep import (
     sigma1_matrix,
     sigma2_inverse_closed,
     sigma2_matrix,
-    unipotent_inverse,
     verify_braid,
 )
 from qbraid.irred import (
     burnside_dimension,
     commutant_dimension,
-    d0_determinant,
-    d0_starred_check,
-    fixed_vector_check,
     intertwiner_space,
     minor_criterion,
-    root_of_unity_reducibility,
     suspected_catalog,
-    catalog_rep,
 )
 from qbraid.scalar import QQ, Scalar, integer, parse_scalar, q_symbol, zeta
 from qbraid.structure import (
@@ -53,6 +47,14 @@ from qbraid.structure import (
 )
 
 from conftest import rand_scalar, random_factored_lambda
+from reference import (
+    catalog_rep,
+    d0_determinant,
+    d0_starred_check,
+    fixed_vector_check,
+    root_of_unity_reducibility,
+    unipotent_inverse,
+)
 
 
 def report(number, description, outcome="PASS"):

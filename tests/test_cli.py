@@ -2,6 +2,10 @@
 
 import io
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -407,3 +411,38 @@ def test_size_arguments_are_checked(command):
     elif command[0] != "tw":   # --n 0 stays valid
         code, reports = run_json(*command, "--n", "0")
         assert code == EXIT_PASS and reports[0]["payload"]["n"] == 0
+
+
+# --- start-up ----------------------------------------------------------------------
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_isolated(code):
+    """Run code in a fresh interpreter under -I -S (no site-packages, no
+    environment) with this source tree first on the path; returns stdout."""
+    prelude = f"import sys; sys.path.insert(0, {_SRC!r}); "
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", prelude + code],
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout
+
+
+def test_a_start_loads_neither_dataclasses_nor_inspect_nor_json():
+    loaded = run_isolated("import qbraid.cli; "
+                          "print([m for m in ('dataclasses', 'inspect', 'json') "
+                          "if m in sys.modules])")
+    assert loaded == "[]\n"
+
+
+def test_json_is_loaded_by_a_json_report_only():
+    text = run_isolated("from qbraid.cli import run; run(['sl2', '--word', 's1,s2,s1']); "
+                        "print('json' in sys.modules)")
+    assert text.endswith("  matrix:\n     0  1\n    -1  0\nFalse\n")
+    report, loaded = run_isolated(
+        "from qbraid.cli import run; run(['sl2', '--word', 's1,s2,s1', '--json']); "
+        "print('json' in sys.modules)").splitlines()
+    assert loaded == "True"
+    assert re.sub(r'"timing_ms": [0-9.e-]+', '"timing_ms": 0', report) == (
+        '{"command": "sl2 --word s1,s2,s1", "status": "pass", "payload": '
+        '{"word": ["s1", "s2", "s1"], "matrix": [["0", "1"], ["-1", "0"]]}, '
+        '"timing_ms": 0}')

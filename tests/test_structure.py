@@ -13,7 +13,7 @@ from qbraid.errors import (
     UnsupportedDimension,
 )
 from qbraid.linalg import ExactMatrix
-from qbraid.qcomb import concrete_q, gauss_expand, q_tri, symbolic_q
+from qbraid.qcomb import concrete_q, q_tri, symbolic_q
 from qbraid.rep import d_matrix, sigma1_matrix, sigma2_matrix
 from qbraid.scalar import QQ, Scalar, integer, parse_scalar, q_symbol, rational, zeta
 from qbraid.structure import (
@@ -27,11 +27,11 @@ from qbraid.structure import (
     t_matrix,
     tw_equivalence_check,
     tw_matrices,
-    unipotent_log,
     verify_braid_like,
 )
 
 from conftest import rand_scalar
+from reference import gauss_expand, unipotent_log
 
 
 @pytest.fixture(scope="module")
