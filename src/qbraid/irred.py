@@ -42,14 +42,36 @@ before it is returned.  The checked lift is the exact basis (see
 `linalg.EchelonSpan` is the one elimination routine: over F_p for the
 certificates and the lift, and over the field for the exact algebra
 dimension, the exact intertwiner solve and every minor.
+
+Where only the algebra of (sigma_1, sigma_2) or its intertwiners matter,
+the routes use (sigma_1, Delta) instead, with the half twist
+Delta = sigma_1 sigma_2 sigma_1 = lambda_0 lambda_n S(q) Lambda of the braid
+relation: an antidiagonal, hence monomial, matrix, so that every product
+with it scales and moves rows or columns (`linalg`) where sigma_2 is dense
+and triangular.  The two pairs generate the same algebra and have the same
+intertwiners.  sigma_1 = sigma_1(q) Lambda is unit upper triangular times a
+nonzero diagonal, so it is invertible and, by Cayley-Hamilton, sigma_1^-1 is
+a polynomial in sigma_1; hence sigma_2 = sigma_1^-1 Delta sigma_1^-1 lies in
+alg(sigma_1, Delta), which lies in alg(sigma_1, sigma_2).  If
+sigma_1^A C = C sigma_1^B and Delta^A C = C Delta^B, then multiplying the
+first by sigma_1^A^-1 on the left and by sigma_1^B^-1 on the right gives
+sigma_1^A^-1 C = C sigma_1^B^-1, and so
+sigma_2^A C = sigma_1^A^-1 Delta^A sigma_1^A^-1 C = C sigma_2^B; the
+converse is immediate.  Both ranks and the reduced row echelon basis of the
+one solution space are therefore unchanged, and so is every report.  The
+exact Delta is formed once per representation, on first use, and only where
+the exact word span, the exact intertwiner solve or the check of a lifted
+basis needs it (`_half_twist`), which checks that sigma_1 is upper
+triangular with a nonzero diagonal; the mod-p systems take Delta_p from the
+reduced images (`_system_span`).  A certified point forms no exact Delta.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
-from .errors import ShapeMismatch
+from .errors import ConstraintViolated, ShapeMismatch
 from .linalg import EchelonSpan, ExactMatrix, echelon, leading_one
 from .records import FrozenRecord, Record
 from .rep import sigma1_matrix
@@ -176,8 +198,9 @@ def commutant_dimension(rep):
     """Dimension and basis of {A : A sigma_i = sigma_i A, i = 1, 2}.
 
     Dimension 1 means operator irreducible.  A lifted basis is checked to
-    commute with both generators; the certified [I] and the exact nullspace
-    are not, since each commutes with both by construction.
+    commute with sigma_1 and the half twist, hence with both generators; the
+    certified [I] and the exact nullspace are not, since each commutes with
+    both by construction.
     """
     basis = _intertwiner_basis(rep, rep)
     return len(basis), basis
@@ -221,10 +244,13 @@ def burnside_dimension(rep):
 
 
 def _burnside_exact(rep):
-    """The algebra dimension by exact span growth over the field of the
-    generators, in the order of `_span_of_words`."""
+    """The algebra dimension by exact span growth over the field, in the
+    order of `_span_of_words`, of the words in sigma_1 and the half twist
+    Delta (`_half_twist`), which generate the algebra of sigma_1 and sigma_2
+    (see the module docstring).  Every queued element is multiplied by both;
+    each product with the monomial Delta scales and moves rows."""
     size = rep.n + 1
-    gens = (rep.sigma1, rep.sigma2)
+    gens = (rep.sigma1, _half_twist(rep))
     return _span_of_words((ExactMatrix.identity(size, rep.sigma1.ctx), *gens),
                           gens, lambda a, b: a * b,
                           lambda m: [m[i, j].val for i in range(size) for j in range(size)],
@@ -316,23 +342,60 @@ def suspected_catalog(n, lam0=None):
 # Intertwiners and equivalence.
 # ---------------------------------------------------------------------------
 
+def _half_twist(rep):
+    """The half twist Delta = (sigma_1 sigma_2) sigma_1 of a representation
+    over its field, formed on first use and memoized on it (the
+    `_half_twist` slot of `rep.Representation`, outside its fields).
+
+    Raises `ConstraintViolated` unless sigma_1 is upper triangular with a
+    nonzero diagonal: that makes sigma_1 invertible, which the equality of
+    the algebras and of the intertwiners of (sigma_1, sigma_2) and
+    (sigma_1, Delta) needs (see the module docstring).  Every built
+    representation passes.
+    """
+    delta = getattr(rep, "_half_twist", None)
+    if delta is None:
+        sigma1 = rep.sigma1
+        if not sigma1.is_upper_triangular() or any(
+                sigma1[i, i].is_zero() for i in range(sigma1.rows)):
+            raise ConstraintViolated(
+                "the half twist needs sigma_1 upper triangular with a nonzero diagonal")
+        delta = sigma1 * rep.sigma2 * sigma1
+        object.__setattr__(rep, "_half_twist", delta)
+    return delta
+
+
+def _half_twist_mod(sigma1, sigma2, p):
+    """Delta_p = (sigma_1 sigma_2) sigma_1 mod p from the generators reduced
+    mod p, as lists of int rows: the image of the exact half twist, since
+    the reduction is a ring map, formed without it."""
+    def product(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+    return product(product(sigma1, sigma2), sigma1)
+
+
 def _intertwiner_basis(rep_a, rep_b):
     """Exact basis of {C : sigma_i^A C = C sigma_i^B, i = 1, 2}: the reduced
     row echelon nullspace basis of the stacked system in the entries of C
     (`_intertwiner_system`), each vector scaled to a leading 1 and read as a
-    matrix.
+    matrix.  Every system here is written for sigma_1 and the half twist
+    Delta, which have the same intertwiners (see the module docstring).
 
     The certificate comes first: the system is built from the generators
-    reduced mod p (`_reduced`).  Its nullity mod p bounds the exact nullity
-    from above, so nullity 0 gives the empty basis, and nullity 1 with
-    sigma^A = sigma^B, where I is a solution, gives [I].
+    reduced mod p (`_reduced`), with Delta_p their product mod p.  Its
+    nullity mod p bounds the exact nullity from above, so nullity 0 gives
+    the empty basis, and nullity 1 with sigma^A = sigma^B, where I is a
+    solution, gives [I]; neither forms the exact Delta.
 
     Over Q and Q(zeta_m) the same image then starts a multi-modular lift
     (`_lifted_basis`): the nullspace basis mod p of the system at each prime
     of `_CERTIFICATE_PAIRS`, at every conjugate root of unity, is combined by
     CRT and rational reconstruction, and every lifted element is checked
-    against both equations (`_is_intertwiner`).  Why the checked elements are
-    the exact route's basis, so that every report is byte-identical:
+    against the equations of sigma_1 and Delta (`_intertwine`).  Why the
+    checked elements are the exact route's basis, so that every report is
+    byte-identical:
     - they lie in the exact nullspace N, and each ends in a 1 at its own free
       column mod p with a 0 at the other free columns, so they are
       independent;
@@ -370,13 +433,18 @@ def _intertwiner_basis(rep_a, rep_b):
 
 
 def _system_span(p, images, size, target):
-    """The F_p span of the rows of the stacked system built from the reduced
-    generators (sigma_1^A, sigma_2^A, sigma_1^B, sigma_2^B), grown until it
+    """The F_p span of the rows of the stacked system for (sigma_1, Delta_p),
+    built from the reduced generators (sigma_1^A, sigma_2^A, sigma_1^B,
+    sigma_2^B) with Delta_p of each side (`_half_twist_mod`), grown until it
     holds every row or reaches dimension `target`.
 
-    The sparsest rows go in first (`echelon`).
+    The sparsest rows go in first (`echelon`): those of the monomial
+    Delta_p have two nonzero entries or fewer.
     """
-    rows = list(_intertwiner_system(tuple(zip(images[:2], images[2:])), size, 0))
+    s1a, s2a, s1b, s2b = images
+    delta_a = _half_twist_mod(s1a, s2a, p)
+    delta_b = delta_a if (s1b, s2b) == (s1a, s2a) else _half_twist_mod(s1b, s2b, p)
+    rows = list(_intertwiner_system(((s1a, s1b), (delta_a, delta_b)), size, 0))
     return echelon(rows, size * size, p, target)
 
 
@@ -395,8 +463,10 @@ def _lifted_basis(rep_a, rep_b, gens, target, start, first):
     power-basis coefficients mod p, combined with the earlier primes by CRT,
     and each coefficient is taken back to Q by `rational_reconstruction`.
     When every coefficient reconstructs, each vector is scaled to a leading 1
-    and read as a matrix, and the basis is returned if every element passes
-    `_is_intertwiner`; otherwise the next prime refines the residues.
+    and read as a matrix, and the basis is returned if it passes the exact
+    check of `_intertwine`, against sigma_1 and the half twist, which forms
+    the exact Delta of each side on first use; otherwise the next prime
+    refines the residues.
     """
     size = rep_a.n + 1
     ctx = rep_a.sigma1.ctx
@@ -433,7 +503,7 @@ def _lifted_basis(rep_a, rep_b, gens, target, start, first):
                 lifted = [x + modulus * ((y - x) * step % p) for x, y in zip(lifted, residues)]
             modulus *= p
             basis = _reconstructed(lifted, modulus, len(ks), ctx, size)
-            if basis is not None and all(_is_intertwiner(c, rep_a, rep_b) for c in basis):
+            if basis is not None and _intertwine(basis, rep_a, rep_b):
                 return basis
     return None
 
@@ -481,18 +551,35 @@ def _intertwiner_system(pairs, size, zero):
                 yield row
 
 
-def _is_intertwiner(mat, rep_a, rep_b):
-    """True when mat satisfies both intertwining equations exactly."""
-    return mat * rep_b.sigma1 == rep_a.sigma1 * mat and mat * rep_b.sigma2 == rep_a.sigma2 * mat
+def _intertwine(basis, rep_a, rep_b):
+    """True when every matrix C_1..C_k of `basis` satisfies S^A C = C S^B
+    exactly for S = sigma_1 and S = Delta (`_half_twist`), hence for sigma_2
+    too: each S and side is one product over the stacked basis,
+    S^A [C_1 | ... | C_k] against [C_1; ...; C_k] S^B, compared block by
+    block."""
+    size, ctx = rep_a.n + 1, rep_a.sigma1.ctx
+    wide = ExactMatrix(size, size * len(basis), ctx,
+                       tuple(tuple(chain.from_iterable(c.row(i) for c in basis))
+                             for i in range(size)))
+    tall = ExactMatrix(size * len(basis), size, ctx,
+                       tuple(c.row(i) for c in basis for i in range(size)))
+    for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (_half_twist(rep_a), _half_twist(rep_b))):
+        left, right = sa * wide, tall * sb
+        if any(left.row(i)[t * size:(t + 1) * size] != right.row(t * size + i)
+               for t in range(len(basis)) for i in range(size)):
+            return False
+    return True
 
 
 def _intertwiner_basis_exact(rep_a, rep_b):
     """Exact basis of the intertwiners: the nullspace of the stacked system
-    over the field, each basis vector read as a matrix.  Every element solves
-    both equations by construction, so only the lifted basis is checked."""
+    over the field for sigma_1 and the half twist (`_half_twist`), each
+    basis vector read as a matrix.  Every element solves both equations by
+    construction, so only the lifted basis is checked."""
     size = rep_a.n + 1
     pairs = tuple(([sa.row(i) for i in range(size)], [sb.row(i) for i in range(size)])
-                  for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)))
+                  for sa, sb in ((rep_a.sigma1, rep_b.sigma1),
+                                 (_half_twist(rep_a), _half_twist(rep_b))))
     rows = list(_intertwiner_system(pairs, size, Scalar.zero(rep_a.sigma1.ctx)))
     return [_as_matrix(vec, size) for vec in ExactMatrix.from_rows(rows).nullspace()]
 

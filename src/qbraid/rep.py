@@ -128,12 +128,18 @@ def factored_spec(n, ctx, lam_prime):
 
 
 class Representation(FrozenRecord):
-    """The realized pair: the dressed generators and the raw diagonal L."""
+    """The realized pair: the dressed generators and the raw diagonal L.
 
-    __slots__ = _fields = ("spec", "sigma1", "sigma2", "lam_raw")
+    `_half_twist` memoizes the half twist s1 s2 s1 for `irred`, which forms
+    it on first use; like the memos of `QContext` it is left out of equality,
+    hashing and repr.
+    """
+
+    _fields = ("spec", "sigma1", "sigma2", "lam_raw")
+    __slots__ = _fields + ("_half_twist",)
 
     def __init__(self, spec, sigma1, sigma2, lam_raw):
-        self._set(spec, sigma1, sigma2, lam_raw)
+        self._set(spec, sigma1, sigma2, lam_raw, None)
 
     @property
     def n(self):

@@ -3,7 +3,9 @@
 No command reaches these, so they live with the tests that call them.  The
 reference oracles recompute by a slow, independent route what the program
 computes fast (Leibniz determinants, path-sum inverses, the series of the
-unipotent logarithm, the expansion of the Gaussian product).  The checks of
+unipotent logarithm, the expansion of the Gaussian product, the algebra and
+the intertwiners of (sigma_1, sigma_2) itself rather than of sigma_1 and the
+half twist).  The checks of
 the paper's claims evaluate a closed form or a witness the paper states (the
 starred d0 formula, the fixed vectors e_0 and f_0, the root-of-unity and n = 1
 subspaces) and return what they found, for the acceptance suite to assert.
@@ -23,8 +25,14 @@ from qbraid.errors import (
     ShapeMismatch,
     SingularDiagonal,
 )
-from qbraid.irred import _criterion_matrix_raw, burnside_dimension
-from qbraid.linalg import ExactMatrix
+from qbraid.irred import (
+    _as_matrix,
+    _criterion_matrix_raw,
+    _intertwiner_system,
+    _span_of_words,
+    burnside_dimension,
+)
+from qbraid.linalg import EchelonSpan, ExactMatrix
 from qbraid.qcomb import QContext, concrete_q, q_int, q_tri
 from qbraid.rep import (
     build_representation,
@@ -163,6 +171,33 @@ def gauss_expand(k, ctx):
         coeffs = nxt
         power = power * ctx.q
     return coeffs
+
+
+def burnside_exact_sigma2(rep):
+    """Reference for `irred._burnside_exact` on (sigma_1, sigma_2) themselves.
+
+    The algebra dimension by exact span growth over the field of the
+    generators, in the order of `_span_of_words`."""
+    size = rep.n + 1
+    gens = (rep.sigma1, rep.sigma2)
+    return _span_of_words((ExactMatrix.identity(size, rep.sigma1.ctx), *gens),
+                          gens, lambda a, b: a * b,
+                          lambda m: [m[i, j].val for i in range(size) for j in range(size)],
+                          EchelonSpan(size * size), size * size)
+
+
+def intertwiner_basis_exact_sigma2(rep_a, rep_b):
+    """Reference for `irred._intertwiner_basis_exact` on the system of
+    (sigma_1, sigma_2) themselves.
+
+    Exact basis of the intertwiners: the nullspace of the stacked system
+    over the field, each basis vector read as a matrix.  Every element solves
+    both equations by construction, so only the lifted basis is checked."""
+    size = rep_a.n + 1
+    pairs = tuple(([sa.row(i) for i in range(size)], [sb.row(i) for i in range(size)])
+                  for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)))
+    rows = list(_intertwiner_system(pairs, size, Scalar.zero(rep_a.sigma1.ctx)))
+    return [_as_matrix(vec, size) for vec in ExactMatrix.from_rows(rows).nullspace()]
 
 
 # ---------------------------------------------------------------------------

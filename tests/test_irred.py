@@ -45,12 +45,14 @@ from qbraid.scalar import (
 from conftest import random_factored_lambda
 from reference import (
     FMatrixSpec,
+    burnside_exact_sigma2,
     catalog_rep,
     d0_determinant,
     d0_starred_check,
     eigenvector_closed_forms,
     f_matrix,
     fixed_vector_check,
+    intertwiner_basis_exact_sigma2,
     n1_subspace_test,
     root_of_unity_reducibility,
 )
@@ -814,7 +816,7 @@ def test_lift_from_a_bad_prime_is_rejected_by_the_check(monkeypatch):
     assert _intertwiner_basis_exact(rep, rep) == [eye]
     monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, p),) + _CERTIFICATE_PAIRS)
     lifts = spy(monkeypatch, "_reconstructed")
-    checks = spy(monkeypatch, "_is_intertwiner")
+    checks = spy(monkeypatch, "_intertwine")
     fallbacks = spy(monkeypatch, "_intertwiner_basis_exact")
     assert _intertwiner_basis(rep, rep) == [eye]
     assert len(lifts) == 1 and len(lifts[0]) == 5
@@ -1000,3 +1002,112 @@ def test_norton_certifies_exactly_when_the_word_span_mod_p_is_full():
                                                           [str(v) for v in rep.lam_raw])
         outcomes.add(full)
     assert outcomes == {True, False}
+
+
+# --- the half twist Delta = sigma_1 sigma_2 sigma_1 ------------------------------
+
+def is_monomial(m):
+    """At most one nonzero entry in every row and in every column, and one in
+    each when m is invertible."""
+    rows = [sum(not x.is_zero() for x in m.row(i)) for i in range(m.rows)]
+    cols = [sum(not x.is_zero() for x in m.col(j)) for j in range(m.cols)]
+    return set(rows) == set(cols) == {1}
+
+
+def sign_pair():
+    """lambda_0 = 2 against lambda_0 = -2 at the zeta_4 catalog point, n = 6:
+    different reducible representations whose half twists differ by a sign."""
+    return catalog_point(6, 4, Fraction(2)), catalog_point(6, 4, Fraction(-2))
+
+
+def test_half_twist_routes_match_the_sigma2_reference():
+    """The span and the intertwiner systems on (sigma_1, Delta) give what the
+    (sigma_1, sigma_2) routes give, dimension for dimension and basis for
+    basis, and Delta is monomial on every built representation."""
+    reps = reps_under_test() + deficient_reps()
+    pairs = intertwiner_pairs_under_test() + [sign_pair()]
+    for rep in reps:
+        assert _burnside_exact(rep) == burnside_exact_sigma2(rep), \
+            (rep.n, str(rep.ctx.q), [str(v) for v in rep.lam_raw])
+        want = intertwiner_basis_exact_sigma2(rep, rep)
+        assert _intertwiner_basis_exact(rep, rep) == want
+        assert _intertwiner_basis(rep, rep) == want
+        assert is_monomial(irred._half_twist(rep))
+    for a, b in pairs:
+        want = intertwiner_basis_exact_sigma2(a, b)
+        assert _intertwiner_basis_exact(a, b) == want
+        assert _intertwiner_basis(a, b) == want
+        for side in (a, b):
+            assert _burnside_exact(side) == burnside_exact_sigma2(side)
+    a, b = sign_pair()
+    assert irred._half_twist(b) == -irred._half_twist(a)
+    assert len(_intertwiner_basis(a, b)) == 2
+    assert is_monomial(irred._half_twist(a))
+
+
+def test_no_half_twist_where_a_certificate_decides(monkeypatch):
+    """Norton-certified points and certified intertwiners ([I], or nullity 0
+    mod p) form no exact Delta.  A reducible point forms one on first use,
+    shares it between the algebra span and the check of its lifted
+    commutant, and keeps it out of its equality, hash and repr."""
+    def ones(n, q):
+        return build_representation(factored_spec(n, QContext(q), (Scalar.one(q.ctx),) * (n + 1)))
+
+    certified = [ones(3, integer(2)), ones(2, q_symbol()), ones(3, zeta(5)), ones(8, integer(2))]
+    inequivalent = [(ones(n, integer(qa)), ones(n, integer(qb)))
+                    for n, qa, qb in ((2, 1, 2), (3, 2, 3))]
+    twists = spy(monkeypatch, "_half_twist")
+    for rep in certified:
+        assert analyze(rep).verdict == "operator-irreducible"
+        assert commutant_dimension(rep)[0] == 1
+        assert intertwiner_space(rep, rep)["status"] == "equivalent"
+    for a, b in inequivalent:
+        assert intertwiner_space(a, b)["status"] == "inequivalent"
+    assert twists == []
+    assert all(rep._half_twist is None for pair in inequivalent for rep in pair)
+    rep = catalog_point(4, 3, Fraction(2))
+    assert analyze(rep).commutant_dim > 1
+    assert len(twists) >= 2 and all(t is twists[0] for t in twists)
+    again = catalog_point(4, 3, Fraction(2))
+    assert again._half_twist is None
+    assert rep == again and hash(rep) == hash(again) and repr(rep) == repr(again)
+
+
+def test_half_twist_mod_p_is_the_image_of_the_exact_half_twist():
+    for rep in reps_under_test() + deficient_reps() + [catalog_point(6, 4, Fraction(2))]:
+        index, p, (s1, s2) = irred._reduced((rep.sigma1, rep.sigma2))
+        q0 = _CERTIFICATE_PAIRS[index][0]
+        (delta,) = irred._images((irred._half_twist(rep),), p, q0)
+        assert irred._half_twist_mod(s1, s2, p) == delta
+
+
+def test_the_lift_check_needs_both_equations_in_every_block():
+    """The exact check of a lifted basis rejects a matrix that commutes with
+    sigma_1 but not with Delta, or with Delta but not with sigma_1, in any
+    block of the stacked basis, and accepts the true intertwiners."""
+    a, b = sign_pair()
+    rep = catalog_point(4, 3, Fraction(2))
+    eye = ExactMatrix.identity(rep.n + 1, rep.sigma1.ctx)
+    delta = irred._half_twist(rep)
+    assert irred._intertwine([eye], rep, rep)
+    assert irred._intertwine(commutant_dimension(rep)[1], rep, rep)
+    assert irred._intertwine(_intertwiner_basis(a, b), a, b)
+    for bad in (rep.sigma1 * rep.sigma1, delta):
+        assert not irred._intertwine([bad], rep, rep)
+        assert not irred._intertwine([eye, bad], rep, rep)
+        assert not irred._intertwine([bad, eye], rep, rep)
+    # a's commutant does not intertwine a with b
+    assert not irred._intertwine(_intertwiner_basis(a, a), a, b)
+
+
+def test_half_twist_needs_an_upper_triangular_sigma1_with_a_nonzero_diagonal():
+    rep = rep_q1([1, 2, 4])
+    swapped = PairShim(2, rep.sigma2, rep.sigma1)
+    zero_diagonal = PairShim(1, ExactMatrix.from_rows([[integer(0), integer(1)],
+                                                       [integer(0), integer(1)]]),
+                             ExactMatrix.identity(2, QQ))
+    for shim in (swapped, zero_diagonal):
+        with pytest.raises(ConstraintViolated):
+            _burnside_exact(shim)
+        with pytest.raises(ConstraintViolated):
+            _intertwiner_basis_exact(shim, shim)
