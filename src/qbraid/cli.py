@@ -1,8 +1,9 @@
 """Command-line surface: exact construction, verification and analysis with
 machine-readable JSON reports.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive (only `irr equiv` when no
-invertible intertwiner is found among those tried), 3 usage error, 4
+Exit codes: 0 pass, 1 fail, 2 inconclusive (only `irr equiv`, when the
+intertwiner space has dimension 3 or more and no invertible intertwiner is
+found among those tried), 3 usage error, 4
 symbolic-degree cap exceeded (QBRAID_MAX_DEGREE), 5 internal error (an
 exception that is not a `QBraidError`: a defect, never a verdict).
 """

@@ -206,25 +206,25 @@ def commutant_dimension(rep):
     return len(basis), basis
 
 
-def _span_of_words(seeds, gens, mul, flat, span, full):
-    """Grow `span` from `seeds` by left multiplication with the words in
+def _span_of_words(seeds, gens, mul, insert, full):
+    """Grow a span from `seeds` by left multiplication with the words in
     `gens`, breadth-first (elements explored in insertion order, each
     generator in turn), until it reaches dimension `full` or no product adds
-    to it; returns its dimension.  Seeded with the identity and the
-    generators it spans their unital algebra (`_burnside_exact`); seeded with
-    one vector, the smallest invariant subspace holding it, a spin
-    (`_norton_certifies`)."""
-    queue = deque()
-    for seed in seeds:
-        if span.insert(flat(seed)):
-            queue.append(seed)
-    while queue and span.dim < full:
+    to it; returns its dimension.  `insert` puts an element into an empty
+    span and says whether the span grew, so the dimension is the number of
+    elements queued.  Seeded with the identity and the generators it spans
+    their unital algebra (`_burnside_exact`); seeded with one vector, the
+    smallest invariant subspace holding it, a spin (`_norton_certifies`)."""
+    queue = deque(seed for seed in seeds if insert(seed))
+    dim = len(queue)
+    while queue and dim < full:
         current = queue.popleft()
         for gen in gens:
             product = mul(gen, current)
-            if span.insert(flat(product)):
+            if insert(product):
                 queue.append(product)
-    return span.dim
+                dim += 1
+    return dim
 
 
 def burnside_dimension(rep):
@@ -247,14 +247,19 @@ def _burnside_exact(rep):
     """The algebra dimension by exact span growth over the field, in the
     order of `_span_of_words`, of the words in sigma_1 and the half twist
     Delta (`_half_twist`), which generate the algebra of sigma_1 and sigma_2
-    (see the module docstring).  Every queued element is multiplied by both;
-    each product with the monomial Delta scales and moves rows."""
+    (see the module docstring).  Every queued element is multiplied by both,
+    one `ExactMatrix` product each.
+
+    Over Q and Q(zeta_m) the seeds I, sigma_1 and Delta are put in
+    integer-row form (`ExactMatrix.as_integer_rows`), so every word is a
+    product with an integer-row right factor and stays on integer rows,
+    and the span takes each word's integer rows as they are
+    (`EchelonSpan.insert_matrix`): no word's entries are built."""
     size = rep.n + 1
-    gens = (rep.sigma1, _half_twist(rep))
-    return _span_of_words((ExactMatrix.identity(size, rep.sigma1.ctx), *gens),
-                          gens, lambda a, b: a * b,
-                          lambda m: [m[i, j].val for i in range(size) for j in range(size)],
-                          EchelonSpan(size * size), size * size)
+    gens = tuple(g.as_integer_rows() for g in (rep.sigma1, _half_twist(rep)))
+    identity = ExactMatrix.identity(size, rep.sigma1.ctx).as_integer_rows()
+    return _span_of_words((identity, *gens), gens, lambda a, b: a * b,
+                          EchelonSpan(size * size).insert_matrix, size * size)
 
 
 def _norton_certifies(p, gens):
@@ -301,7 +306,7 @@ def _norton_certifies(p, gens):
     def apply(m, vec):
         return [sum(x * y for x, y in zip(row, vec)) % p for row in m]
 
-    return all(_span_of_words((seed,), mats, apply, list, EchelonSpan(size, p), size) == size
+    return all(_span_of_words((seed,), mats, apply, EchelonSpan(size, p).insert, size) == size
                for seed, mats in ((v, gens), (w, transposes)))
 
 
@@ -589,9 +594,17 @@ def intertwiner_space(rep_a, rep_b):
     space contains an invertible element.
 
     Invertibility is probed on each basis element and then on a small
-    deterministic family of rational combinations; when none of the tested
-    combinations is invertible the result is reported as undecided rather than
-    as a hard negative.
+    deterministic family of rational combinations; the first invertible one
+    is the witness of "equivalent".  When none is invertible and the space
+    has dimension 2, with basis C_1, C_2 of size N = n + 1, det(C_1 + t C_2)
+    is a polynomial in t of degree at most N, so its values at the N + 1
+    points t = 0..N decide it: the first nonzero one gives the witness, and
+    if all are zero the polynomial is, and so is the homogeneous
+    det(a C_1 + b C_2) of degree N, whose value at a = 1 it is.  No
+    intertwiner is then invertible, over the field or any extension, and the
+    pair is "inequivalent", as it is when the space is 0.  A larger space
+    where no probe is invertible is reported as undecided rather than as a
+    hard negative.
     """
     if rep_a.n != rep_b.n:
         raise ShapeMismatch("intertwiners need equal dimensions")
@@ -600,24 +613,31 @@ def intertwiner_space(rep_a, rep_b):
     size = rep_a.n + 1
     basis = _intertwiner_basis(rep_a, rep_b)
     dim = len(basis)
-    invertible = None
-    if dim:
-        ctx = rep_a.sigma1.ctx
-        candidates = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
-        candidates += [tuple(1 for _ in range(dim)),
-                       tuple(i + 1 for i in range(dim)),
-                       tuple((-1) ** i for i in range(dim)),
-                       tuple(2 ** i for i in range(dim))]
+    ctx = rep_a.sigma1.ctx
+
+    def invertible_among(candidates):
         for coeffs in candidates:
             combo = ExactMatrix.zeros(size, size, ctx)
             for c, mat in zip(coeffs, basis):
                 if c:
                     combo = combo + mat.scale(integer(c, ctx))
             if not combo.determinant().is_zero():
-                invertible = combo
-                break
-    status = "inequivalent" if dim == 0 else (
-        "equivalent" if invertible is not None else "undecided")
+                return combo
+        return None
+
+    candidates = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
+    candidates += [tuple(1 for _ in range(dim)),
+                   tuple(i + 1 for i in range(dim)),
+                   tuple((-1) ** i for i in range(dim)),
+                   tuple(2 ** i for i in range(dim))]
+    invertible = invertible_among(candidates) if dim else None
+    if invertible is not None:
+        status = "equivalent"
+    elif dim == 2:
+        invertible = invertible_among((1, t) for t in range(size + 1))
+        status = "inequivalent" if invertible is None else "equivalent"
+    else:
+        status = "inequivalent" if dim == 0 else "undecided"
     return {"dimension": dim, "basis": basis, "invertible": invertible,
             "status": status}
 

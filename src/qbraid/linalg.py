@@ -18,6 +18,21 @@ the integer kernel, with no division that is not exact and no gcd: each row
 is first made into ints over Q, and otherwise into int lists in y under the
 ring map zeta -> y, q -> y^N of `scalar._zeta_pack`.
 
+Over Q and Q(zeta_m) a matrix may also be held as integer rows: one
+denominator per row and phi(m) power-basis ints per entry (one over Q),
+with its Scalar entries built only when they are first read
+(`ExactMatrix.as_integer_rows`).  A product whose right factor is held so
+takes the integer-row route (`_integer_product`) before any other, and is
+held so too: row i of a b is sum_k a_ik (row k of b), each
+a_ik = sum_t c_t zeta^t applied through the zeta^t-multiples of b's rows,
+which are formed once per matrix by shifting each column up one power and
+folding the top power back with the tail of Phi_m; each row of the result
+is divided by the gcd of its ints and its denominator.  No Scalar is built,
+and the exact algebra span (`irred._burnside_exact`) keeps every word in
+this form and inserts its integer rows into the span as they are
+(`EchelonSpan.insert_matrix`).  Every product whose right factor holds
+Scalars takes the routes below.
+
 Sums, negatives and scalings return exact-zero entries as they are.  A
 matrix product skips every term with an exactly zero factor.  A monomial
 factor (a left factor with at most one nonzero entry in every row, or a
@@ -46,7 +61,7 @@ from functools import partial
 from itertools import compress, count, islice, repeat
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from operator import floordiv, mul, sub
+from operator import add, floordiv, mul, sub
 
 from .errors import FieldMismatch, NonPolynomialQuotient, NonSquare, ShapeMismatch, Singular
 from .scalar import (
@@ -66,7 +81,7 @@ from .scalar import (
     _laurent,
     _lp_monic_gcd,
     _pack,
-    _phi_reduce,
+    _phi_tail,
     _unpack,
     _zeta_pack,
     _zeta_unpack,
@@ -76,15 +91,46 @@ from .scalar import (
 
 
 class ExactMatrix:
-    """Immutable dense matrix of Scalars over a single field context."""
+    """Immutable dense matrix of Scalars over a single field context.
 
-    __slots__ = ("rows", "cols", "ctx", "_e")
+    Over Q and Q(zeta_m) a matrix may also be in integer-row form: `_ints`
+    holds one (den, ints) pair per row, the row being ints / den, with ints
+    flat, phi(m) power-basis ints per entry (one over Q), den > 0 and
+    gcd(den, *ints) = 1, so that the form is unique (a zero row is den 1).
+    `as_integer_rows` gives it, and a product whose right factor has it
+    takes the integer-row route (`_integer_product`) and has it too.  Such
+    a matrix builds its Scalar entries on their first read (`_e`), which
+    code outside this module never needs.
+    """
 
-    def __init__(self, rows, cols, ctx, entries):
+    __slots__ = ("rows", "cols", "ctx", "_entries", "_ints", "_multiples")
+
+    def __init__(self, rows, cols, ctx, entries, ints=None):
         self.rows = rows
         self.cols = cols
         self.ctx = ctx
-        self._e = entries
+        self._entries = entries
+        self._ints = ints
+        self._multiples = None
+
+    @property
+    def _e(self):
+        """The entries, a tuple of row tuples of Scalars, built from the
+        integer rows on the first read (`_scalar_rows`)."""
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = _scalar_rows(self.ctx, self._ints)
+        return entries
+
+    def as_integer_rows(self):
+        """This matrix in integer-row form over Q and Q(zeta_m), so that
+        products with it on the right take the integer-row route; itself
+        over a field with q, or when it has that form already."""
+        if self._ints is not None or self.ctx.with_q:
+            return self
+        order = self.ctx.order
+        return ExactMatrix(self.rows, self.cols, self.ctx, self._e,
+                           [_payload_ints(order, [x.val for x in r]) for r in self._e])
 
     @classmethod
     def from_rows(cls, rows):
@@ -134,7 +180,7 @@ class ExactMatrix:
         return self._e[i]
 
     def col(self, j):
-        return tuple(self._e[i][j] for i in range(self.rows))
+        return tuple(r[j] for r in self._e)
 
     def _payloads(self):
         """The entries' field payloads, as a fresh list of row lists."""
@@ -149,15 +195,16 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_upper_triangular(self):
-        return all(self._e[i][j].is_zero()
-                   for i in range(self.rows) for j in range(min(i, self.cols)))
+        e = self._e
+        return all(e[i][j].is_zero() for i in range(self.rows) for j in range(min(i, self.cols)))
 
     def is_unit_upper_triangular(self):
         return self.is_square() and self.is_upper_triangular() \
-            and all(self._e[i][i].is_one() for i in range(self.rows))
+            and all(r[i].is_one() for i, r in enumerate(self._e))
 
     def is_strictly_upper_triangular(self):
-        return all(self._e[i][j].is_zero()
+        e = self._e
+        return all(e[i][j].is_zero()
                    for i in range(self.rows) for j in range(min(i + 1, self.cols)))
 
     # -- arithmetic ---------------------------------------------------------------
@@ -188,6 +235,8 @@ class ExactMatrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        if other._ints is not None:
+            return ExactMatrix(self.rows, other.cols, self.ctx, None, _integer_product(self, other))
         # Terms with an exactly zero factor are skipped: they add nothing to an
         # exact sum, and triangular factors make about half of them zero.  The
         # term-by-term sums run on the field payloads; the context was checked once.
@@ -246,10 +295,10 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
         out = []
-        for i in range(self.rows):
-            acc = self._e[i][0] * vec[0]
+        for row in self._e:
+            acc = row[0] * vec[0]
             for k in range(1, self.cols):
-                acc = acc + self._e[i][k] * vec[k]
+                acc = acc + row[k] * vec[k]
             out.append(acc)
         return tuple(out)
 
@@ -267,16 +316,16 @@ class ExactMatrix:
     def transpose_s(self):
         if not self.is_square():
             raise NonSquare("antidiagonal transpose needs a square matrix")
-        n = self.rows - 1
+        n, e = self.rows - 1, self._e
         return ExactMatrix.from_fn(self.rows, self.cols, self.ctx,
-                                   lambda i, j: self._e[n - j][n - i])
+                                   lambda i, j: e[n - j][n - i])
 
     def sharp(self):
         if not self.is_square():
             raise NonSquare("sharp needs a square matrix")
-        n = self.rows - 1
+        n, e = self.rows - 1, self._e
         return ExactMatrix.from_fn(self.rows, self.cols, self.ctx,
-                                   lambda i, j: self._e[n - i][n - j])
+                                   lambda i, j: e[n - i][n - j])
 
     # -- elimination-based operations ------------------------------------------
 
@@ -286,8 +335,8 @@ class ExactMatrix:
             raise NonSquare("inverse needs a square matrix")
         n, ctx = self.rows, self.ctx
         one, zero = Scalar.one(ctx).val, Scalar.zero(ctx).val
-        aug = [[x.val for x in self._e[i]] + [one if j == i else zero for j in range(n)]
-               for i in range(n)]
+        aug = [[x.val for x in r] + [one if j == i else zero for j in range(n)]
+               for i, r in enumerate(self._e)]
         pivots, rows = echelon(aug, 2 * n).reduced()
         if pivots != list(range(n)):
             raise Singular("matrix is singular")
@@ -333,8 +382,9 @@ class ExactMatrix:
         for j in cols:
             if not 0 <= j < self.cols:
                 raise ShapeMismatch("column index out of bounds")
+        e = self._e
         return ExactMatrix(len(rows), len(cols), self.ctx,
-                           tuple(tuple(self._e[i][j] for j in cols) for i in rows))
+                           tuple(tuple(e[i][j] for j in cols) for i in rows))
 
     def minor(self, rows, cols):
         """Determinant of the selected submatrix; index sets must match in size."""
@@ -515,6 +565,114 @@ def _row_packed_product(rows_a, terms_b, cols, ctx):
     return tuple(out)
 
 
+def _payload_ints(order, vec):
+    """A vector of Fraction (order 1) or `Cyclotomic` payloads as (den,
+    ints): den the lcm of their denominators, and ints the vector times den,
+    flat, phi(order) power-basis ints per entry.  gcd(den, *ints) is 1."""
+    if order == 1:
+        den = _int_lcm(*[x.denominator for x in vec])
+        return den, [x.numerator * (den // x.denominator) for x in vec]
+    den = _int_lcm(*[x.den for x in vec])
+    ints, pad = [], (0,) * euler_phi(order)
+    for x in vec:
+        f = den // x.den
+        ints += [a * f for a in x.ints] if f != 1 else x.ints
+        ints += pad[len(x.ints):]
+    return den, ints
+
+
+def _scalar_rows(ctx, int_rows):
+    """The Scalar entries of the integer rows of a matrix over ctx, Q or
+    Q(zeta_m) (see `ExactMatrix`), as a tuple of row tuples."""
+    order, zero = ctx.order, Scalar.zero(ctx)
+    if order == 1:
+        return tuple(tuple(Scalar(ctx, Fraction(c, den)) if c else zero for c in ints)
+                     for den, ints in int_rows)
+    phi = euler_phi(order)
+    out = []
+    for den, ints in int_rows:
+        out.append(tuple(Scalar(ctx, _cyclotomic(order, den, x)) if any(x) else zero
+                         for x in (ints[j:j + phi] for j in range(0, len(ints), phi))))
+    return tuple(out)
+
+
+def _zeta_multiples(order, ints):
+    """[v, zeta v, ..., zeta^(phi-1) v] for the flat list v of phi(order)
+    power-basis ints per column, phi = phi(order): each multiple shifts
+    every column of the one before up by one power, and folds the column's
+    top int c back as c zeta^phi, through the nonzero terms of zeta^phi
+    (`_phi_tail`).  Over Q it is [v]."""
+    phi, tail = _phi_tail(order)
+    out = [ints]
+    for _ in range(phi - 1):
+        v = out[-1]
+        top = v[phi - 1::phi]
+        w = [0] + v[:-1]
+        w[::phi] = [0] * len(top)
+        if any(top):
+            for i, a in tail:
+                w[i::phi] = map(add, w[i::phi], map(mul, top, repeat(a)))
+        out.append(w)
+    return out
+
+
+def _int_combination(terms):
+    """sum c v over the (c, v) pairs of `terms`, the v int lists of one
+    length, by whole-list `map`s; None when there is no pair."""
+    acc = None
+    for c, v in terms:
+        v = map(mul, v, repeat(c))
+        acc = v if acc is None else map(add, acc, v)
+    return None if acc is None else list(acc)
+
+
+def _right_multiples(b):
+    """(e, multiples) of b in integer-row form, formed once per matrix and
+    kept on it: e is the lcm of its row denominators, and multiples the flat
+    int lists zeta^t R_k at index k phi + t, t < phi, for each row R_k of b
+    times e (`_zeta_multiples`)."""
+    m = b._multiples
+    if m is None:
+        order = b.ctx.order
+        e = _int_lcm(*[d for d, _ in b._ints])
+        multiples = []
+        for d, ints in b._ints:
+            multiples += _zeta_multiples(order, ints if d == e else [x * (e // d) for x in ints])
+        m = b._multiples = (e, multiples)
+    return m
+
+
+def _integer_product(a, b):
+    """The integer rows of a b over Q or Q(zeta_m), b in integer-row form.
+
+    a's rows are its integer rows, or are made so from its entries: row i is
+    A_i / d_i, A_i holding a_ik d_i as sum_t A_i[k phi + t] zeta^t, at the
+    index of zeta^t R_k among b's multiples (`_right_multiples`).  So row i
+    of a b is sum_(k,t) A_i[k phi + t] zeta^t R_k / (d_i e): one whole-row
+    `map` of int products per nonzero int of A_i, and no product of power
+    bases or reduction modulo Phi_m.  Each row is then divided by the gcd
+    of its ints and its denominator d_i e, which makes it the unique
+    integer row of its value.
+    """
+    order = a.ctx.order
+    e, multiples = _right_multiples(b)
+    rows_a = a._ints
+    if rows_a is None:
+        rows_a = [_payload_ints(order, [x.val for x in r]) for r in a._e]
+    width, out = euler_phi(order) * b.cols, []
+    for d, ints in rows_a:
+        row = _int_combination(zip(compress(ints, ints), compress(multiples, ints)))
+        if row is None:
+            out.append((1, [0] * width))
+            continue
+        den = d * e
+        g = _int_gcd(den, *row)
+        if g != 1:
+            row, den = [x // g for x in row], den // g
+        out.append((den, row))
+    return out
+
+
 def _packed_product(rows_a, cols_b, ctx):
     """The entries of the product of matrices of Laurent polynomials over Q,
     given by the nonzero (k, entry) pairs of each row of a and each column of
@@ -601,7 +759,9 @@ class EchelonSpan:
     rows with rational-integer pivots, and a vector is reduced on the integer
     kernel (`_IntegerRows`), with no Fraction or `Cyclotomic` built; `reduced`
     and `nullspace` divide each such row by its pivot first, so that every
-    result is the one the field payloads give.
+    result is the one the field payloads give.  `insert_matrix` inserts the
+    entries of a matrix as one vector, from its integer rows when it has
+    them.
     """
 
     def __init__(self, width, p=None):
@@ -612,13 +772,30 @@ class EchelonSpan:
         self._rows = [None] * width
         self._ints = None
 
+    def insert_matrix(self, m):
+        """`insert` of the entries of the matrix m, row by row, as one
+        vector.  Over Q and Q(zeta_m), when m is in integer-row form, its
+        rows are put on one denominator and go to the integer kernel as
+        they are, and no entry of m is built."""
+        int_rows = m._ints
+        if int_rows is None or self.p is not None:
+            return self.insert([x.val for r in m._e for x in r])
+        if self._ints is None:
+            self._ints = _IntegerRows(m.ctx.order)
+        den, ints = _int_lcm(*[d for d, _ in int_rows]), []
+        for d, r in int_rows:
+            ints += r if d == den else [x * (den // d) for x in r]
+        grew = self._ints.insert(self._rows, ints)
+        self.dim += grew
+        return grew
+
     def insert(self, vec):
         p, rows = self.p, self._rows
         if p is None:
             if self._ints is None:
                 self._ints = _IntegerRows.of(vec)
             if self._ints:
-                grew = self._ints.insert(rows, vec)
+                grew = self._ints.insert(rows, _payload_ints(self._ints.order, vec)[1])
                 self.dim += grew
                 return grew
         vec = list(vec)
@@ -722,14 +899,15 @@ class _IntegerRows:
     a nonzero rational multiple of the field route's step v <- v - c R/E,
     and the removal of v's content follows.  c R is sum_i c_i (zeta^i R),
     and each stored row keeps its multiples zeta^i R reduced modulo Phi_m,
-    i < phi(m), so that a step is a few `map`s of int products over the
-    columns from k on, with no Python loop over them, no product of power
-    bases and no reduction modulo Phi_m.  A vector left nonzero at a column
-    without a pivot is stored there: over Q(zeta_m) it is first multiplied
-    by the numerator of the pivot's inverse, the product of the pivot's
-    other Galois conjugates (`Cyclotomic.inverse`), which makes the pivot
-    rational, and then divided by its content; over Q its sign is made that
-    of a positive pivot.  Every vector is thus a rational multiple of the
+    i < phi(m) (`_zeta_multiples`), so that a step is a few `map`s of int
+    products over the columns from k on, with no Python loop over them, no
+    product of power bases and no reduction modulo Phi_m.  A vector left
+    nonzero at a column without a pivot is stored there: over Q(zeta_m) it
+    is first multiplied by the numerator of the pivot's inverse, the product
+    of the pivot's other Galois conjugates (`Cyclotomic.inverse`), as the
+    sum of that numerator's ints times the vector's zeta-multiples, which
+    makes the pivot rational, and then divided by its content; over Q its
+    sign is made that of a positive pivot.  Every vector is thus a rational multiple of the
     field route's, so `insert` answers as that route does, and a stored row
     divided by its pivot is the field route's row (`field_row`).
     """
@@ -751,21 +929,12 @@ class _IntegerRows:
             return False
         return cls(x.order if isinstance(x, Cyclotomic) else 1)
 
-    def insert(self, rows, vec):
-        """Reduce the vector vec of field payloads by `rows` (pivot column ->
-        (pivot, multiples) or None) and store what is left; True when it
-        was stored."""
+    def insert(self, rows, ints):
+        """Reduce a vector by `rows` (pivot column -> (pivot, multiples) or
+        None) and store what is left; True when it was stored.  The vector
+        is given as a fresh flat list `ints` of phi(m) power-basis ints per
+        column, times any nonzero rational (`_payload_ints`)."""
         phi = self.phi
-        if self.order == 1:
-            den = _int_lcm(*[x.denominator for x in vec])
-            ints = [x.numerator * (den // x.denominator) for x in vec]
-        else:
-            den = _int_lcm(*[x.den for x in vec])
-            ints, pad = [], (0,) * phi
-            for x in vec:
-                f = den // x.den
-                ints += [a * f for a in x.ints] if f != 1 else x.ints
-                ints += pad[len(x.ints):]
         start = 0
         while True:
             g = _int_gcd(*ints)
@@ -804,28 +973,13 @@ class _IntegerRows:
             if ints[start] < 0:
                 ints = [-a for a in ints]
             return ints[start], (ints,)
-        pad = (0,) * phi
-
-        def times(f, ints):
-            """f times each column of ints, reduced modulo Phi_m; the columns
-            before k are zero."""
-            out = [0] * start
-            for j in range(start, len(ints), phi):
-                x = ints[j:j + phi]
-                x = _phi_reduce(order, _int_mul(f, x)) if any(x) else ()
-                out += x
-                out += pad[len(x):]
-            return out
-
+        # inv v = sum_t inv_t zeta^t v, inv the numerator of the pivot's inverse
         inv = _cyclotomic(order, 1, ints[start:start + phi]).inverse()
-        row = times(inv.ints, ints)
+        row = _int_combination((c, v) for c, v in zip(inv.ints, _zeta_multiples(order, ints)) if c)
         g = _int_gcd(*row)
         if g != 1:
             row = [a // g for a in row]
-        multiples = [row]
-        for _ in range(phi - 1):
-            multiples.append(times((0, 1), multiples[-1]))
-        return row[start], multiples
+        return row[start], _zeta_multiples(order, row)
 
     def field_row(self, k, stored):
         """The stored row at pivot column k divided by its pivot, as field

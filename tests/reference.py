@@ -180,10 +180,12 @@ def burnside_exact_sigma2(rep):
     generators, in the order of `_span_of_words`."""
     size = rep.n + 1
     gens = (rep.sigma1, rep.sigma2)
+    span = EchelonSpan(size * size)
     return _span_of_words((ExactMatrix.identity(size, rep.sigma1.ctx), *gens),
                           gens, lambda a, b: a * b,
-                          lambda m: [m[i, j].val for i in range(size) for j in range(size)],
-                          EchelonSpan(size * size), size * size)
+                          lambda m: span.insert([m[i, j].val for i in range(size)
+                                                 for j in range(size)]),
+                          size * size)
 
 
 def intertwiner_basis_exact_sigma2(rep_a, rep_b):

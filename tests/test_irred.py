@@ -13,7 +13,7 @@ from qbraid.errors import (
     NotAReduciblePoint,
     ShapeMismatch,
 )
-from qbraid import irred
+from qbraid import irred, linalg
 from qbraid.linalg import EchelonSpan, ExactMatrix
 from qbraid.qcomb import QContext, concrete_q, symbolic_q
 from qbraid.rep import build_representation, factored_spec, raw_spec
@@ -972,8 +972,9 @@ def word_span_mod_p(p, gens):
         return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
     one = [[int(i == j) for j in range(size)] for i in range(size)]
-    return irred._span_of_words((one, *gens), gens, mul, lambda m: [x for row in m for x in row],
-                                EchelonSpan(size * size, p), size * size)
+    span = EchelonSpan(size * size, p)
+    return irred._span_of_words((one, *gens), gens, mul,
+                                lambda m: span.insert([x for row in m for x in row]), size * size)
 
 
 def norton_grid():
@@ -1111,3 +1112,86 @@ def test_half_twist_needs_an_upper_triangular_sigma1_with_a_nonzero_diagonal():
             _burnside_exact(shim)
         with pytest.raises(ConstraintViolated):
             _intertwiner_basis_exact(shim, shim)
+
+
+def test_the_exact_span_makes_one_product_per_queued_word_and_generator(monkeypatch):
+    """Over Q and Q(zeta_m) `_burnside_exact` multiplies every queued word by
+    sigma_1 and by Delta, in queue order, with one `ExactMatrix` product
+    each, on integer rows: no word's entries are built, and the span takes
+    every word's integer rows.  The dimension is the reference's."""
+    points = [catalog_point(4, 3, Fraction(2)), catalog_point(5, 2, Fraction(-1, 2)),
+              catalog_point(4, 4, Fraction(3)), deficient_reps()[1]]
+    for rep in points:
+        want = burnside_exact_sigma2(rep)
+        delta = irred._half_twist(rep)
+        calls, inserted, built = [], [], []
+        product, insert = ExactMatrix.__mul__, EchelonSpan.insert_matrix
+        scalar_rows = linalg._scalar_rows
+
+        def spy_product(a, b):
+            out = product(a, b)
+            calls.append((a, b, out))
+            return out
+
+        def spy_insert(span, m):
+            grew = insert(span, m)
+            inserted.append((m, grew))
+            return grew
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", spy_product)
+        monkeypatch.setattr(EchelonSpan, "insert_matrix", spy_insert)
+        monkeypatch.setattr(linalg, "_scalar_rows",
+                            lambda *args: built.append(args) or scalar_rows(*args))
+        try:
+            got = _burnside_exact(rep)
+        finally:
+            monkeypatch.undo()
+        assert got == want
+        assert built == []
+        queued = [m for m, grew in inserted if grew]
+        assert len(queued) == got
+        # the seeds I, sigma_1 and Delta, then every product in turn
+        assert [m for m, _ in inserted[3:]] == [out for _, _, out in calls]
+        sigma1, twist = (m for m, _ in inserted[1:3])
+        assert sigma1 == rep.sigma1 and twist == delta
+        assert len(calls) % 2 == 0
+        for (a1, b1, _), (a2, b2, _) in zip(calls[::2], calls[1::2]):
+            assert a1 is sigma1 and a2 is twist and b1 is b2
+        assert [b for _, b, _ in calls[::2]] == queued[:len(calls) // 2]
+        for _, _, out in calls:
+            assert out._ints is not None and out._entries is None
+
+
+def test_a_two_dimensional_space_without_an_invertible_element_is_inequivalent():
+    """lambda_0 = 2 against lambda_0 = -2 at the zeta_4 catalog point: no
+    probe is invertible, det(C_1 + t C_2) vanishes at t = 0..n+1, and the
+    pair is inequivalent."""
+    a, b = sign_pair()
+    res = intertwiner_space(a, b)
+    assert (res["dimension"], res["status"], res["invertible"]) == (2, "inequivalent", None)
+    c1, c2 = res["basis"]
+    ctx = a.sigma1.ctx
+    assert all((c1 + c2.scale(integer(t, ctx))).determinant().is_zero() for t in range(-6, 7))
+
+
+def test_a_two_dimensional_space_is_decided_by_n_plus_2_determinants(monkeypatch):
+    """With a basis C_1 = diag(0, -1, -2, 1, 1), C_2 = diag(1, 1, 1, 1, 0),
+    det(C_1 + t C_2) = t (t - 1) (t - 2) (t + 1) vanishes at every fixed
+    probe (t = 0, 1, 2, -1, and C_2 alone), and t = 3 gives the witness.
+    With a zero first row in every basis element no combination is
+    invertible: three such elements stay undecided, and two are
+    inequivalent."""
+    rep = rep_q1([1, 1, 1, 1, 1])
+    c1, c2 = (ExactMatrix.diagonal([integer(v) for v in d])
+              for d in ((0, -1, -2, 1, 1), (1, 1, 1, 1, 0)))
+    monkeypatch.setattr(irred, "_intertwiner_basis", lambda a, b: [c1, c2])
+    res = intertwiner_space(rep, rep)
+    assert res["status"] == "equivalent"
+    assert res["invertible"] == c1 + c2.scale(integer(3))
+    singular = [ExactMatrix.diagonal([integer(v) for v in d])
+                for d in ((0, 1, 0, 1, 1), (0, 0, 1, 1, 2), (0, 1, 1, 0, 3))]
+    monkeypatch.setattr(irred, "_intertwiner_basis", lambda a, b: singular)
+    assert intertwiner_space(rep, rep)["status"] == "undecided"
+    monkeypatch.setattr(irred, "_intertwiner_basis", lambda a, b: singular[:2])
+    res = intertwiner_space(rep, rep)
+    assert (res["status"], res["invertible"]) == ("inequivalent", None)

@@ -22,6 +22,7 @@ from qbraid.linalg import (
     EchelonSpan,
     ExactMatrix,
     _int_update,
+    _integer_product,
     _monomial_product,
     _packed_product,
     _row_packed_product,
@@ -134,6 +135,8 @@ def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
                         lambda *args: routes.append("row-packed") or _row_packed_product(*args))
     monkeypatch.setattr(linalg, "_monomial_product",
                         lambda *args: routes.append("monomial") or _monomial_product(*args))
+    monkeypatch.setattr(linalg, "_integer_product",
+                        lambda *args: routes.append("integer-row") or _integer_product(*args))
     # Row 1 of a and column 2 of b are all zero, and so is column 3 of a.
     a = ExactMatrix.from_fn(4, 5, ctx, lambda i, j: Scalar.zero(ctx) if i == 1 or j == 3
                             else _sparse_entry(rng, ctx, laurent))
@@ -151,6 +154,11 @@ def test_product_matches_triple_loop(rng, ctx, laurent, monkeypatch):
     zero = Scalar.zero(ctx)
     assert prod.row(1) == (zero,) * 3
     assert prod.col(2) == (zero,) * 4
+    # b in integer-row form: over Q and Q(zeta_m) the integer-row route,
+    # and over a field with q b itself, on today's route
+    routes.clear()
+    assert a * b.as_integer_rows() == prod
+    assert routes == (["packed"] if laurent else [] if ctx.with_q else ["integer-row"])
     routes.clear()
     assert ExactMatrix.zeros(2, 3, ctx) * ExactMatrix.zeros(3, 2, ctx) == ExactMatrix.zeros(2, 2, ctx)
     diagonal = ExactMatrix.diagonal([a[0, 0] if a[0, 0].val else Scalar.one(ctx)] * 4)
@@ -340,6 +348,152 @@ def test_row_packed_product_aligns_every_row_of_b():
                                [rational(2, 7, ctx) * z, rational(1, 3, ctx)],
                                [zero, zero]])
     assert a * b == term_by_term(a, b)
+
+
+# --- the integer-row route against the row-packed route and the loop ----------------
+
+INTEGER_ROW_FIELDS = {"QQ": QQ, "QQ(zeta3)": cyclotomic_field(3),
+                      "QQ(zeta4)": cyclotomic_field(4), "QQ(zeta5)": cyclotomic_field(5)}
+
+
+@st.composite
+def base_matrices(draw, ctx, rows, cols, monomial=False):
+    """A rows x cols matrix over Q or Q(zeta_m) with about a third of its
+    entries zero, denominators and coefficients up to 2^60, and some zero
+    rows and columns; with `monomial`, one nonzero entry per row and column
+    or none (a permutation times a diagonal, as the half twist is)."""
+    zero = Scalar.zero(ctx)
+    entry = st.one_of(st.just(zero), st.builds(
+        partial(base_entry, ctx), st.integers(1, 12), st.lists(coeff_st, min_size=1, max_size=6)))
+    if monomial:
+        out = [[zero] * cols for _ in range(rows)]
+        for i, j in enumerate(draw(st.permutations(range(cols)))[:rows]):
+            out[i][j] = draw(entry)
+    else:
+        out = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)):
+            out[i] = [zero] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1)):
+            for row in out:
+                row[j] = zero
+    return ExactMatrix.from_rows(out)
+
+
+def assert_integer_rows(m):
+    """m is in the unique integer-row form: one positive denominator per row,
+    coprime to the row's ints, which are phi(m) power-basis ints per entry,
+    and a zero row on denominator 1."""
+    phi = euler_phi(m.ctx.order)
+    assert m._ints is not None and len(m._ints) == m.rows
+    for den, ints in m._ints:
+        assert den > 0 and gcd(den, *ints) == 1 and len(ints) == phi * m.cols
+        assert any(ints) or den == 1
+
+
+def assert_same_matrix(got, want):
+    """Entry by entry, with equal hashes."""
+    assert (got.rows, got.cols, got.ctx) == (want.rows, want.cols, want.ctx)
+    for i in range(want.rows):
+        assert got.row(i) == want.row(i), i
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ROW_FIELDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_row_product_matches_row_packed_and_term_by_term(name, data):
+    """a b with b in integer-row form equals today's route (row-packed, or
+    monomial) and the term-by-term loop, for a dense and a monomial left
+    factor, and in chains of three products whose middle factor is a
+    product not yet read, or read first; the left factor may be in
+    integer-row form too."""
+    ctx = INTEGER_ROW_FIELDS[name]
+    rows, inner, mid, cols = (data.draw(st.integers(1, 5)) for _ in range(4))
+    a = data.draw(base_matrices(ctx, rows, inner))
+    delta = data.draw(base_matrices(ctx, inner, inner, monomial=True))
+    b = data.draw(base_matrices(ctx, inner, mid))
+    c = data.draw(base_matrices(ctx, mid, cols))
+    b_int, c_int = b.as_integer_rows(), c.as_integer_rows()
+    assert_integer_rows(b_int)
+    for left, right, right_int in ((a, b, b_int), (delta, b, b_int), (b, c, c_int)):
+        got = left * right_int
+        assert_integer_rows(got)
+        assert got._entries is None
+        want = term_by_term(left, right)
+        assert_same_matrix(got, want)
+        assert_same_matrix(left * right, want)
+        assert_same_matrix(left.as_integer_rows() * right_int, want)
+    want = term_by_term(a, term_by_term(b, c))
+    for read in (False, True):
+        bc = b * c_int                  # integer rows, unread
+        if read:
+            assert bc.row(0) == term_by_term(b, c).row(0)
+        chain = a * bc
+        assert_integer_rows(chain)
+        assert_same_matrix(chain, want)
+        assert_same_matrix(delta * (delta * bc), term_by_term(delta, term_by_term(delta, bc)))
+        assert_same_matrix((a * b_int).as_integer_rows() * c_int, want)
+        assert_same_matrix(bc.as_integer_rows() * ExactMatrix.identity(cols, ctx).as_integer_rows(),
+                           term_by_term(b, c))
+
+
+def test_integer_row_product_examples():
+    """Zero factors on either side, a product that cancels to a zero row,
+    rows of b on different denominators, and entries at every power of
+    zeta_5, so that the fold through zeta^4 = -(1 + zeta + zeta^2 + zeta^3)
+    is reached."""
+    ctx = cyclotomic_field(5)
+    z, zero = zeta(5), Scalar.zero(ctx)
+    a = ExactMatrix.from_rows([[z ** 3, z ** 2, zero], [z, -z, zero], [zero, zero, zero]])
+    b = ExactMatrix.from_rows([[rational(1, 2, ctx) * z, z ** 3],
+                               [rational(1, 2, ctx) * z, z ** 3],
+                               [integer(5, ctx), z + z ** 2]])
+    zeros = ExactMatrix.zeros
+    for left, right in ((a, b), (zeros(3, 3, ctx), b), (a, zeros(3, 2, ctx))):
+        got = left * right.as_integer_rows()
+        assert_integer_rows(got)
+        assert_same_matrix(got, term_by_term(left, right))
+    got = a * b.as_integer_rows()
+    assert got._ints[1] == (1, [0] * 8) and got._ints[2] == (1, [0] * 8)
+    assert got[0, 0] == rational(1, 2, ctx) * (z ** 4 + z ** 3)
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ROW_FIELDS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_integer_row_inserts_match_payload_span(name, data):
+    """`EchelonSpan.insert_matrix` of matrices in integer-row form, some of
+    them products not yet read, answers as the field-payload route does on
+    their entries, and reaches the same reduced rows and nullspace."""
+    ctx = INTEGER_ROW_FIELDS[name]
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    mats = [m.as_integer_rows() for m in data.draw(
+        st.lists(base_matrices(ctx, rows, cols), min_size=1, max_size=4))]
+    square = data.draw(base_matrices(ctx, rows, rows))
+    mats += [square * m for m in mats] + [square * (square * mats[0])]
+    mats.append(ExactMatrix.zeros(rows, cols, ctx).as_integer_rows())
+    span, ref = EchelonSpan(rows * cols), PayloadSpan(rows * cols)
+    for k, m in enumerate(mats):
+        grew = span.insert_matrix(m)
+        assert grew == ref.insert([x.val for i in range(m.rows) for x in m.row(i)]), k
+        assert span.dim == ref.dim, k
+    assert typed(span.reduced()) == typed(ref.reduced())
+    zero, one = Scalar.zero(ctx).val, Scalar.one(ctx).val
+    assert typed(span.nullspace(zero, one)) == typed(ref.nullspace(zero, one))
+
+
+def test_zeta_multiples_shift_and_fold():
+    """Each multiple is zeta times the one before, column by column, over
+    Q(zeta_3), Q(zeta_4), Q(zeta_5) and Q(zeta_12)."""
+    for order in (3, 4, 5, 12):
+        phi = euler_phi(order)
+        cols = [Cyclotomic(order, [k + 1 - i * (-1) ** k for i in range(phi)]) for k in range(3)]
+        flat = [a for x in cols for a in x.ints + (0,) * (phi - len(x.ints))]
+        multiples = linalg._zeta_multiples(order, flat)
+        assert len(multiples) == phi
+        for t, v in enumerate(multiples):
+            assert [Cyclotomic(order, v[j:j + phi]) for j in range(0, len(v), phi)] \
+                == [x * Cyclotomic.zeta_power(order, t) for x in cols]
 
 
 def test_braid_word_in_sl2():
