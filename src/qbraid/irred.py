@@ -10,7 +10,10 @@ is nonzero; G_r is the antidiagonal reflection of the shifted q-exponential
     F_(r,n)(q,lambda) = exp_(q)(sum (k+1)_q E_(k,k+1))
                         - q_(n-r) lambda_r (D_n(q) Lambda^#)^(-1),
 
-and a test proves the two routes agree.  Two oracles accompany the
+and a test proves the two routes agree.  The distinguished minor, rows
+{0..n-r-1}, comes first; when it is zero, one rank of the column block
+decides whether every minor vanishes, and only a block of full rank is
+searched further (`minor_criterion`).  Two oracles accompany the
 criterion: the commutant dimension (nullity of the stacked commutation system;
 1 iff operator irreducible) and the dimension of the unital algebra generated
 by the pair (full iff subspace irreducible over the algebraic closure).  Both
@@ -39,16 +42,27 @@ every conjugate root of unity and at each prime of the pairs in turn, CRT,
 then rational reconstruction, and every lifted element is checked exactly
 before it is returned.  The checked lift is the exact basis (see
 `_intertwiner_basis`); when no prime gives one, the exact route decides.
-`linalg.EchelonSpan` is the one elimination routine: over F_p for the
-certificates and the lift, and over the field for the exact algebra
-dimension, the exact intertwiner solve and every minor.
+The lift stays on ints: each reconstructed vector is scaled to a leading 1
+on its power-basis ints and held as integer rows (`_reconstructed`), and
+the check multiplies integer rows and compares them over their
+denominators (`_intertwine`), so no entry is built until it is read.  Each
+representation memoizes the images of sigma_1 and sigma_2 mod p per
+(p, q0, k) (`_generator_images`), so the algebra's certificate, the
+commutant's and the lift reduce each generator once per pair and
+conjugate.  `linalg.EchelonSpan` is the one elimination routine: over F_p
+for the certificates and the lift, and over the field for the exact
+algebra dimension, the exact intertwiner solve and the rank of the minor
+criterion; every minor is a fraction-free determinant (`linalg._bareiss`).
 
 Where only the algebra of (sigma_1, sigma_2) or its intertwiners matter,
 the routes use (sigma_1, Delta) instead, with the half twist
 Delta = sigma_1 sigma_2 sigma_1 = lambda_0 lambda_n S(q) Lambda of the braid
-relation: an antidiagonal, hence monomial, matrix, so that every product
-with it scales and moves rows or columns (`linalg`) where sigma_2 is dense
-and triangular.  The two pairs generate the same algebra and have the same
+relation: an antidiagonal, hence monomial, matrix where sigma_2 is dense
+and triangular.  Over Q and Q(zeta_m) it is formed as (sigma_1 sigma_2)
+times sigma_1 in integer-row form (`_sigma1_rows`), so it is born as
+integer rows and every product with it on the right stays on them; over a
+field with q every product with it scales and moves rows or columns
+(`linalg`).  The two pairs generate the same algebra and have the same
 intertwiners.  sigma_1 = sigma_1(q) Lambda is unit upper triangular times a
 nonzero diagonal, so it is invertible and, by Cayley-Hamilton, sigma_1^-1 is
 a polynomial in sigma_1; hence sigma_2 = sigma_1^-1 Delta sigma_1^-1 lies in
@@ -69,14 +83,17 @@ reduced images (`_system_span`).  A certified point forms no exact Delta.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations, repeat
+from math import comb
+from math import gcd as _int_gcd
+from math import lcm as _int_lcm
+from operator import mul
 
 from .errors import ConstraintViolated, ShapeMismatch
-from .linalg import EchelonSpan, ExactMatrix, echelon, leading_one
+from .linalg import EchelonSpan, ExactMatrix, _payload_ints, _rational_pivot, echelon
 from .records import FrozenRecord, Record
 from .rep import sigma1_matrix
 from .scalar import (
-    Cyclotomic,
     Scalar,
     conjugate_interpolation,
     integer,
@@ -130,24 +147,33 @@ def minor_criterion(rep, r):
     """Search row subsets of size n-r against columns {r+1..n} of G_r.
 
     Subsets are tried in lexicographic order, so the distinguished minor with
-    rows {0..n-r-1} comes first and acts as the fast path; the full search
-    decides exhaustion.  The two-minor reduction (distinguished minor and entry
-    (n,n)) is evaluated alongside and reported for consistency.
+    rows {0..n-r-1} comes first and acts as the fast path.  When it is zero,
+    one rank decides exhaustion: every (n-r)-minor of the column block
+    G_r[:, r+1..n] vanishes exactly when its rank is below n-r, and then
+    all C(n+1, n-r) subsets count as checked.  Otherwise some minor is
+    nonzero, and the search resumes at the second subset to find the first.
+    The two-minor reduction (distinguished minor and entry (n,n)) is
+    evaluated alongside and reported for consistency.
     """
     n = rep.n
     if not 0 <= r <= n // 2:
         raise ShapeMismatch("r must lie in 0..floor(n/2)")
     g = criterion_matrix(rep, r)
     cols = list(range(r + 1, n + 1))
-    witness = None
-    value = None
-    for checked, rows in enumerate(combinations(range(n + 1), n - r), 1):
-        m = g.minor(list(rows), cols)
-        if checked == 1:
-            distinguished = m
-        if not m.is_zero():
-            witness, value = rows, m
-            break
+    subsets = combinations(range(n + 1), n - r)
+    first = next(subsets)
+    distinguished = g.minor(list(first), cols)
+    witness, value, checked = None, None, 1
+    if not distinguished.is_zero():
+        witness, value = first, distinguished
+    elif g.submatrix(range(n + 1), cols).rank() < n - r:
+        checked = comb(n + 1, n - r)
+    else:
+        for checked, rows in enumerate(subsets, 2):
+            m = g.minor(list(rows), cols)
+            if not m.is_zero():
+                witness, value = rows, m
+                break
     corner = g[n, n]
     reduced_says_exhausted = distinguished.is_zero() and corner.is_zero()
     consistent = reduced_says_exhausted == (witness is None)
@@ -183,12 +209,36 @@ def _images(matrices, p, q0, k=1):
     return images
 
 
-def _reduced(matrices):
+def _generator_images(reps, p, q0, k=1):
+    """The generators sigma_1, sigma_2 of each representation of `reps`, in
+    turn, reduced mod p with zeta -> r^k (`_images`); None when some entry
+    does not reduce.  Each representation memoizes its pair of images, or
+    None, per (p, q0, k) (its `_residues` slot), so that the certificates
+    and the lift reduce each generator once per pair and conjugate, and
+    the two sides of a commutant system share one reduction."""
+    out = []
+    for rep in reps:
+        memo = getattr(rep, "_residues", None)
+        if memo is None:
+            memo = {}
+            object.__setattr__(rep, "_residues", memo)
+        key = (p, q0, k)
+        if key not in memo:
+            memo[key] = _images((rep.sigma1, rep.sigma2), p, q0, k)
+        images = memo[key]
+        if images is None:
+            return None
+        out += images
+    return out
+
+
+def _reduced(reps):
     """(index, p, images as lists of int rows) at the first certificate pair
-    `_CERTIFICATE_PAIRS[index]` where every entry of every matrix reduces;
-    None when no pair does."""
+    `_CERTIFICATE_PAIRS[index]` where both generators of every
+    representation of `reps` reduce (`_generator_images`); None when no
+    pair does."""
     for index, (q0, p) in enumerate(_CERTIFICATE_PAIRS):
-        images = _images(matrices, p, q0)
+        images = _generator_images(reps, p, q0)
         if images is not None:
             return index, p, images
     return None
@@ -237,7 +287,7 @@ def burnside_dimension(rep):
     Otherwise, or when no pair reduces, the exact span over the field decides
     (`_burnside_exact`); a test that certifies nothing never does.
     """
-    reduced = _reduced((rep.sigma1, rep.sigma2))
+    reduced = _reduced((rep,))
     if reduced is not None and _norton_certifies(*reduced[1:]):
         return (rep.n + 1) ** 2
     return _burnside_exact(rep)
@@ -250,13 +300,14 @@ def _burnside_exact(rep):
     (see the module docstring).  Every queued element is multiplied by both,
     one `ExactMatrix` product each.
 
-    Over Q and Q(zeta_m) the seeds I, sigma_1 and Delta are put in
-    integer-row form (`ExactMatrix.as_integer_rows`), so every word is a
-    product with an integer-row right factor and stays on integer rows,
-    and the span takes each word's integer rows as they are
+    Over Q and Q(zeta_m) the seeds I, sigma_1 and Delta are in integer-row
+    form (`ExactMatrix.as_integer_rows`; sigma_1 and Delta are the
+    representation's memos, `_sigma1_rows` and `_half_twist`), so every
+    word is a product with an integer-row right factor and stays on
+    integer rows, and the span takes each word's integer rows as they are
     (`EchelonSpan.insert_matrix`): no word's entries are built."""
     size = rep.n + 1
-    gens = tuple(g.as_integer_rows() for g in (rep.sigma1, _half_twist(rep)))
+    gens = (_sigma1_rows(rep), _half_twist(rep))
     identity = ExactMatrix.identity(size, rep.sigma1.ctx).as_integer_rows()
     return _span_of_words((identity, *gens), gens, lambda a, b: a * b,
                           EchelonSpan(size * size).insert_matrix, size * size)
@@ -347,10 +398,27 @@ def suspected_catalog(n, lam0=None):
 # Intertwiners and equivalence.
 # ---------------------------------------------------------------------------
 
+def _sigma1_rows(rep):
+    """sigma_1 of a representation in integer-row form over Q and Q(zeta_m)
+    (`ExactMatrix.as_integer_rows`; sigma_1 itself over a field with q),
+    formed on first use and memoized on it (the `_sigma1_rows` slot of
+    `rep.Representation`, outside its fields).  It shares sigma_1's
+    entries, and a product with it on the right takes the integer-row
+    route."""
+    rows = getattr(rep, "_sigma1_rows", None)
+    if rows is None:
+        rows = rep.sigma1.as_integer_rows()
+        object.__setattr__(rep, "_sigma1_rows", rows)
+    return rows
+
+
 def _half_twist(rep):
     """The half twist Delta = (sigma_1 sigma_2) sigma_1 of a representation
     over its field, formed on first use and memoized on it (the
-    `_half_twist` slot of `rep.Representation`, outside its fields).
+    `_half_twist` slot of `rep.Representation`, outside its fields).  The
+    last factor is sigma_1 in integer-row form (`_sigma1_rows`), so over Q
+    and Q(zeta_m) Delta is born in that form, as the exact word span and
+    the check of a lifted basis take it.
 
     Raises `ConstraintViolated` unless sigma_1 is upper triangular with a
     nonzero diagonal: that makes sigma_1 invertible, which the equality of
@@ -365,7 +433,7 @@ def _half_twist(rep):
                 sigma1[i, i].is_zero() for i in range(sigma1.rows)):
             raise ConstraintViolated(
                 "the half twist needs sigma_1 upper triangular with a nonzero diagonal")
-        delta = sigma1 * rep.sigma2 * sigma1
+        delta = sigma1 * rep.sigma2 * _sigma1_rows(rep)
         object.__setattr__(rep, "_half_twist", delta)
     return delta
 
@@ -389,10 +457,11 @@ def _intertwiner_basis(rep_a, rep_b):
     Delta, which have the same intertwiners (see the module docstring).
 
     The certificate comes first: the system is built from the generators
-    reduced mod p (`_reduced`), with Delta_p their product mod p.  Its
-    nullity mod p bounds the exact nullity from above, so nullity 0 gives
-    the empty basis, and nullity 1 with sigma^A = sigma^B, where I is a
-    solution, gives [I]; neither forms the exact Delta.
+    reduced mod p (`_reduced`, memoized on each side), with Delta_p their
+    product mod p.  Its nullity mod p bounds the exact nullity from above,
+    so nullity 0 gives the empty basis, and nullity 1 with sigma^A =
+    sigma^B, where I is a solution, gives [I]; neither forms the exact
+    Delta.
 
     Over Q and Q(zeta_m) the same image then starts a multi-modular lift
     (`_lifted_basis`): the nullspace basis mod p of the system at each prime
@@ -417,12 +486,11 @@ def _intertwiner_basis(rep_a, rep_b):
     """
     size = rep_a.n + 1
     ctx = rep_a.sigma1.ctx
-    gens = (rep_a.sigma1, rep_a.sigma2, rep_b.sigma1, rep_b.sigma2)
-    same = gens[:2] == gens[2:]
+    same = (rep_a.sigma1, rep_a.sigma2) == (rep_b.sigma1, rep_b.sigma2)
     # I solves the system when sigma^A = sigma^B, so its rank is at most
     # size^2 - 1 there and the search stops on reaching that bound.
     target = size * size - same
-    reduced = _reduced(gens)
+    reduced = _reduced((rep_a, rep_b))
     if reduced is not None:
         start, p, images = reduced
         span = _system_span(p, images, size, target)
@@ -431,7 +499,7 @@ def _intertwiner_basis(rep_a, rep_b):
         if same and span.dim == target:
             return [ExactMatrix.identity(size, ctx)]
         if not ctx.with_q:
-            basis = _lifted_basis(rep_a, rep_b, gens, target, start, span)
+            basis = _lifted_basis(rep_a, rep_b, target, start, span)
             if basis is not None:
                 return basis
     return _intertwiner_basis_exact(rep_a, rep_b)
@@ -453,14 +521,15 @@ def _system_span(p, images, size, target):
     return echelon(rows, size * size, p, target)
 
 
-def _lifted_basis(rep_a, rep_b, gens, target, start, first):
+def _lifted_basis(rep_a, rep_b, target, start, first):
     """The intertwiner basis over Q or Q(zeta_m) by multi-modular lifting, or
     None when no prime of `_CERTIFICATE_PAIRS` gives one that checks.
 
     `first` is the span of the system at the standard root mod the prime of
     `_CERTIFICATE_PAIRS[start]`, the first pair that reduces; the lift runs
     over that pair and the pairs after it.  At each prime p the system is
-    reduced at every conjugate root r^k of `conjugate_interpolation`, and
+    reduced at every conjugate root r^k of `conjugate_interpolation`
+    (`_generator_images`, memoized on each side), and
     `EchelonSpan.nullspace` gives its basis mod p there; a prime where F_p has
     no primitive m-th root of unity, where some generator does not reduce,
     or where the free columns differ from those of the first pass, is
@@ -468,10 +537,10 @@ def _lifted_basis(rep_a, rep_b, gens, target, start, first):
     power-basis coefficients mod p, combined with the earlier primes by CRT,
     and each coefficient is taken back to Q by `rational_reconstruction`.
     When every coefficient reconstructs, each vector is scaled to a leading 1
-    and read as a matrix, and the basis is returned if it passes the exact
-    check of `_intertwine`, against sigma_1 and the half twist, which forms
-    the exact Delta of each side on first use; otherwise the next prime
-    refines the residues.
+    and read as a matrix in integer-row form (`_reconstructed`), and the
+    basis is returned if it passes the exact check of `_intertwine`,
+    against sigma_1 and the half twist, which forms the exact Delta of each
+    side on first use; otherwise the next prime refines the residues.
     """
     size = rep_a.n + 1
     ctx = rep_a.sigma1.ctx
@@ -486,7 +555,7 @@ def _lifted_basis(rep_a, rep_b, gens, target, start, first):
             if index == 0 and k == 1:
                 span = first
             else:
-                images = _images(gens, p, q0, k)
+                images = _generator_images((rep_a, rep_b), p, q0, k)
                 if images is None:
                     break
                 span = _system_span(p, images, size, target)
@@ -517,20 +586,32 @@ def _reconstructed(lifted, modulus, phi, ctx, size):
     """The matrices whose power-basis coefficients, phi per entry and size^2
     entries per matrix in row-major order, have the residues `lifted` mod
     `modulus`, each scaled so its first nonzero entry is 1; None when some
-    coefficient has no rational reconstruction."""
+    coefficient has no rational reconstruction.
+
+    The scaling runs on ints: a vector's coefficients times their common
+    denominator (`linalg._payload_ints`) are made to hold a positive
+    rational integer E at the leading entry (`linalg._rational_pivot`, the pivot step of the integer
+    span), and the vector is that over E.  Each matrix is returned in
+    integer-row form (see `ExactMatrix`), every row over E put in lowest
+    terms, and builds its Scalars only when they are read."""
     coeffs = []
     for u in lifted:
         c = rational_reconstruction(u, modulus)
         if c is None:
             return None
         coeffs.append(c)
-    if phi == 1:
-        entries = [Scalar(ctx, c) for c in coeffs]
-    else:
-        entries = [Scalar(ctx, Cyclotomic(ctx.order, coeffs[i:i + phi]))
-                   for i in range(0, len(coeffs), phi)]
-    return [_as_matrix(leading_one(entries[t:t + size * size]), size)
-            for t in range(0, len(entries), size * size)]
+    width, out = size * phi, []
+    for t in range(0, len(coeffs), size * width):
+        _, ints = _payload_ints(1, coeffs[t:t + size * width])
+        lead = next(i for i, a in enumerate(ints) if a) // phi * phi
+        ints = _rational_pivot(ctx.order, ints, lead)
+        e, rows = ints[lead], []
+        for i in range(0, size * width, width):
+            row = ints[i:i + width]
+            g = _int_gcd(e, *row)
+            rows.append((e // g, [a // g for a in row]) if g != 1 else (e, row))
+        out.append(ExactMatrix(size, size, ctx, None, rows))
+    return out
 
 
 def _as_matrix(vec, size):
@@ -561,18 +642,34 @@ def _intertwine(basis, rep_a, rep_b):
     exactly for S = sigma_1 and S = Delta (`_half_twist`), hence for sigma_2
     too: each S and side is one product over the stacked basis,
     S^A [C_1 | ... | C_k] against [C_1; ...; C_k] S^B, compared block by
-    block."""
-    size, ctx = rep_a.n + 1, rep_a.sigma1.ctx
-    wide = ExactMatrix(size, size * len(basis), ctx,
-                       tuple(tuple(chain.from_iterable(c.row(i) for c in basis))
-                             for i in range(size)))
-    tall = ExactMatrix(size * len(basis), size, ctx,
-                       tuple(c.row(i) for c in basis for i in range(size)))
-    for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (_half_twist(rep_a), _half_twist(rep_b))):
-        left, right = sa * wide, tall * sb
-        if any(left.row(i)[t * size:(t + 1) * size] != right.row(t * size + i)
-               for t in range(len(basis)) for i in range(size)):
-            return False
+    block.
+
+    Over Q and Q(zeta_m) the stacked basis, sigma_1 (`_sigma1_rows`) and
+    Delta are in integer-row form, so all four products take the
+    integer-row route and no entry is built: block t of row i on the left,
+    L / d, equals row t size + i on the right, R / e, when L e = R d int
+    for int, the power basis being unique."""
+    size, k, ctx = rep_a.n + 1, len(basis), rep_a.sigma1.ctx
+    blocks = [c.as_integer_rows()._ints for c in basis]
+    wide = []
+    for i in range(size):
+        den, ints = _int_lcm(*[b[i][0] for b in blocks]), []
+        for b in blocks:
+            d, row = b[i]
+            ints += row if d == den else [a * (den // d) for a in row]
+        wide.append((den, ints))
+    wide = ExactMatrix(size, size * k, ctx, None, wide)
+    tall = ExactMatrix(size * k, size, ctx, None, [row for b in blocks for row in b])
+    for sa, sb in ((_sigma1_rows(rep_a), _sigma1_rows(rep_b)),
+                   (_half_twist(rep_a), _half_twist(rep_b))):
+        left, right = (sa * wide)._ints, (tall * sb)._ints
+        width = len(right[0][1])
+        for t in range(k):
+            for i in range(size):
+                (d, a), (e, b) = left[i], right[t * size + i]
+                if list(map(mul, a[t * width:(t + 1) * width], repeat(e))) \
+                        != list(map(mul, b, repeat(d))):
+                    return False
     return True
 
 
@@ -604,7 +701,10 @@ def intertwiner_space(rep_a, rep_b):
     intertwiner is then invertible, over the field or any extension, and the
     pair is "inequivalent", as it is when the space is 0.  A larger space
     where no probe is invertible is reported as undecided rather than as a
-    hard negative.
+    hard negative.  A coefficient tuple that was already tried is skipped,
+    since it gives the same combination: the probes (i + 1) and (2^i)
+    coincide in dimension 2, and t = 0, 1, 2 repeat the probes C_1,
+    C_1 + C_2 and C_1 + 2 C_2.
     """
     if rep_a.n != rep_b.n:
         raise ShapeMismatch("intertwiners need equal dimensions")
@@ -614,9 +714,13 @@ def intertwiner_space(rep_a, rep_b):
     basis = _intertwiner_basis(rep_a, rep_b)
     dim = len(basis)
     ctx = rep_a.sigma1.ctx
+    tried = set()
 
     def invertible_among(candidates):
         for coeffs in candidates:
+            if coeffs in tried:
+                continue
+            tried.add(coeffs)
             combo = ExactMatrix.zeros(size, size, ctx)
             for c, mat in zip(coeffs, basis):
                 if c:

@@ -30,8 +30,10 @@ folding the top power back with the tail of Phi_m; each row of the result
 is divided by the gcd of its ints and its denominator.  No Scalar is built,
 and the exact algebra span (`irred._burnside_exact`) keeps every word in
 this form and inserts its integer rows into the span as they are
-(`EchelonSpan.insert_matrix`).  Every product whose right factor holds
-Scalars takes the routes below.
+(`EchelonSpan.insert_matrix`); the multi-modular intertwiner lift builds
+its bases and the products of their check in this form too
+(`irred._reconstructed`, `irred._intertwine`).  Every product whose right
+factor holds Scalars takes the routes below.
 
 Sums, negatives and scalings return exact-zero entries as they are.  A
 matrix product skips every term with an exactly zero factor.  A monomial
@@ -99,8 +101,10 @@ class ExactMatrix:
     gcd(den, *ints) = 1, so that the form is unique (a zero row is den 1).
     `as_integer_rows` gives it, and a product whose right factor has it
     takes the integer-row route (`_integer_product`) and has it too.  Such
-    a matrix builds its Scalar entries on their first read (`_e`), which
-    code outside this module never needs.
+    a matrix builds its Scalar entries on their first read (`_e`).  Outside
+    this module only the intertwiner lift (`irred._reconstructed`,
+    `irred._intertwine`) makes one from its rows, `ExactMatrix(rows, cols,
+    ctx, None, ints)`, and reads `_ints`.
     """
 
     __slots__ = ("rows", "cols", "ctx", "_entries", "_ints", "_multiples")
@@ -616,6 +620,22 @@ def _zeta_multiples(order, ints):
     return out
 
 
+def _rational_pivot(order, ints, start):
+    """The nonzero int vector `ints` (phi(order) power-basis ints per
+    column) times a nonzero element of the field that makes its column at
+    `start` a positive rational integer, so that the vector divided by that
+    integer has a 1 there.  Over Q(zeta_m) the element is the numerator of
+    the inverse of that column's value, the product of its other Galois
+    conjugates (`Cyclotomic.inverse`), applied as the sum of its ints times
+    the vector's zeta-multiples (`_zeta_multiples`); over Q it is the sign
+    of the pivot."""
+    if order == 1:
+        return ints if ints[start] > 0 else [-a for a in ints]
+    phi = euler_phi(order)
+    inv = _cyclotomic(order, 1, ints[start:start + phi]).inverse()
+    return _int_combination((c, v) for c, v in zip(inv.ints, _zeta_multiples(order, ints)) if c)
+
+
 def _int_combination(terms):
     """sum c v over the (c, v) pairs of `terms`, the v int lists of one
     length, by whole-list `map`s; None when there is no pair."""
@@ -902,14 +922,13 @@ class _IntegerRows:
     i < phi(m) (`_zeta_multiples`), so that a step is a few `map`s of int
     products over the columns from k on, with no Python loop over them, no
     product of power bases and no reduction modulo Phi_m.  A vector left
-    nonzero at a column without a pivot is stored there: over Q(zeta_m) it
-    is first multiplied by the numerator of the pivot's inverse, the product
-    of the pivot's other Galois conjugates (`Cyclotomic.inverse`), as the
-    sum of that numerator's ints times the vector's zeta-multiples, which
-    makes the pivot rational, and then divided by its content; over Q its
-    sign is made that of a positive pivot.  Every vector is thus a rational multiple of the
-    field route's, so `insert` answers as that route does, and a stored row
-    divided by its pivot is the field route's row (`field_row`).
+    nonzero at a column without a pivot is stored there, with its pivot
+    made a positive rational integer (`_rational_pivot`: over Q(zeta_m) it
+    is multiplied by the numerator of the pivot's inverse, over Q by the
+    pivot's sign) and then divided by its content.  Every vector is thus a
+    nonzero multiple of the field route's, so `insert` answers as that
+    route does, and a stored row divided by its pivot is the field route's
+    row (`field_row`).
     """
 
     __slots__ = ("order", "phi")
@@ -967,19 +986,12 @@ class _IntegerRows:
     def _row(self, k, ints):
         """The stored row (pivot, multiples) for the primitive vector `ints`
         whose first nonzero column is k."""
-        phi, order = self.phi, self.order
-        start = k * phi
-        if order == 1:
-            if ints[start] < 0:
-                ints = [-a for a in ints]
-            return ints[start], (ints,)
-        # inv v = sum_t inv_t zeta^t v, inv the numerator of the pivot's inverse
-        inv = _cyclotomic(order, 1, ints[start:start + phi]).inverse()
-        row = _int_combination((c, v) for c, v in zip(inv.ints, _zeta_multiples(order, ints)) if c)
+        start = k * self.phi
+        row = _rational_pivot(self.order, ints, start)
         g = _int_gcd(*row)
         if g != 1:
             row = [a // g for a in row]
-        return row[start], _zeta_multiples(order, row)
+        return row[start], _zeta_multiples(self.order, row)
 
     def field_row(self, k, stored):
         """The stored row at pivot column k divided by its pivot, as field

@@ -130,16 +130,18 @@ def factored_spec(n, ctx, lam_prime):
 class Representation(FrozenRecord):
     """The realized pair: the dressed generators and the raw diagonal L.
 
-    `_half_twist` memoizes the half twist s1 s2 s1 for `irred`, which forms
-    it on first use; like the memos of `QContext` it is left out of equality,
-    hashing and repr.
+    Three memos serve `irred`, which fills each on first use: `_sigma1_rows`
+    holds s1 in integer-row form over Q and Q(zeta_m), `_half_twist` the
+    half twist s1 s2 s1, and `_residues` the images of (s1, s2) mod p per
+    (p, q0, k).  Like the memos of `QContext` they are left out of
+    equality, hashing and repr.
     """
 
     _fields = ("spec", "sigma1", "sigma2", "lam_raw")
-    __slots__ = _fields + ("_half_twist",)
+    __slots__ = _fields + ("_sigma1_rows", "_half_twist", "_residues")
 
     def __init__(self, spec, sigma1, sigma2, lam_raw):
-        self._set(spec, sigma1, sigma2, lam_raw, None)
+        self._set(spec, sigma1, sigma2, lam_raw, None, None, None)
 
     @property
     def n(self):

@@ -5,7 +5,8 @@ reference oracles recompute by a slow, independent route what the program
 computes fast (Leibniz determinants, path-sum inverses, the series of the
 unipotent logarithm, the expansion of the Gaussian product, the algebra and
 the intertwiners of (sigma_1, sigma_2) itself rather than of sigma_1 and the
-half twist).  The checks of
+half twist, the exhaustive minor search, and the lift's reconstruction and
+check on Scalars rather than on integer rows).  The checks of
 the paper's claims evaluate a closed form or a witness the paper states (the
 starred d0 formula, the fixed vectors e_0 and f_0, the root-of-unity and n = 1
 subspaces) and return what they found, for the acceptance suite to assert.
@@ -13,7 +14,7 @@ subspaces) and return what they found, for the acceptance suite to assert.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 
 from qbraid.errors import (
@@ -25,14 +26,16 @@ from qbraid.errors import (
     ShapeMismatch,
     SingularDiagonal,
 )
+from qbraid import irred
 from qbraid.irred import (
+    MinorOutcome,
     _as_matrix,
     _criterion_matrix_raw,
     _intertwiner_system,
     _span_of_words,
     burnside_dimension,
 )
-from qbraid.linalg import EchelonSpan, ExactMatrix
+from qbraid.linalg import EchelonSpan, ExactMatrix, leading_one
 from qbraid.qcomb import QContext, concrete_q, q_int, q_tri
 from qbraid.rep import (
     build_representation,
@@ -41,7 +44,7 @@ from qbraid.rep import (
     sigma1_matrix,
     sigma2_matrix,
 )
-from qbraid.scalar import Scalar, zeta
+from qbraid.scalar import Cyclotomic, Scalar, rational_reconstruction, zeta
 from qbraid.structure import q_exp_nilpotent, t_matrix
 
 
@@ -200,6 +203,67 @@ def intertwiner_basis_exact_sigma2(rep_a, rep_b):
                   for sa, sb in ((rep_a.sigma1, rep_b.sigma1), (rep_a.sigma2, rep_b.sigma2)))
     rows = list(_intertwiner_system(pairs, size, Scalar.zero(rep_a.sigma1.ctx)))
     return [_as_matrix(vec, size) for vec in ExactMatrix.from_rows(rows).nullspace()]
+
+
+def minor_criterion_search(rep, r):
+    """Reference for `irred.minor_criterion`: the exhaustive lexicographic
+    search, one minor per row subset until the first nonzero one, with no
+    rank.  G_r is read through `irred.criterion_matrix` at call time, so a
+    test that patches it patches both routes."""
+    n = rep.n
+    g = irred.criterion_matrix(rep, r)
+    cols = list(range(r + 1, n + 1))
+    witness = value = None
+    for checked, rows in enumerate(combinations(range(n + 1), n - r), 1):
+        m = g.minor(list(rows), cols)
+        if checked == 1:
+            distinguished = m
+        if not m.is_zero():
+            witness, value = rows, m
+            break
+    consistent = (distinguished.is_zero() and g[n, n].is_zero()) == (witness is None)
+    return MinorOutcome(r, witness, None if value is None else str(value), checked, consistent)
+
+
+def reconstructed_scalars(lifted, modulus, phi, ctx, size):
+    """Reference for `irred._reconstructed` on Scalars: every coefficient
+    reconstructed, each entry built as a Scalar, each vector scaled by the
+    inverse of its first nonzero entry (`leading_one`) and read as a
+    matrix."""
+    coeffs = []
+    for u in lifted:
+        c = rational_reconstruction(u, modulus)
+        if c is None:
+            return None
+        coeffs.append(c)
+    if phi == 1:
+        entries = [Scalar(ctx, c) for c in coeffs]
+    else:
+        entries = [Scalar(ctx, Cyclotomic(ctx.order, coeffs[i:i + phi]))
+                   for i in range(0, len(coeffs), phi)]
+    return [_as_matrix(leading_one(entries[t:t + size * size]), size)
+            for t in range(0, len(entries), size * size)]
+
+
+def intertwine_scalars(basis, rep_a, rep_b):
+    """Reference for `irred._intertwine` on Scalars: the stacked basis built
+    from the basis's entries, the products S^A [C_1 | ... | C_k] and
+    [C_1; ...; C_k] S^B for S = sigma_1 and the half twist
+    sigma_1 sigma_2 sigma_1, all held as Scalars, and each block compared
+    entry by entry."""
+    size, ctx = rep_a.n + 1, rep_a.sigma1.ctx
+    wide = ExactMatrix(size, size * len(basis), ctx,
+                       tuple(tuple(chain.from_iterable(c.row(i) for c in basis))
+                             for i in range(size)))
+    tall = ExactMatrix(size * len(basis), size, ctx,
+                       tuple(c.row(i) for c in basis for i in range(size)))
+    twists = [rep.sigma1 * rep.sigma2 * rep.sigma1 for rep in (rep_a, rep_b)]
+    for sa, sb in ((rep_a.sigma1, rep_b.sigma1), twists):
+        left, right = sa * wide, tall * sb
+        if any(left.row(i)[t * size:(t + 1) * size] != right.row(t * size + i)
+               for t in range(len(basis)) for i in range(size)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbraid.errors import (
     AlphaDegenerate,
@@ -52,8 +54,11 @@ from reference import (
     eigenvector_closed_forms,
     f_matrix,
     fixed_vector_check,
+    intertwine_scalars,
     intertwiner_basis_exact_sigma2,
+    minor_criterion_search,
     n1_subspace_test,
+    reconstructed_scalars,
     root_of_unity_reducibility,
 )
 
@@ -868,7 +873,7 @@ def test_oracles_match_tuba_wenzl_in_dimensions_2_and_3():
 
 def norton_certifies(rep):
     """Norton's test at the first certificate pair where the generators reduce."""
-    reduced = irred._reduced((rep.sigma1, rep.sigma2))
+    reduced = irred._reduced((rep,))
     return reduced is not None and irred._norton_certifies(*reduced[1:])
 
 
@@ -997,7 +1002,7 @@ def norton_grid():
 def test_norton_certifies_exactly_when_the_word_span_mod_p_is_full():
     outcomes = set()
     for rep in norton_grid():
-        _, p, gens = irred._reduced((rep.sigma1, rep.sigma2))
+        _, p, gens = irred._reduced((rep,))
         full = word_span_mod_p(p, gens) == (rep.n + 1) ** 2
         assert irred._norton_certifies(p, gens) == full, (rep.n, str(rep.ctx.q),
                                                           [str(v) for v in rep.lam_raw])
@@ -1076,7 +1081,7 @@ def test_no_half_twist_where_a_certificate_decides(monkeypatch):
 
 def test_half_twist_mod_p_is_the_image_of_the_exact_half_twist():
     for rep in reps_under_test() + deficient_reps() + [catalog_point(6, 4, Fraction(2))]:
-        index, p, (s1, s2) = irred._reduced((rep.sigma1, rep.sigma2))
+        index, p, (s1, s2) = irred._reduced((rep,))
         q0 = _CERTIFICATE_PAIRS[index][0]
         (delta,) = irred._images((irred._half_twist(rep),), p, q0)
         assert irred._half_twist_mod(s1, s2, p) == delta
@@ -1195,3 +1200,267 @@ def test_a_two_dimensional_space_is_decided_by_n_plus_2_determinants(monkeypatch
     monkeypatch.setattr(irred, "_intertwiner_basis", lambda a, b: singular[:2])
     res = intertwiner_space(rep, rep)
     assert (res["status"], res["invertible"]) == ("inequivalent", None)
+
+
+# --- exhaustion by one rank -----------------------------------------------------------
+
+def count_minors(monkeypatch):
+    """Record the row subset of every `ExactMatrix.minor` in a list."""
+    calls, minor = [], ExactMatrix.minor
+
+    def spy_minor(m, rows, cols):
+        calls.append(tuple(rows))
+        return minor(m, rows, cols)
+
+    monkeypatch.setattr(ExactMatrix, "minor", spy_minor)
+    return calls
+
+
+def assert_rank_route_matches_the_search(rep, r, minors):
+    """minor_criterion against the exhaustive search: equal outcomes, and one
+    minor for an exhausted r whose distinguished minor is zero (the rank
+    decides it), otherwise one minor per subset checked."""
+    want = minor_criterion_search(rep, r)
+    minors.clear()
+    got = minor_criterion(rep, r)
+    assert got == want, (r, got, want)
+    assert len(minors) == (1 if got.exhausted else got.subsets_checked)
+
+
+class Shape:
+    """A stand-in for a representation of size n + 1 whose G_r is given."""
+
+    def __init__(self, n):
+        self.n = n
+
+
+FIELDS_FOR_MINORS = {"Q": lambda: (integer(1), None),
+                     "Q(zeta3)": lambda: (Scalar.one(zeta(3).ctx), zeta(3)),
+                     "Q(q)": lambda: (Scalar.one(q_symbol().ctx), q_symbol())}
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_rank_decided_exhaustion_matches_the_search(data):
+    """G_r over Q, Q(zeta_3) and Q(q) with its column block of rank below
+    n - r (exhausted), with two equal rows among the distinguished ones (a
+    zero distinguished minor and a later witness, or none), with the
+    distinguished rows zero in the block, or at random."""
+    one, gen = FIELDS_FOR_MINORS[data.draw(st.sampled_from(sorted(FIELDS_FOR_MINORS)))]()
+    n = data.draw(st.integers(2, 5), label="n")
+    r = data.draw(st.integers(0, n // 2), label="r")
+    size, width = n + 1, n - r
+    small = st.integers(-3, 3)
+
+    def entry():
+        x = integer(data.draw(small), one.ctx)
+        return x if gen is None else x + integer(data.draw(small), one.ctx) * gen
+
+    g = [[entry() for _ in range(size)] for _ in range(size)]
+    mode = data.draw(st.sampled_from(["low rank", "equal rows", "zero rows", "random"]))
+    if mode == "low rank":
+        # block = A B with A of size (n+1) x k, k < n - r, so every minor is 0
+        k = data.draw(st.integers(0, width - 1), label="k")
+        a = [[entry() for _ in range(k)] for _ in range(size)]
+        b = [[entry() for _ in range(width)] for _ in range(k)]
+        for i in range(size):
+            for j in range(width):
+                g[i][r + 1 + j] = sum((a[i][t] * b[t][j] for t in range(k)), one - one)
+    elif mode == "equal rows" and width >= 2:
+        g[0][r + 1:] = g[1][r + 1:]
+    elif mode == "zero rows":
+        for i in range(data.draw(st.integers(1, width), label="zero rows")):
+            g[i][r + 1:] = [one - one] * width
+    g = ExactMatrix.from_rows(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(irred, "criterion_matrix", lambda rep, r_: g)
+        assert_rank_route_matches_the_search(Shape(n), r, count_minors(mp))
+
+
+def test_minor_criterion_matches_the_search_at_catalog_and_reducible_points(monkeypatch):
+    """At every catalog point with n <= 7 and at the reducible and generic
+    points of this file, every r: the outcomes are the search's, and at the
+    zeta_3 catalog point with n = 10 the exhausted r = 0, 1 report all 11
+    and 55 subsets from one minor each."""
+    reps = [catalog_rep(e) for n in range(2, 8) for e in suspected_catalog(n)]
+    reps += reps_under_test() + deficient_reps()[:2]
+    ten = catalog_point(10, 3, Fraction(2))
+    minors = count_minors(monkeypatch)
+    exhausted = 0
+    for rep in reps + [ten]:
+        for r in range(rep.n // 2 + 1):
+            assert_rank_route_matches_the_search(rep, r, minors)
+            exhausted += minor_criterion(rep, r).exhausted
+    assert exhausted >= 20
+    outcomes = [minor_criterion(ten, r) for r in range(6)]
+    assert [o.subsets_checked for o in outcomes[:2]] == [11, 55]
+    assert all(o.exhausted for o in outcomes[:2])
+    assert not any(o.exhausted for o in outcomes[2:])
+
+
+# --- the lift on integer rows ----------------------------------------------------------
+
+def record_lifts(monkeypatch):
+    """Record the arguments and result of every `_reconstructed` and every
+    `_intertwine` of the lift."""
+    lifts, checks = [], []
+    reconstructed, intertwine = irred._reconstructed, irred._intertwine
+
+    def spy_reconstructed(*args):
+        out = reconstructed(*args)
+        lifts.append((args, out))
+        return out
+
+    def spy_intertwine(*args):
+        out = intertwine(*args)
+        checks.append((args, out))
+        return out
+
+    monkeypatch.setattr(irred, "_reconstructed", spy_reconstructed)
+    monkeypatch.setattr(irred, "_intertwine", spy_intertwine)
+    return lifts, checks
+
+
+def assert_lifts_match_the_references(lifts, checks):
+    for args, out in lifts:
+        want = reconstructed_scalars(*args)
+        assert out == want
+        if out is not None:
+            for m in out:
+                assert m._ints is not None
+                assert m.rows == m.cols == args[4]
+    for (basis, a, b), out in checks:
+        assert out == intertwine_scalars(basis, a, b)
+
+
+def test_lifted_bases_and_checks_match_the_scalar_references(monkeypatch):
+    """Every lift's integer-row reconstruction equals the Scalar one (the
+    coefficients rebuilt as Scalars and scaled by `leading_one`), and every
+    check's verdict is the Scalar check's: at catalog points over Q, Q(zeta_3),
+    Q(zeta_4), Q(zeta_5) and Q(zeta_6), between distinct points, on lifts
+    that fail to reconstruct (mod 13, and mod one prime near 2^10) and on one
+    that reconstructs but fails the check (a bad prime)."""
+    lifts, checks = record_lifts(monkeypatch)
+    for n, s, lam0 in [(4, 3, Fraction(2)), (5, 2, Fraction(-3, 2)), (6, 4, Fraction(2, 3)),
+                       (6, 5, Fraction(2)), (6, 6, Fraction(-3, 2)), (7, 3, Fraction(2, 3))]:
+        rep = catalog_point(n, s, lam0)
+        assert commutant_dimension(rep)[1] == _intertwiner_basis_exact(rep, rep)
+    a, b = sign_pair()
+    assert intertwiner_space(a, b)["basis"] == _intertwiner_basis_exact(a, b)
+    a, b = catalog_point(4, 3, Fraction(2)), catalog_point(4, 3, Fraction(2), 1)
+    assert _intertwiner_basis(a, b) == _intertwiner_basis_exact(a, b)
+    assert all(out is not None for _, out in lifts)
+    assert any(m for _, out in lifts for m in out
+               if not all(x.is_one() for x in m.row(0) if not x.is_zero()))
+    good = len(lifts)
+    for pairs in (((2, 13),), ((2, 1009), (2, 1021))):
+        monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", pairs)
+        rep = catalog_point(6, 3, Fraction(2, 3))
+        assert _intertwiner_basis(rep, rep) == _intertwiner_basis_exact(rep, rep)
+    assert any(out is None for _, out in lifts[good:])
+    p = 10007
+    monkeypatch.setattr(irred, "_CERTIFICATE_PAIRS", ((2, p),) + _CERTIFICATE_PAIRS)
+    rep = rep_q1([(p - 1) ** k for k in range(5)])
+    assert _intertwiner_basis(rep, rep) == [ExactMatrix.identity(5, QQ)]
+    assert [out for _, out in checks].count(False) == 1
+    assert_lifts_match_the_references(lifts, checks)
+
+
+def test_the_lift_check_compares_blocks_over_their_denominators():
+    """The stacked basis [C_1 | ... | C_k] puts each row on one denominator,
+    so a block of the left product is not in lowest terms on its own: I
+    beside I/2, or a commutant basis scaled by different rationals, must
+    still check, over Q and Q(zeta_3), as the Scalar check says."""
+    for rep in (catalog_point(4, 2, Fraction(2)), catalog_point(4, 3, Fraction(-3, 2))):
+        ctx = rep.sigma1.ctx
+        eye = ExactMatrix.identity(rep.n + 1, ctx)
+        basis = commutant_dimension(rep)[1]
+        scaled = [c.scale(rational(1, k + 2, ctx)) for k, c in enumerate(basis)]
+        bad = ExactMatrix.diagonal([Scalar.one(ctx)] + [Scalar.zero(ctx)] * rep.n)
+        for candidate, ok in (([eye, eye.scale(rational(1, 2, ctx))], True),
+                              (scaled, True), (scaled[::-1], True),
+                              (scaled + [bad], False), ([bad.scale(rational(1, 3, ctx)), eye], False)):
+            assert irred._intertwine(candidate, rep, rep) is ok
+            assert intertwine_scalars(candidate, rep, rep) is ok
+
+
+# --- memos on each representation ------------------------------------------------------
+
+def test_each_generator_is_reduced_once_per_pair_and_conjugate(monkeypatch):
+    """At the zeta_3 catalog point, `analyze` and `intertwiner_space` with
+    itself reduce sigma_1 and sigma_2 once per (p, q0, k): the algebra's
+    certificate, the commutant's and the lift share the images."""
+    rep = catalog_point(5, 3, Fraction(2))
+    size = rep.n + 1
+    calls = []
+    reduce_entry = irred.residue
+
+    def spy_residue(x, p, q0, k=1):
+        calls.append((p, q0, k))
+        return reduce_entry(x, p, q0, k)
+
+    monkeypatch.setattr(irred, "residue", spy_residue)
+    report = analyze(rep)
+    assert report.commutant_dim > 1 and report.burnside_dim < size * size
+    assert intertwiner_space(rep, rep)["status"] == "equivalent"
+    counts = {}
+    for key in calls:
+        counts[key] = counts.get(key, 0) + 1
+    q0, p = _CERTIFICATE_PAIRS[0]
+    assert counts == {(p, q0, 1): 2 * size * size, (p, q0, 2): 2 * size * size}
+    assert set(rep._residues) == set(counts)
+
+
+def test_memoized_images_at_every_conjugate_equal_fresh_ones():
+    """The memo is keyed by (p, q0, k): after the images at k = 1, those at
+    k = 2 and k = 4 are the conjugates' own, not the first ones again."""
+    for rep in (catalog_point(4, 3, Fraction(2)), catalog_point(5, 5, Fraction(-3, 2))):
+        q0, p = _CERTIFICATE_PAIRS[0]
+        order = rep.sigma1.ctx.order
+        images = {}
+        for k in (1, 2, order - 1):
+            images[k] = irred._generator_images((rep,), p, q0, k)
+            assert images[k] == irred._images((rep.sigma1, rep.sigma2), p, q0, k)
+            assert irred._generator_images((rep,), p, q0, k) == images[k]
+        assert sorted(rep._residues) == sorted((p, q0, k) for k in images)
+        assert images[1] != images[2]
+        assert irred._generator_images((rep, rep), p, q0, 2) == images[2] + images[2]
+
+
+def test_the_half_twist_is_born_on_integer_rows_and_shared(monkeypatch):
+    """Delta is (sigma_1 sigma_2) times sigma_1 in integer-row form, two
+    products, and is held as integer rows; the exact word span and the lift
+    check take the memoized sigma_1 rows and Delta themselves."""
+    rep = catalog_point(4, 3, Fraction(2))
+    products = []
+    multiply = ExactMatrix.__mul__
+
+    def spy_mul(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", spy_mul)
+    delta = irred._half_twist(rep)
+    assert len(products) == 2 and products[1][1] is rep._sigma1_rows
+    assert delta._ints is not None and delta._entries is None
+    assert rep._sigma1_rows._ints is not None and rep._sigma1_rows == rep.sigma1
+    assert delta == rep.sigma1 * rep.sigma2 * rep.sigma1
+    products.clear()
+    _burnside_exact(rep)
+    assert {id(a) for a, _ in products} == {id(rep._sigma1_rows), id(delta)}
+
+
+# --- equivalence probes ------------------------------------------------------------------
+
+def test_equivalence_probes_skip_repeated_coefficient_tuples(monkeypatch):
+    """At the zeta_4 pair of opposite half twists every probe is singular:
+    the four distinct fixed probes and t = 3..n+1 make 10 determinants, not
+    the 14 of every tuple, for the same report."""
+    a, b = sign_pair()
+    dets, determinant = [], ExactMatrix.determinant
+    monkeypatch.setattr(ExactMatrix, "determinant",
+                        lambda m: dets.append(m) or determinant(m))
+    res = intertwiner_space(a, b)
+    assert (res["status"], res["invertible"]) == ("inequivalent", None)
+    assert len(dets) == 10
+    assert len({m for m in dets}) == 10

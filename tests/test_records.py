@@ -8,6 +8,8 @@ from qbraid.irred import (
     IrreducibilityReport,
     MinorOutcome,
     SuspectedCatalogEntry,
+    analyze,
+    intertwiner_space,
     suspected_catalog,
 )
 from qbraid.qcomb import (
@@ -187,3 +189,22 @@ def test_representations_compare_by_their_fields():
     other = Representation(rep.spec, rep.sigma2, rep.sigma1, rep.lam_raw)
     assert other != rep
     assert (rep.n, rep.ctx) == (2, spec.ctx)
+
+
+def test_a_representation_with_filled_memos_equals_hashes_and_reprs_as_a_fresh_one():
+    """The memos that `irred` fills on a representation (sigma_1 in
+    integer-row form, the half twist, the residues per (p, q0, k)) are left
+    out of its equality, hash and repr, and are not fields."""
+    z = zeta(3)
+    lam = tuple(integer(2, z.ctx) * z ** k for k in range(5))
+    spec = raw_spec(4, concrete_q(Scalar.one(z.ctx)), lam)
+    used, fresh = build_representation(spec), build_representation(spec)
+    assert analyze(used).verdict == "operator-reducible"
+    assert intertwiner_space(used, used)["status"] == "equivalent"
+    memos = ("_sigma1_rows", "_half_twist", "_residues")
+    assert all(getattr(used, name) is not None for name in memos)
+    assert all(getattr(fresh, name) is None for name in memos)
+    assert not set(memos) & set(Representation._fields)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    with pytest.raises(AttributeError):
+        used._residues = {}
