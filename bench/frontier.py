@@ -16,6 +16,11 @@ Run from the checkout root; --src picks the source tree whose `qbraid` runs
 alternate between the two trees, the side that goes first switching from run
 to run and from job to job, so that the machine's drift falls on both sides
 alike; the record then holds the baseline's runs and median as well.
+
+Each tree runs with a private, initially empty bytecode cache
+(PYTHONPYCACHEPREFIX), filled by one untimed start before the first job, so
+that every timed run of either tree reads bytecode compiled in this run and
+none reads a `__pycache__` that tests or earlier runs left in a checkout.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -87,15 +93,21 @@ JOBS = [
     ["irr", "minors", "--n", "14", "--q", "1", "--lambda=" + catalog_lambda(14, 3, "2")],
     ["irr", "equiv", "--n", "8", "--q", "1", "--lambda=" + catalog_lambda(8, 4, "2"),
      "--lambda2=" + catalog_lambda(8, 4, "2")],
+    # the braid check at symbolic q: two packed products, and over rational
+    # functions the term-by-term loop
+    ["rep", "verify", "--n", "40", "--q", "q"],
+    ["rep", "verify", "--n", "12", "--q", "q/(1+q)"],
 ]
 
 # Report fields copied into the record, when the report has them.
 _PAYLOAD_FIELDS = ("verdict", "commutant_dim", "burnside_dim", "dimension")
 
 
-def run_job(argv, src):
-    """One job in a fresh interpreter; returns its record."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def run_job(argv, src, pycache):
+    """One job in a fresh interpreter, with its bytecode cache under the
+    directory pycache; returns its record."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     command = [sys.executable, "-m", "qbraid.cli", *argv, "--json"]
     record = {"job": " ".join(argv)}
     started = time.perf_counter()
@@ -129,6 +141,27 @@ def summarize(runs):
     return record
 
 
+def run_jobs(sides, caches, baseline):
+    """Every job REPEATS times on each side, the sides alternating; returns
+    the records, printing a line for each job as it finishes."""
+    records = []
+    for i, job in enumerate(JOBS):
+        runs = {side: [] for side in sides}
+        for repeat in range(REPEATS):
+            order = list(sides) if (i + repeat) % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                runs[side].append(run_job(job, sides[side], caches[side]))
+        record = summarize(runs["src"])
+        line = f"{' '.join(job):36} {record['wall_s']:9.3f} s"
+        if baseline:
+            record["baseline"] = summarize(runs["baseline"])
+            line += f"  (baseline {record['baseline']['wall_s']:9.3f} s)"
+        records.append(record)
+        outcome = "timeout" if record["timed_out"] else f"exit {record['exit']}"
+        print(f"{line}  {outcome}", flush=True)
+    return records
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -142,21 +175,11 @@ def main(argv=None):
     for tree in sides.values():
         if not (tree / "qbraid" / "cli.py").is_file():
             parser.error(f"no qbraid package under {tree}")
-    records = []
-    for i, job in enumerate(JOBS):
-        runs = {side: [] for side in sides}
-        for repeat in range(REPEATS):
-            order = list(sides) if (i + repeat) % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                runs[side].append(run_job(job, sides[side]))
-        record = summarize(runs["src"])
-        line = f"{' '.join(job):36} {record['wall_s']:9.3f} s"
-        if args.baseline:
-            record["baseline"] = summarize(runs["baseline"])
-            line += f"  (baseline {record['baseline']['wall_s']:9.3f} s)"
-        records.append(record)
-        outcome = "timeout" if record["timed_out"] else f"exit {record['exit']}"
-        print(f"{line}  {outcome}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="qbraid-frontier-") as scratch:
+        caches = {side: Path(scratch) / side for side in sides}
+        for side in sides:
+            run_job(JOBS[0], sides[side], caches[side])
+        records = run_jobs(sides, caches, args.baseline)
     doc = {"deadline_s": DEADLINE_S, "repeats": REPEATS,
            "machine": {"python": platform.python_version(), "system": platform.system(),
                        "machine": platform.machine(), "cpus": os.cpu_count()},

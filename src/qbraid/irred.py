@@ -428,12 +428,10 @@ def _half_twist(rep):
     """
     delta = getattr(rep, "_half_twist", None)
     if delta is None:
-        sigma1 = rep.sigma1
-        if not sigma1.is_upper_triangular() or any(
-                sigma1[i, i].is_zero() for i in range(sigma1.rows)):
+        if not rep.sigma1.is_invertible_upper_triangular():
             raise ConstraintViolated(
                 "the half twist needs sigma_1 upper triangular with a nonzero diagonal")
-        delta = sigma1 * rep.sigma2 * _sigma1_rows(rep)
+        delta = rep.sigma1 * rep.sigma2 * _sigma1_rows(rep)
         object.__setattr__(rep, "_half_twist", delta)
     return delta
 
@@ -699,7 +697,9 @@ def intertwiner_space(rep_a, rep_b):
     if all are zero the polynomial is, and so is the homogeneous
     det(a C_1 + b C_2) of degree N, whose value at a = 1 it is.  No
     intertwiner is then invertible, over the field or any extension, and the
-    pair is "inequivalent", as it is when the space is 0.  A larger space
+    pair is "inequivalent", as it is when the space is 0, and when it has
+    dimension 1 and its one basis element C_1, probed first, is singular:
+    every intertwiner is then a multiple of C_1.  A larger space
     where no probe is invertible is reported as undecided rather than as a
     hard negative.  A coefficient tuple that was already tried is skipped,
     since it gives the same combination: the probes (i + 1) and (2^i)
@@ -741,7 +741,7 @@ def intertwiner_space(rep_a, rep_b):
         invertible = invertible_among((1, t) for t in range(size + 1))
         status = "inequivalent" if invertible is None else "equivalent"
     else:
-        status = "inequivalent" if dim == 0 else "undecided"
+        status = "inequivalent" if dim < 2 else "undecided"
     return {"dimension": dim, "basis": basis, "invertible": invertible,
             "status": status}
 

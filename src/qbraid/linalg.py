@@ -206,6 +206,11 @@ class ExactMatrix:
         return self.is_square() and self.is_upper_triangular() \
             and all(r[i].is_one() for i, r in enumerate(self._e))
 
+    def is_invertible_upper_triangular(self):
+        """Square and upper triangular with no zero on the diagonal."""
+        return self.is_square() and self.is_upper_triangular() \
+            and not any(r[i].is_zero() for i, r in enumerate(self._e))
+
     def is_strictly_upper_triangular(self):
         e = self._e
         return all(e[i][j].is_zero()

@@ -26,6 +26,15 @@ together with its bare equivalents
 verify_braid, the only reader of S(q), takes it from its cached builder, so
 building a representation never computes it; Lambda_n(q) is read from its
 cached builder too, by verify_braid and by the raw form's compatibility check.
+
+verify_braid forms two dense products, s1 s2 and the half twist
+Delta = (s1 s2) s1.  Once Delta = c S(q) L (c = lambda_0 lambda_n), s1 is
+invertible, L L^# = c Lambda_n(q) and the generators are dressed by L as
+built, the braid relation is Delta s1 = s2 Delta and the bare forms are
+s1 s2 = c S(q) sigma_1^-1(q) = sigma_2^-1(q) c S(q), products with a
+monomial factor; otherwise the four products of the bare route are formed
+and compared, so that the report and its first failure do not depend on
+the route.
 """
 
 from __future__ import annotations
@@ -152,16 +161,24 @@ class Representation(FrozenRecord):
         return self.spec.ctx
 
 
+def _cond_q_failure(n, ctx, lam):
+    """The first r where lambda_0 lambda_n q_r q_(n-r)/q_n differs from
+    lambda_r lambda_(n-r), that is where L L^# = lambda_0 lambda_n
+    Lambda_n(q) fails on the diagonal; None when it holds everywhere."""
+    l0ln = lam[0] * lam[n]
+    canonical = lambda_canonical(n, ctx)
+    return next((r for r in range(n + 1) if l0ln * canonical[r, r] != lam[r] * lam[n - r]),
+                None)
+
+
 def check_cond_q(n, ctx, lam):
     """Componentwise compatibility: lambda_0 lambda_n q_r q_(n-r)/q_n equals
     lambda_r lambda_(n-r) for every r; raises with the offending index."""
-    l0ln = lam[0] * lam[n]
-    canonical = lambda_canonical(n, ctx)
-    for r in range(n + 1):
-        if l0ln * canonical[r, r] != lam[r] * lam[n - r]:
-            raise CondQViolated(
-                f"cond_q fails at r={r}: lambda_0 lambda_n q_r q_(n-r)/q_n != "
-                f"lambda_r lambda_(n-r)", index=r)
+    r = _cond_q_failure(n, ctx, lam)
+    if r is not None:
+        raise CondQViolated(
+            f"cond_q fails at r={r}: lambda_0 lambda_n q_r q_(n-r)/q_n != "
+            f"lambda_r lambda_(n-r)", index=r)
 
 
 def build_representation(spec):
@@ -178,10 +195,19 @@ def build_representation(spec):
     else:
         check_cond_q(n, ctx, spec.lam)
         lam_raw = spec.lam
+    return Representation(spec, *_dressed(n, ctx, lam_raw), lam_raw)
+
+
+@lru_cache(maxsize=4)
+def _dressed(n, ctx, lam_raw):
+    """The dressed generators sigma_1(q,n) L and L^# sigma_2(q,n), L given
+    as the tuple lam_raw.  Cached, so that the generators of a built
+    representation are these very matrices and `_half_twist_applies` finds
+    them equal at once.  Only the last few pairs are kept: a representation
+    is verified right after it is built, and the pair of one at n = 20 and
+    symbolic q holds about 0.7 MB."""
     lam_m = ExactMatrix.diagonal(list(lam_raw))
-    sigma1 = sigma1_matrix(n, ctx) * lam_m
-    sigma2 = lam_m.sharp() * sigma2_matrix(n, ctx)
-    return Representation(spec, sigma1, sigma2, lam_raw)
+    return sigma1_matrix(n, ctx) * lam_m, lam_m.sharp() * sigma2_matrix(n, ctx)
 
 
 class BraidReport(Record):
@@ -199,21 +225,71 @@ class BraidReport(Record):
         return out
 
 
+_BRAID_CHECKS = ("s1*s2*s1 == s2*s1*s2", "s1*s2*s1 == c*S(q)*Lambda",
+                "sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1",
+                "sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)")
+
+
+def _half_twist_applies(rep):
+    """The preconditions of the half-twist route besides check 2: s1 is upper
+    triangular with no zero on its diagonal, hence invertible; L L^# =
+    c Lambda_n(q), n + 1 scalar comparisons; and the generators are dressed
+    by L as `build_representation` dresses them, s1 = sigma1(q) L and
+    s2 = L^# sigma2(q), compared with the cached pair of `_dressed`, which a
+    built representation holds itself.  A Representation made by hand need
+    not be dressed so, and s1 s2 is then no multiple of the core
+    sigma1(q) Lam(q) sigma2(q)."""
+    n, ctx = rep.n, rep.ctx
+    return (rep.sigma1.is_invertible_upper_triangular()
+            and _cond_q_failure(n, ctx, rep.lam_raw) is None
+            and (rep.sigma1, rep.sigma2) == _dressed(n, ctx, tuple(rep.lam_raw)))
+
+
+def _holds_on_half_twist(rep, s, s12, twist, c):
+    """Checks 1, 3 and 4 on the half twist Delta = c S(q) L, each one product
+    with a monomial factor: Delta s1 = s2 Delta, and s1 s2 equal to
+    (c S(q)) sigma1^-1(q) and to sigma2^-1(q) (c S(q)).  Each is equivalent
+    to its check only under check 2 and `_half_twist_applies`."""
+    n, ctx = rep.n, rep.ctx
+    cs = s.scale(c)
+    return (twist * rep.sigma1 == rep.sigma2 * twist
+            and s12 == cs * sigma1_inverse_closed(n, ctx)
+            and s12 == sigma2_inverse_closed(n, ctx) * cs)
+
+
 def verify_braid(rep):
-    """Check s1 s2 s1 = s2 s1 s2 = lambda_0 lambda_n S(q) L exactly, plus the
-    bare equivalent forms; failures are reported, never raised.  Both triple
-    products share s1 s2: (s1 s2) s1 and s2 (s1 s2)."""
+    """Check s1 s2 s1 = s2 s1 s2 = c S(q) L exactly, c = lambda_0 lambda_n,
+    and the bare forms sigma1(q) Lam(q) sigma2(q) = S(q) sigma1^-1(q) =
+    sigma2^-1(q) S(q); failures are reported, never raised.
+
+    Two dense products are formed, s1 s2 and the half twist
+    Delta = (s1 s2) s1, and check 2 compares Delta with c S(q) L.  When it
+    holds and so do the preconditions of `_half_twist_applies`, every other
+    check is one product with the monomial factor c S(q) L or c S(q)
+    (`_holds_on_half_twist`):
+      - s1 s2 s1 = s2 s1 s2 iff Delta s1 = s2 Delta, since the two sides
+        differ by (s1 s2 s1 - s2 s1 s2) s1 and s1 is invertible;
+      - s1 s2 = sigma1(q) L L^# sigma2(q) = c sigma1(q) Lam(q) sigma2(q),
+        and c = lambda_0 lambda_n is nonzero, since s1 = sigma1(q) L has no
+        zero on its diagonal; so each bare form holds iff s1 s2 equals c
+        times its right-hand side.
+    If a precondition or one of these checks fails, the two products of the
+    bare route that were left out, s2 (s1 s2) and the core
+    sigma1(q) Lam(q) sigma2(q), are formed and the four checks compared
+    entry by entry, so that the report and its first failure are those of
+    the four checks themselves."""
     n, ctx = rep.n, rep.ctx
     s = s_matrix(n, ctx)
     s12 = rep.sigma1 * rep.sigma2
     t121 = s12 * rep.sigma1
-    scale = rep.lam_raw[0] * rep.lam_raw[n]
+    c = rep.lam_raw[0] * rep.lam_raw[n]
+    twist = (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(c)
+    if t121 == twist and _half_twist_applies(rep) and _holds_on_half_twist(rep, s, s12, twist, c):
+        return BraidReport(n, True, [{"check": name, "passed": True} for name in _BRAID_CHECKS],
+                           None)
     core = sigma1_matrix(n, ctx) * lambda_canonical(n, ctx) * sigma2_matrix(n, ctx)
-    checks, first = compare_all((
-        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * s12),
-        ("s1*s2*s1 == c*S(q)*Lambda", t121,
-         (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)),
-        ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),
-        ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
+    checks, first = compare_all(zip(
+        _BRAID_CHECKS, (t121, t121, core, core),
+        (rep.sigma2 * s12, twist, s * sigma1_inverse_closed(n, ctx),
+         sigma2_inverse_closed(n, ctx) * s)))
     return BraidReport(n, first is None, checks, first)
-

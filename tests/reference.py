@@ -2,8 +2,9 @@
 
 No command reaches these, so they live with the tests that call them.  The
 reference oracles recompute by a slow, independent route what the program
-computes fast (Leibniz determinants, path-sum inverses, the series of the
-unipotent logarithm, the expansion of the Gaussian product, the algebra and
+computes fast (Leibniz determinants, path-sum inverses, the four braid
+checks with every product formed, the series of the unipotent logarithm,
+the expansion of the Gaussian product, the algebra and
 the intertwiners of (sigma_1, sigma_2) itself rather than of sigma_1 and the
 half twist, the exhaustive minor search, and the lift's reconstruction and
 check on Scalars rather than on integer rows).  The checks of
@@ -35,13 +36,18 @@ from qbraid.irred import (
     _span_of_words,
     burnside_dimension,
 )
-from qbraid.linalg import EchelonSpan, ExactMatrix, leading_one
+from qbraid.linalg import EchelonSpan, ExactMatrix, compare_all, leading_one
 from qbraid.qcomb import QContext, concrete_q, q_int, q_tri
 from qbraid.rep import (
+    BraidReport,
     build_representation,
     factored_spec,
+    lambda_canonical,
     raw_spec,
+    s_matrix,
+    sigma1_inverse_closed,
     sigma1_matrix,
+    sigma2_inverse_closed,
     sigma2_matrix,
 )
 from qbraid.scalar import Cyclotomic, Scalar, rational_reconstruction, zeta
@@ -126,6 +132,25 @@ def unipotent_inverse(x):
                     acc = acc - prod if t % 2 == 0 else acc + prod
             inv[k][m] = acc
     return ExactMatrix.from_rows(inv)
+
+
+def braid_report_by_separate_products(rep):
+    """The reference `verify_braid`: the four checks of the bare route, each
+    product formed on its own, both triple products s1 s2 s1 and s2 s1 s2
+    left to right and the core sigma1(q) Lam(q) sigma2(q), with no half twist
+    and no precondition."""
+    n, ctx = rep.n, rep.ctx
+    s = s_matrix(n, ctx)
+    t121 = rep.sigma1 * rep.sigma2 * rep.sigma1
+    scale = rep.lam_raw[0] * rep.lam_raw[n]
+    core = sigma1_matrix(n, ctx) * lambda_canonical(n, ctx) * sigma2_matrix(n, ctx)
+    checks, first = compare_all((
+        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * rep.sigma1 * rep.sigma2),
+        ("s1*s2*s1 == c*S(q)*Lambda", t121,
+         (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)),
+        ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),
+        ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
+    return BraidReport(n, first is None, checks, first)
 
 
 def unipotent_log(u):

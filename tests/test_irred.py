@@ -1179,6 +1179,18 @@ def test_a_two_dimensional_space_without_an_invertible_element_is_inequivalent()
     assert all((c1 + c2.scale(integer(t, ctx))).determinant().is_zero() for t in range(-6, 7))
 
 
+def test_a_one_dimensional_space_with_a_singular_element_is_inequivalent():
+    """lambda_0 = 1 against lambda_0 = -1 at the zeta_6 catalog point: the
+    intertwiner space is spanned by one singular C_1, every intertwiner is a
+    multiple of it, and the pair is inequivalent (it was reported as
+    undecided)."""
+    a, b = catalog_point(6, 6, Fraction(1)), catalog_point(6, 6, Fraction(-1))
+    res = intertwiner_space(a, b)
+    assert (res["dimension"], res["status"], res["invertible"]) == (1, "inequivalent", None)
+    assert res["basis"][0].determinant().is_zero()
+    assert intertwiner_space(a, a)["status"] == "equivalent"
+
+
 def test_a_two_dimensional_space_is_decided_by_n_plus_2_determinants(monkeypatch):
     """With a basis C_1 = diag(0, -1, -2, 1, 1), C_2 = diag(1, 1, 1, 1, 0),
     det(C_1 + t C_2) = t (t - 1) (t - 2) (t + 1) vanishes at every fixed

@@ -3,11 +3,13 @@
 import pytest
 
 from qbraid.errors import CondQViolated, NotUnitUpperTriangular
-from qbraid.linalg import ExactMatrix, compare_all
+from qbraid.linalg import ExactMatrix
 from qbraid.qcomb import QContext, concrete_q, q_tri, symbolic_q
 from qbraid.rep import (
-    BraidReport,
     Representation,
+    _dressed,
+    _half_twist_applies,
+    _holds_on_half_twist,
     build_representation,
     check_cond_q,
     d_matrix,
@@ -24,7 +26,7 @@ from qbraid.rep import (
 from qbraid.scalar import QQ, Scalar, integer, parse_scalar, rational, zeta
 
 from conftest import random_factored_lambda
-from reference import unipotent_inverse
+from reference import braid_report_by_separate_products, unipotent_inverse
 
 
 @pytest.fixture(scope="module")
@@ -232,39 +234,101 @@ def test_braid_report_carries_first_failure(ctx):
                                     "lhs": "1+q", "rhs": "1"}
 
 
-def braid_report_by_separate_products(rep):
-    """The reference `verify_braid`: both triple products formed on their own,
-    s1 s2 s1 and s2 s1 s2, each left to right."""
-    n, ctx = rep.n, rep.ctx
-    s = s_matrix(n, ctx)
-    t121 = rep.sigma1 * rep.sigma2 * rep.sigma1
-    scale = rep.lam_raw[0] * rep.lam_raw[n]
-    core = sigma1_matrix(n, ctx) * lambda_canonical(n, ctx) * sigma2_matrix(n, ctx)
-    checks, first = compare_all((
-        ("s1*s2*s1 == s2*s1*s2", t121, rep.sigma2 * rep.sigma1 * rep.sigma2),
-        ("s1*s2*s1 == c*S(q)*Lambda", t121,
-         (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(scale)),
-        ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),
-        ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
-    return BraidReport(n, first is None, checks, first)
+# Points of the differential test: a q spec, and after a '|' a root of unity
+# that dresses lambda' too, so that the field is Q(zeta_m)(q).
+BRAID_POINTS = ["q", "2", "-1", "zeta(5)", "(1+q)/(1-q)", "q/(1+q)", "q|zeta(3)"]
 
 
-@pytest.mark.parametrize("q", ["q", "2", "-1", "zeta(5)", "(1+q)/(1-q)"])
+def braid_point(point, n):
+    """The built representation at `point` with lambda'_k = r^k, r = 3/2 (times
+    the root of unity after a '|'), so that lambda'_k lambda'_(n-k) = r^n."""
+    q, _, unit = point.partition("|")
+    if unit:
+        ctx = symbolic_q(int(unit[len("zeta("):-1]))
+    else:
+        ctx = symbolic_q() if q == "q" else concrete_q(parse_scalar(q))
+    field = sigma1_matrix(n, ctx).ctx
+    r = rational(3, 2, field) * (parse_scalar(unit).coerce(field) if unit else Scalar.one(field))
+    return build_representation(factored_spec(n, ctx, tuple(r ** k for k in range(n + 1))))
+
+
+def with_entry(m, i, j, value):
+    """m with entry (i, j) replaced by value."""
+    return ExactMatrix.from_fn(m.rows, m.cols, m.ctx,
+                               lambda a, b: value if (a, b) == (i, j) else m[a, b])
+
+
+def tampered_pairs(rep):
+    """Hand-made pairs that break one precondition of the half-twist route
+    each, or the braid relation itself, keyed by what they break."""
+    n, field = rep.n, rep.sigma1.ctx
+    one = Scalar.one(field)
+    # c doubles, and lambda_k lambda_(n-k) does not for 0 < k < n
+    lam = (rep.lam_raw[0] * integer(2, field),) + rep.lam_raw[1:]
+    return {
+        "s1 below the diagonal": Representation(
+            rep.spec, with_entry(rep.sigma1, n, 0, one), rep.sigma2, rep.lam_raw),
+        "s1 with a zero on its diagonal": Representation(
+            rep.spec, with_entry(rep.sigma1, n // 2, n // 2, Scalar.zero(field)), rep.sigma2,
+            rep.lam_raw),
+        "L L^# != c Lambda": Representation(rep.spec, *_dressed(n, rep.ctx, lam), lam),
+        "s2 perturbed": Representation(
+            rep.spec, rep.sigma1, with_entry(rep.sigma2, n, n // 2, rep.sigma2[n, n // 2] + one),
+            rep.lam_raw),
+    }
+
+
+@pytest.mark.parametrize("q", BRAID_POINTS)
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_shared_product_report_matches_separate_products(q, n):
     """The whole report, verdict, checks and first failure, equals the
-    reference's on a valid pair and with sigma_2 perturbed in one entry."""
-    ctx = symbolic_q() if q == "q" else concrete_q(parse_scalar(q))
-    field = sigma1_matrix(n, ctx).ctx
-    # lambda'_k = (3/2)^k, so lambda'_k lambda'_(n-k) is the same for every k
-    lam = tuple(rational(3, 2, field) ** k for k in range(n + 1))
-    rep = build_representation(factored_spec(n, ctx, lam))
-    bump = ExactMatrix.from_fn(n + 1, n + 1, field, lambda i, j: Scalar.one(field)
-                               if (i, j) == (n, n // 2) else Scalar.zero(field))
-    perturbed = Representation(rep.spec, rep.sigma1, rep.sigma2 + bump, rep.lam_raw)
-    for r in (rep, perturbed):
-        assert verify_braid(r) == braid_report_by_separate_products(r)
-    assert not verify_braid(perturbed).passed
+    reference's on a valid pair and on every tampered one."""
+    rep = braid_point(q, n)
+    assert verify_braid(rep) == braid_report_by_separate_products(rep)
+    assert verify_braid(rep).passed
+    for name, tampered in tampered_pairs(rep).items():
+        assert verify_braid(tampered) == braid_report_by_separate_products(tampered), name
+    assert not verify_braid(tampered_pairs(rep)["s2 perturbed"]).passed
+
+
+@pytest.mark.parametrize("q", BRAID_POINTS)
+def test_a_built_pair_is_verified_on_the_half_twist(q):
+    """Every built pair meets the preconditions, and Delta s1 = s2 Delta and
+    the bare forms hold on s1 s2, so no product beyond the two is formed."""
+    for n in (1, 2, 4):
+        rep = braid_point(q, n)
+        s, c = s_matrix(n, rep.ctx), rep.lam_raw[0] * rep.lam_raw[n]
+        s12 = rep.sigma1 * rep.sigma2
+        twist = (s * ExactMatrix.diagonal(list(rep.lam_raw))).scale(c)
+        assert s12 * rep.sigma1 == twist
+        assert _half_twist_applies(rep)
+        assert _holds_on_half_twist(rep, s, s12, twist, c)
+
+
+def test_each_broken_precondition_leaves_the_half_twist():
+    """Each tampered pair fails a precondition of its own: s1 is not upper
+    triangular, s1 is singular, L L^# is not c Lambda_n(q), or s2 is not
+    L^# sigma2(q)."""
+    for q in ("q", "2", "q|zeta(3)"):
+        rep = braid_point(q, 4)
+        for name, tampered in tampered_pairs(rep).items():
+            assert not _half_twist_applies(tampered), (q, name)
+
+
+def test_a_singular_s1_leaves_the_half_twist_when_all_else_holds():
+    """The pair dressed by L = diag(1, 1, 0, 0, 0): s1 = sigma1(q) L is upper
+    triangular and dressed as built, and L L^# = 0 = c Lambda_n(q) with
+    c = lambda_0 lambda_4 = 0, so only the zeros on the diagonal of s1 keep
+    the half-twist route out."""
+    ctx = symbolic_q()
+    field = ctx.q.ctx
+    zero, one = Scalar.zero(field), Scalar.one(field)
+    lam = (one, one, zero, zero, zero)
+    rep = Representation(factored_spec(4, ctx, (one,) * 5),
+                         *_dressed(4, ctx, lam), lam)
+    assert rep.sigma1.is_upper_triangular()
+    assert not _half_twist_applies(rep)
+    assert verify_braid(rep) == braid_report_by_separate_products(rep)
 
 
 # --- unipotent path-sum inverse ----------------------------------------------------------
