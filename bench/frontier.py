@@ -66,14 +66,20 @@ JOBS = [
     ["irr", "minors", "--n", "10", "--q", "zeta(5)"],
     ["irr", "minors", "--n", "6", "--q", "zeta(5)"],
     ["irr", "burnside", "--n", "8", "--q", "zeta(7)"],
+    # the exact algebra span at its largest: algebra dimension 157 of 169
+    ["irr", "minors", "--n", "12", "--q", "zeta(7)"],
     ["irr", "minors", "--n", "5", "--q", "q"],
     ["irr", "minors", "--n", "8", "--q", "q"],
     ["irr", "minors", "--n", "10", "--q", "q"],
     ["irr", "minors", "--n", "12", "--q", "q"],
+    ["irr", "minors", "--n", "14", "--q", "q"],
+    ["irr", "minors", "--n", "16", "--q", "q"],
     # symbolic determinants over Q(zeta_3)(q)
     ["irr", "minors", "--n", "6", "--q", "q", "--lambda-prime=1,zeta(3),2,1,1/2,zeta(3)^2,1"],
     ["irr", "minors", "--n", "8", "--q", "q",
      "--lambda-prime=1,zeta(3),2,zeta(3)^2,1,zeta(3),1/2,zeta(3)^2,1"],
+    ["irr", "minors", "--n", "10", "--q", "q",
+     "--lambda-prime=1,zeta(3),2,zeta(3)^2,3,1,1/3,zeta(3),1/2,zeta(3)^2,1"],
     # Laurent products over Q(zeta_3)
     ["rep", "verify", "--n", "12", "--q", "q",
      "--lambda-prime=1,zeta(3),2,zeta(3)^2,3,zeta(3),1,zeta(3)^2,1/3,zeta(3),1/2,zeta(3)^2,1"],

@@ -2,10 +2,10 @@
 machine-readable JSON reports.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive (only `irr equiv`, when the
-intertwiner space has dimension 3 or more and no invertible intertwiner is
-found among those tried), 3 usage error, 4
-symbolic-degree cap exceeded (QBRAID_MAX_DEGREE), 5 internal error (an
-exception that is not a `QBraidError`: a defect, never a verdict).
+intertwiner space has dimension 3 or more, no invertible intertwiner is
+found among those tried and the two sigma_1 have the same spectrum), 3
+usage error, 4 symbolic-degree cap exceeded (QBRAID_MAX_DEGREE), 5 internal
+error (an exception that is not a `QBraidError`: a defect, never a verdict).
 """
 
 from __future__ import annotations
@@ -298,6 +298,8 @@ def _cmd_irr(args):
                    "basis": [m.to_strs() for m in res["basis"]]}
         if res["invertible"] is not None:
             payload["invertible_intertwiner"] = res["invertible"].to_strs()
+        if res["certificate"] is not None:
+            payload["certificate"] = res["certificate"]
         yield Report(f"irr equiv --n {n}", status, payload)
         return
     rep = _rep_from_args(n, args.q, args.lam, args.lam_prime)

@@ -82,7 +82,7 @@ reduced images (`_system_span`).  A certified point forms no exact Delta.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, repeat
 from math import comb
 from math import gcd as _int_gcd
@@ -699,9 +699,13 @@ def intertwiner_space(rep_a, rep_b):
     intertwiner is then invertible, over the field or any extension, and the
     pair is "inequivalent", as it is when the space is 0, and when it has
     dimension 1 and its one basis element C_1, probed first, is singular:
-    every intertwiner is then a multiple of C_1.  A larger space
-    where no probe is invertible is reported as undecided rather than as a
-    hard negative.  A coefficient tuple that was already tried is skipped,
+    every intertwiner is then a multiple of C_1.  A larger space where no
+    probe is invertible is "inequivalent" when both sigma_1 are upper
+    triangular and their diagonal multisets differ: those are their
+    spectra, and an invertible intertwiner would make them similar
+    (certificate "sigma1-spectrum"; every other verdict has certificate
+    None).  Otherwise it is reported as undecided rather than as a hard
+    negative.  A coefficient tuple that was already tried is skipped,
     since it gives the same combination: the probes (i + 1) and (2^i)
     coincide in dimension 2, and t = 0, 1, 2 repeat the probes C_1,
     C_1 + C_2 and C_1 + 2 C_2.
@@ -742,8 +746,20 @@ def intertwiner_space(rep_a, rep_b):
         status = "inequivalent" if invertible is None else "equivalent"
     else:
         status = "inequivalent" if dim < 2 else "undecided"
+    certificate = None
+    if status == "undecided" and _spectra_differ(rep_a.sigma1, rep_b.sigma1):
+        status, certificate = "inequivalent", "sigma1-spectrum"
     return {"dimension": dim, "basis": basis, "invertible": invertible,
-            "status": status}
+            "status": status, "certificate": certificate}
+
+
+def _spectra_differ(a, b):
+    """True when the square matrices a and b are upper triangular and their
+    diagonal multisets, which are their spectra, differ: then a and b are
+    not similar."""
+    if not (a.is_upper_triangular() and b.is_upper_triangular()):
+        return False
+    return Counter(a[i, i] for i in range(a.rows)) != Counter(b[i, i] for i in range(b.rows))
 
 
 # ---------------------------------------------------------------------------

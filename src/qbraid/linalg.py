@@ -41,7 +41,11 @@ factor (a left factor with at most one nonzero entry in every row, or a
 right factor with at most one in every column: a diagonal, an
 antidiagonal, a permutation times a diagonal, the superdiagonal T) leaves
 one term or none per entry, and the product scales and moves the rows or
-columns of the other factor, over every field.  Otherwise, over Q and
+columns of the other factor, over every field; over Q(q) and
+Q(zeta_m)(q), when every nonzero entry of the monomial factor is a unit
+c q^e (S(q), Lambda_n(q), the half twist and a monomial dressing L), each
+term is one `scalar._unit_product`, a scale and shift of the other
+entry's numerator with no `RatFunc.make`.  Otherwise, over Q and
 Q(zeta_m) the product is row-packed: each row of the right factor is one big
 integer with a slot of 2 phi(m) - 1 digits per column (Kronecker
 substitution lifted to matrices, on the integer kernel of `scalar`).  Over
@@ -80,10 +84,12 @@ from .scalar import (
     _int_mul,
     _inverse,
     _is_one,
+    _is_unit,
     _laurent,
     _lp_monic_gcd,
     _pack,
     _phi_tail,
+    _unit_product,
     _unpack,
     _zeta_pack,
     _zeta_unpack,
@@ -460,9 +466,12 @@ def _monomial_product(rows_a, terms_b, rows, cols, zero):
     of the product is one term or none.  Row i of the product is then row k
     of b times a_ik, or column j is column k of a times b_kj; each term is
     one payload product, in the (i, j) order of the term-by-term loop, so
-    that a degree cap stops at the same term."""
+    that a degree cap stops at the same term.  When every payload of the
+    monomial factor is a unit c q^e of Q[q, q^-1], each product is one
+    `scalar._unit_product`, a scale and shift of the other payload."""
     ctx, out = zero.ctx, []
     if max(map(len, rows_a), default=0) < 2:
+        times = _times(ctx, [x for r in rows_a for _, x in r])
         rows_b = [[] for _ in range(rows)]
         for k, j, y, *_ in terms_b:
             rows_b[k].append((j, y))
@@ -470,16 +479,26 @@ def _monomial_product(rows_a, terms_b, rows, cols, zero):
             row = [zero] * cols
             for k, x in r:
                 for j, y in rows_b[k]:
-                    row[j] = Scalar(ctx, x * y)
+                    row[j] = Scalar(ctx, times(x, y))
             out.append(tuple(row))
         return tuple(out)
+    times = _times(ctx, [t[2] for t in terms_b])
     terms = [(None, None)] * cols   # column j of b: its one nonzero (k, b_kj)
     for k, j, y, *_ in terms_b:
         terms[j] = (k, y)
     for r in rows_a:
         row = dict(r)
-        out.append(tuple(Scalar(ctx, row[k] * y) if k in row else zero for k, y in terms))
+        out.append(tuple(Scalar(ctx, times(y, row[k])) if k in row else zero for k, y in terms))
     return tuple(out)
+
+
+def _times(ctx, monomial):
+    """The payload product for the nonzero payloads `monomial` of a monomial
+    factor, called with that factor's payload first: `scalar._unit_product`
+    when every one is a unit of Q[q, q^-1], otherwise the field product."""
+    if ctx.with_q and all(map(_is_unit, monomial)):
+        return _unit_product
+    return mul
 
 
 def _packable(rows_a, cols_b):

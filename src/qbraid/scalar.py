@@ -26,7 +26,13 @@ the other conjugates over the rational norm.
 Laurent polynomials over Q(zeta_m) store a tuple of `Cyclotomic`s; their
 products, and the determinants of `linalg` over Q(zeta_m) and Q(zeta_m)(q),
 run on the kernel under the ring map zeta -> y, q -> y^N (`_zeta_pack`), and
-their divisions and gcds as plain Euclid loops.
+their divisions and gcds as plain Euclid loops.  A product with a unit
+c q^e of Q[q, q^-1] (a one-term Laurent polynomial, or a rational function
+with denominator 1 and a one-term numerator) is a scale and shift of the
+other factor, over Q and Q(zeta_m) alike (`_unit_laurent_mul`,
+`_unit_product`): no `_int_mul`, no `_zeta_pack` and no `RatFunc.make`,
+since u num / den stays canonical for a unit u; the q-Pascal generators'
+factors q_r, Lambda_n(q), S(q) and a monomial dressing are all such units.
 
 `residue` maps a scalar to F_p (q -> q0 over Q(zeta_m)(q), zeta -> a fixed
 primitive m-th root of unity mod p), the ring map behind the rank
@@ -491,11 +497,17 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """One `_int_mul`, over Q(zeta_m) at stride 2 phi(m) - 1 (`_zeta_pack`)."""
+        """A unit c q^e factor (one term) scales and shifts the other
+        (`_unit_laurent_mul`); any other product is one `_int_mul`, over
+        Q(zeta_m) at stride 2 phi(m) - 1 (`_zeta_pack`)."""
         if self.order != other.order:
             raise FieldMismatch("base fields differ")
         if not self.coeffs or not other.coeffs:
             return LaurentPoly.zero(self.order)
+        if len(other.coeffs) == 1:
+            return _unit_laurent_mul(other, self)
+        if len(self.coeffs) == 1:
+            return _unit_laurent_mul(self, other)
         shift = self.shift + other.shift
         _check_degree(shift, shift + len(self.coeffs) + len(other.coeffs) - 2)
         if self.order == 1:
@@ -574,6 +586,36 @@ def _laurent(order, shift, den, coeffs):
     p = object.__new__(LaurentPoly)
     p.order, p.shift, p.den, p.coeffs = order, shift, den, coeffs
     return p
+
+
+def _unit_laurent_mul(u, p):
+    """u p for a unit u = c q^e (a LaurentPoly of one term) and a nonzero
+    LaurentPoly p: p's coefficients times c, shifted by e, checked against
+    the degree cap over the range of the general product.  Over Q the
+    result is still made coprime to its denominator, since c's denominator
+    can share a factor with p's coefficients, as in (1/2)(2q + 4)."""
+    shift = u.shift + p.shift
+    _check_degree(shift, shift + len(p.coeffs) - 1)
+    c = u.coeffs[0]
+    return _laurent(u.order, shift, u.den * p.den, [c * x for x in p.coeffs])
+
+
+def _unit_product(u, r):
+    """u r for a nonzero RatFunc r and a unit u of Q[q, q^-1] (a RatFunc
+    with denominator 1 and a one-term numerator), with no `RatFunc.make`:
+    u num / den is canonical as it stands, since a unit keeps num and den
+    coprime and den monic.  The degree cap sees the ranges of the general
+    route, in its order: the numerators' product and then, when r has a
+    denominator, the denominators'."""
+    num = _unit_laurent_mul(u.num, r.num)
+    if not _is_one(r.den):
+        _check_degree(0, r.den.max_exp())
+    return RatFunc(r.order, num, r.den)
+
+
+def _is_unit(r):
+    """True when the RatFunc r is a unit c q^e of Q[q, q^-1]."""
+    return len(r.num.coeffs) == 1 and _is_one(r.den)
 
 
 @lru_cache(maxsize=None)
@@ -929,6 +971,10 @@ class RatFunc:
             raise FieldMismatch("base fields differ")
         if self._poly_fast(other):
             return RatFunc.from_laurent(self.num * other.num)
+        if _is_unit(other):
+            return _unit_product(other, self)
+        if _is_unit(self):
+            return _unit_product(self, other)
         return RatFunc.make(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):

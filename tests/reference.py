@@ -4,7 +4,8 @@ No command reaches these, so they live with the tests that call them.  The
 reference oracles recompute by a slow, independent route what the program
 computes fast (Leibniz determinants, path-sum inverses, the four braid
 checks with every product formed, the series of the unipotent logarithm,
-the expansion of the Gaussian product, the algebra and
+the expansion of the Gaussian product, the general Laurent and
+rational-function products with no route for a unit factor, the algebra and
 the intertwiners of (sigma_1, sigma_2) itself rather than of sigma_1 and the
 half twist, the exhaustive minor search, and the lift's reconstruction and
 check on Scalars rather than on integer rows).  The checks of
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial
+from math import lcm
 
 from qbraid.errors import (
     AlphaDegenerate,
@@ -50,7 +52,20 @@ from qbraid.rep import (
     sigma2_inverse_closed,
     sigma2_matrix,
 )
-from qbraid.scalar import Cyclotomic, Scalar, rational_reconstruction, zeta
+from qbraid.scalar import (
+    Cyclotomic,
+    LaurentPoly,
+    RatFunc,
+    Scalar,
+    _check_degree,
+    _int_mul,
+    _laurent,
+    _zeta_pack,
+    _zeta_unpack,
+    euler_phi,
+    rational_reconstruction,
+    zeta,
+)
 from qbraid.structure import q_exp_nilpotent, t_matrix
 
 
@@ -151,6 +166,31 @@ def braid_report_by_separate_products(rep):
         ("sigma1*Lam(q)*sigma2 == S(q)*sigma1^-1", core, s * sigma1_inverse_closed(n, ctx)),
         ("sigma1*Lam(q)*sigma2 == sigma2^-1*S(q)", core, sigma2_inverse_closed(n, ctx) * s)))
     return BraidReport(n, first is None, checks, first)
+
+
+def laurent_mul_general(a, b):
+    """The Laurent product with no route for a one-term factor: one
+    `_int_mul`, over Q(zeta_m) at stride 2 phi(m) - 1 (`_zeta_pack`), as
+    `LaurentPoly.__mul__` forms every product that has no unit factor."""
+    if not a.coeffs or not b.coeffs:
+        return LaurentPoly.zero(a.order)
+    shift = a.shift + b.shift
+    _check_degree(shift, shift + len(a.coeffs) + len(b.coeffs) - 2)
+    if a.order == 1:
+        return _laurent(1, shift, a.den * b.den, _int_mul(a.coeffs, b.coeffs))
+    stride = 2 * euler_phi(a.order) - 1
+    da, db = (lcm(*[c.den for c in p.coeffs]) for p in (a, b))
+    prod = _int_mul(_zeta_pack(a.coeffs, stride, da), _zeta_pack(b.coeffs, stride, db))
+    return _laurent(a.order, shift, 1, _zeta_unpack(prod, stride, a.order, da * db))
+
+
+def ratfunc_mul_general(a, b):
+    """The RatFunc product with no route for a unit factor: the Laurent
+    product of two polynomials, otherwise `RatFunc.make` of the products of
+    the numerators and of the denominators, all by `laurent_mul_general`."""
+    if a.is_polynomial() and b.is_polynomial():
+        return RatFunc.from_laurent(laurent_mul_general(a.num, b.num))
+    return RatFunc.make(laurent_mul_general(a.num, b.num), laurent_mul_general(a.den, b.den))
 
 
 def unipotent_log(u):

@@ -109,6 +109,24 @@ def test_irr_equiv_inequivalent_exit():
     assert reports[0]["payload"]["dimension"] == 0
 
 
+def test_irr_equiv_names_the_spectrum_certificate():
+    """lambda_0 = 1 against lambda_0 = zeta_3 at the zeta_3 catalog point,
+    n = 6: no probe of the four-dimensional intertwiner space is
+    invertible, and the sigma_1 spectra differ; a pair the probes decide
+    names no certificate."""
+    def spec(scale):
+        return ",".join(f"{scale}zeta(3)^{k}" for k in range(7))
+
+    code, reports = run_json("irr", "equiv", "--n", "6", "--q", "1",
+                             "--lambda=" + spec(""), "--lambda2=" + spec("zeta(3)*"))
+    payload = reports[0]["payload"]
+    assert code == EXIT_FAIL
+    assert (payload["dimension"], payload["status"], payload["certificate"]) \
+        == (4, "inequivalent", "sigma1-spectrum")
+    _, reports = run_json("irr", "equiv", "--n", "2", "--q", "1", "--q2", "2")
+    assert "certificate" not in reports[0]["payload"]
+
+
 def test_irr_catalog():
     code, reports = run_json("irr", "catalog", "--n", "2")
     assert code == EXIT_PASS

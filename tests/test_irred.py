@@ -2,8 +2,10 @@
 catalogs, intertwiners."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -1212,6 +1214,54 @@ def test_a_two_dimensional_space_is_decided_by_n_plus_2_determinants(monkeypatch
     monkeypatch.setattr(irred, "_intertwiner_basis", lambda a, b: singular[:2])
     res = intertwiner_space(rep, rep)
     assert (res["status"], res["invertible"]) == ("inequivalent", None)
+
+
+# The lambda_0 of the catalog sweep, as (lam0, shift): lambda = lam0
+# diag(zeta_s^(k + shift)), so (1, 1) and (2, 1) are zeta_s and 2 zeta_s.
+SWEEP_LAMBDA0 = [(Fraction(1), 0), (Fraction(2), 0), (Fraction(-1), 0), (Fraction(-2), 0),
+                 (Fraction(3), 0), (Fraction(1), 1), (Fraction(2), 1)]
+
+
+def test_the_catalog_sweep_leaves_no_pair_undecided():
+    """Every pair of the sweep (the q = 1 catalog points with n = 3..8 and
+    s = 2..n, lambda_0 from 1, 2, -1, -2, 3, zeta_s, 2 zeta_s) is decided:
+    the probes decide 549 pairs with no certificate, and the sigma_1
+    spectra decide the 18 pairs whose spaces, of dimension 3 to 13, hold
+    no invertible probe (they were undecided)."""
+    seen = Counter()
+    for n in range(3, 9):
+        for s in range(2, n + 1):
+            reps = [catalog_point(n, s, lam0, shift) for lam0, shift in SWEEP_LAMBDA0]
+            for a, b in combinations(reps, 2):
+                res = intertwiner_space(a, b)
+                seen[res["status"], res["certificate"]] += 1
+                if res["certificate"] is not None:
+                    assert res["dimension"] >= 3 and res["invertible"] is None
+    assert seen == {("inequivalent", None): 519, ("equivalent", None): 30,
+                    ("inequivalent", "sigma1-spectrum"): 18}
+
+
+def test_sigma1_spectra_certify_inequivalence(monkeypatch):
+    """With a three-dimensional basis of singular matrices, upper
+    triangular sigma_1 with diagonals (1, 1, 2) and (1, 2, 2), equal as
+    sets but not as multisets, make the pair inequivalent; a diagonal that
+    is a permutation of the other, or a sigma_1 that is not triangular,
+    leaves it undecided."""
+    singular = [ExactMatrix.diagonal([integer(v) for v in d])
+                for d in ((0, 1, 0), (0, 0, 1), (0, 1, 1))]
+    monkeypatch.setattr(irred, "_intertwiner_basis", lambda a, b: singular)
+
+    def shim(rows):
+        m = ExactMatrix.from_rows([[integer(v) for v in row] for row in rows])
+        return PairShim(2, m, m)
+
+    a = shim([[1, 5, 0], [0, 1, 7], [0, 0, 2]])
+    res = intertwiner_space(a, shim([[1, 0, 0], [0, 2, 3], [0, 0, 2]]))
+    assert (res["dimension"], res["status"], res["invertible"], res["certificate"]) \
+        == (3, "inequivalent", None, "sigma1-spectrum")
+    for other in ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 2, 0], [1, 0, 2]]):
+        res = intertwiner_space(a, shim(other))
+        assert (res["status"], res["certificate"]) == ("undecided", None)
 
 
 # --- exhaustion by one rank -----------------------------------------------------------

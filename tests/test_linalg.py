@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbraid import linalg
+from qbraid import linalg, scalar
 from qbraid.errors import (
     DegreeCapExceeded,
     NonPolynomialQuotient,
@@ -53,6 +53,7 @@ from conftest import rand_scalar
 from reference import (
     det_by_permutations,
     generalized_charpoly,
+    ratfunc_mul_general,
     superdiagonal_component,
     transpose_t,
 )
@@ -975,6 +976,70 @@ def test_monomial_factors_match_term_by_term(name, monkeypatch):
                 set_degree_cap(None)
     assert routes == ["monomial"] * (len(pairs) * (3 if ctx.with_q else 1))
     assert all(factor.row(3) == (Scalar.zero(ctx),) * 4 for factor in factors[3:])
+
+
+def unit_monomial_factors(name):
+    """The shapes of `monomial_factors` with unit entries c q^e: c = +-1,
+    a fraction or, over Q(zeta_m)(q), a power of zeta times a fraction, and
+    e of either sign."""
+    ctx = FIELDS[name]
+    zero, q = Scalar.zero(ctx), q_symbol(ctx.order)
+    z = zeta(ctx.order).coerce(ctx) if ctx.order > 2 else Scalar.one(ctx)
+    coeffs = [Scalar.one(ctx), -Scalar.one(ctx), rational(-3, 4, ctx), rational(5, 2, ctx) * z ** 2]
+
+    def entry(i):
+        return coeffs[i] * q ** (2 * i - 3)
+
+    return [ExactMatrix.from_fn(4, 4, ctx, lambda i, j: entry(i) if j == col[i] else zero)
+            for col in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (1, 2, 3, None))]
+
+
+def general_product(a, b):
+    """The product of a monomial factor and any matrix, each entry's one
+    term formed by the general payload product (`ratfunc_mul_general`), in
+    (i, j) order."""
+    zero, out = Scalar.zero(a.ctx), []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            terms = [(a[i, k].val, b[k, j].val) for k in range(a.cols)
+                     if a[i, k].val and b[k, j].val]
+            assert len(terms) < 2
+            row.append(Scalar(a.ctx, ratfunc_mul_general(*terms[0])) if terms else zero)
+        out.append(row)
+    return ExactMatrix.from_rows(out)
+
+
+@pytest.mark.parametrize("name", [n for n in FIELDS if FIELDS[n].with_q])
+def test_unit_monomial_factors_scale_and_shift(name, monkeypatch):
+    """Monomial factors whose entries are units of Q[q, q^-1] form each
+    entry by `scalar._unit_product`, on either side, and agree with the
+    general payload product; under a degree cap they stop at the same
+    entry with the same message.  A monomial factor with an entry that is
+    not a unit takes the field product for every entry."""
+    calls = []
+    monkeypatch.setattr(linalg, "_unit_product",
+                        lambda u, r: calls.append(u) or scalar._unit_product(u, r))
+    ctx = FIELDS[name]
+    tall, wide = (ExactMatrix.from_fn(r, c, ctx, lambda i, j: field_entry(
+        name, (3 * i + j) % 5 - 2, (i + 2 * j) % 3 - 1)) for r, c in ((4, 3), (3, 4)))
+    units = unit_monomial_factors(name)
+    pairs = [(m, tall) for m in units] + [(wide, m) for m in units] \
+        + [(m, p) for m in units for p in units]
+    for a, b in pairs:
+        calls.clear()
+        assert a * b == general_product(a, b)
+        assert calls and all(len(u.num.coeffs) == 1 and u.den.coeffs == (1,) for u in calls)
+        for cap in (0, 1, 3, 5):
+            set_degree_cap(cap)
+            try:
+                assert outcome(ExactMatrix.__mul__, a, b) == outcome(general_product, a, b)
+            finally:
+                set_degree_cap(None)
+    calls.clear()
+    for m in monomial_factors(name):
+        assert m * tall == general_product(m, tall) and wide * m == general_product(wide, m)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", list(FIELDS))

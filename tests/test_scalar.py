@@ -62,6 +62,7 @@ from qbraid.scalar import (
     _power,
     _unpack,
 )
+from reference import laurent_mul_general, ratfunc_mul_general
 
 ONE = Fraction(1)
 
@@ -1050,6 +1051,150 @@ def test_long_zeta_laurent_products_reach_kronecker(m, monkeypatch):
     a, b = top_power_poly(m, range(-3, 9)), top_power_poly(m, range(6), 5)
     assert a * b == _lp_mul_generic(a, b)
     assert calls and min(calls) > _SCHOOLBOOK_MAX
+
+
+# --- products with a unit factor c q^e against the general route ----------------------
+
+UNIT_ORDERS = [1, 3]
+
+
+def unit_coeff_st(order):
+    """Nonzero coefficients of a unit: +-1, fractions, and over Q(zeta_m)
+    a power of zeta, alone or times a fraction, or any nonzero element."""
+    fractions = st.one_of(st.sampled_from([ONE, -ONE]), kernel_coeffs)
+    if order == 1:
+        return fractions
+    powers = st.integers(0, order - 1).map(lambda k: Cyclotomic.zeta_power(order, k))
+    return st.one_of(powers, st.tuples(powers, fractions).map(lambda t: t[0] * t[1]),
+                     base_coeff_st(order).filter(bool))
+
+
+def unit_st(order):
+    """Units c q^e of Q[q, q^-1], e of either sign."""
+    return st.tuples(st.integers(-6, 6), unit_coeff_st(order)).map(
+        lambda t: LaurentPoly(order, {t[0]: t[1]}))
+
+
+def stored(x):
+    """The whole canonical form of a LaurentPoly, or of a RatFunc: shift,
+    denominator and coefficients (each Cyclotomic's denominator and ints),
+    of the numerator and of the denominator."""
+    if isinstance(x, RatFunc):
+        return stored(x.num), stored(x.den)
+    return x.order, x.shift, x.den, tuple(
+        (c.den, c.ints) if isinstance(c, Cyclotomic) else c for c in x.coeffs)
+
+
+def capped_outcome(product, cap):
+    """stored(product()) under the degree cap, or the message it raised."""
+    set_degree_cap(cap)
+    try:
+        return stored(product())
+    except DegreeCapExceeded as exc:
+        return str(exc)
+    finally:
+        set_degree_cap(None)
+
+
+HALF = LaurentPoly(1, {0: Fraction(1, 2)})
+TWO_Q_PLUS_FOUR = LaurentPoly(1, {0: Fraction(4), 1: Fraction(2)})
+unit_laurent_case = st.sampled_from(UNIT_ORDERS).flatmap(
+    lambda m: st.tuples(unit_st(m), st.one_of(unit_st(m), terms_st(m).map(
+        lambda t: LaurentPoly(m, t)))))
+
+
+@given(unit_laurent_case)
+@example((HALF, TWO_Q_PLUS_FOUR))
+@example((LaurentPoly(1, {-3: Fraction(-2, 3)}), LaurentPoly(1, {1: Fraction(3, 4), 5: ONE})))
+@example((LaurentPoly(3, {2: Cyclotomic.zeta_power(3, 2)}),
+          LaurentPoly(3, {-4: Cyclotomic(3, (ONE, ONE)), 0: Cyclotomic(3, (Fraction(1, 2), ONE))})))
+@settings(max_examples=150, deadline=None)
+def test_unit_laurent_products_match_the_general_route(case):
+    """A unit times a Laurent polynomial (a unit among them), in both
+    orders, has the whole canonical form of the general product, and under
+    a degree cap raises with the same message; so does the product of the
+    polynomial with itself, which has no unit factor unless it is one."""
+    u, p = case
+    want = stored(laurent_mul_general(u, p))
+    assert stored(u * p) == want and stored(p * u) == want
+    assert_canonical(u * p)
+    assert stored(p * p) == stored(laurent_mul_general(p, p))
+    for cap in range(0, 14, 3):
+        want = capped_outcome(lambda: laurent_mul_general(u, p), cap)
+        assert capped_outcome(lambda: u * p, cap) == want
+        assert capped_outcome(lambda: p * u, cap) == want
+
+
+def test_unit_laurent_product_makes_the_denominator_coprime():
+    """(1/2)(2q + 4) = q + 2: the unit's denominator divides the other
+    factor's coefficients."""
+    got = HALF * TWO_Q_PLUS_FOUR
+    assert (got.shift, got.den, got.coeffs) == (0, 1, (2, 1))
+
+
+unit_ratfunc_case = st.sampled_from(UNIT_ORDERS).flatmap(lambda m: st.tuples(
+    unit_st(m), terms_st(m, 4), terms_st(m, 3), terms_st(m, 3)))
+
+
+@given(unit_ratfunc_case)
+@example((LaurentPoly(1, {-2: Fraction(3, 2)}), {0: ONE, 1: ONE}, {0: ONE, 2: -ONE}, {0: ONE, 1: ONE}))
+@example((LaurentPoly(3, {1: Cyclotomic.zeta_power(3, 1)}), {0: ONE}, {0: ONE, 1: ONE},
+          {1: Cyclotomic(3, (ONE, ONE))}))
+@settings(max_examples=150, deadline=None)
+def test_unit_ratfunc_products_match_the_general_route(case):
+    """A unit times a rational function with a denominator, times a unit
+    and times a polynomial, in both orders, has the whole canonical form of
+    the general product (`RatFunc.make` of the two Laurent products), and
+    under a degree cap raises with the same message; a polynomial that is
+    not a unit still takes `make`, which cancels (1 + q) against
+    1/(1 + q)."""
+    u, tn, td, tx = case
+    order = u.order
+    den = LaurentPoly(order, td)
+    if den.is_zero():
+        den = LaurentPoly.one(order)
+    unit = RatFunc.from_laurent(u)
+    others = [RatFunc.make(LaurentPoly(order, tn), den), unit,
+              RatFunc.from_laurent(LaurentPoly(order, tx))]
+    poly = RatFunc.from_laurent(LaurentPoly(order, tx))
+    for r in others:
+        want = stored(ratfunc_mul_general(unit, r))
+        assert stored(unit * r) == want and stored(r * unit) == want
+        for cap in range(0, 14, 3):
+            want = capped_outcome(lambda: ratfunc_mul_general(unit, r), cap)
+            assert capped_outcome(lambda: unit * r, cap) == want
+            assert capped_outcome(lambda: r * unit, cap) == want
+    r = others[0]
+    assert stored(poly * r) == stored(ratfunc_mul_general(poly, r))
+    assert stored(r * poly) == stored(ratfunc_mul_general(r, poly))
+
+
+def test_a_polynomial_that_is_not_a_unit_cancels_through_make():
+    one_plus_q = RatFunc.from_laurent(ONE_PLUS_Q)
+    got = one_plus_q * RatFunc.make(LaurentPoly.one(1), ONE_PLUS_Q)
+    assert stored(got) == stored(RatFunc.from_laurent(LaurentPoly.one(1)))
+
+
+def test_unit_products_skip_make(monkeypatch):
+    """A unit factor forms no `RatFunc.make` and no packed product, over
+    Q(q) and Q(zeta_3)(q), and over Q(q) no `_int_mul` either (over
+    Q(zeta_3)(q) each coefficient is one `Cyclotomic` product)."""
+    def refuse(*args):
+        raise AssertionError("the general route ran")
+
+    cases = []
+    for order, c in ((1, Fraction(-3, 4)), (3, Cyclotomic.zeta_power(3, 2))):
+        u = RatFunc.from_laurent(LaurentPoly(order, {-2: c}))
+        r = RatFunc.make(LaurentPoly(order, {0: ONE, 3: Fraction(2)}),
+                         LaurentPoly(order, {0: ONE, 1: ONE}))
+        cases.append((u, r, ratfunc_mul_general(u, r)))
+    monkeypatch.setattr(RatFunc, "make", refuse)
+    monkeypatch.setattr(scalar, "_zeta_pack", refuse)
+    for u, r, want in cases:
+        assert stored(u * r) == stored(r * u) == stored(want)
+    monkeypatch.setattr(scalar, "_int_mul", refuse)
+    u, r, want = cases[0]
+    assert stored(u * r) == stored(r * u) == stored(want)
 
 
 def pdivmod_always_gcd(a, b):
