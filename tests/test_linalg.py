@@ -938,15 +938,16 @@ def test_entrywise_operations_agree_on_zero_heavy_matrices(name, data):
         assert got == ExactMatrix.from_fn(rows, cols, a.ctx, want)
 
 
-def monomial_factors(name):
-    """4x4 monomial matrices over the field `name` with nonzero entries: a
-    diagonal, the antidiagonal, a permutation times a diagonal, and the
-    superdiagonal T, whose last row and first column are zero."""
+def monomial_factors(name, entry=None):
+    """4x4 monomial matrices over the field `name` with the nonzero entry
+    entry(i) in row i (by default a `field_entry`): a diagonal, the
+    antidiagonal, a permutation times a diagonal, and the superdiagonal T,
+    whose last row and first column are zero."""
     ctx = FIELDS[name]
     zero = Scalar.zero(ctx)
-
-    def entry(i):
-        return field_entry(name, i + 1, i % 3 - 1)
+    if entry is None:
+        def entry(i):
+            return field_entry(name, i + 1, i % 3 - 1)
 
     return [ExactMatrix.from_fn(4, 4, ctx, lambda i, j: entry(i) if j == col[i] else zero)
             for col in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (1, 2, 3, None))]
@@ -979,19 +980,14 @@ def test_monomial_factors_match_term_by_term(name, monkeypatch):
 
 
 def unit_monomial_factors(name):
-    """The shapes of `monomial_factors` with unit entries c q^e: c = +-1,
-    a fraction or, over Q(zeta_m)(q), a power of zeta times a fraction, and
-    e of either sign."""
+    """`monomial_factors` with unit entries c q^e: c = +-1, a fraction or,
+    over Q(zeta_m)(q), a power of zeta times a fraction, and e of either
+    sign."""
     ctx = FIELDS[name]
-    zero, q = Scalar.zero(ctx), q_symbol(ctx.order)
+    q = q_symbol(ctx.order)
     z = zeta(ctx.order).coerce(ctx) if ctx.order > 2 else Scalar.one(ctx)
     coeffs = [Scalar.one(ctx), -Scalar.one(ctx), rational(-3, 4, ctx), rational(5, 2, ctx) * z ** 2]
-
-    def entry(i):
-        return coeffs[i] * q ** (2 * i - 3)
-
-    return [ExactMatrix.from_fn(4, 4, ctx, lambda i, j: entry(i) if j == col[i] else zero)
-            for col in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (1, 2, 3, None))]
+    return monomial_factors(name, lambda i: coeffs[i] * q ** (2 * i - 3))
 
 
 def general_product(a, b):

@@ -1145,31 +1145,29 @@ def test_unit_ratfunc_products_match_the_general_route(case):
     """A unit times a rational function with a denominator, times a unit
     and times a polynomial, in both orders, has the whole canonical form of
     the general product (`RatFunc.make` of the two Laurent products), and
-    under a degree cap raises with the same message; a polynomial that is
-    not a unit still takes `make`, which cancels (1 + q) against
-    1/(1 + q)."""
+    under a degree cap raises with the same message; so does the polynomial
+    times the rational function, with no unit factor unless it is one."""
     u, tn, td, tx = case
     order = u.order
     den = LaurentPoly(order, td)
     if den.is_zero():
         den = LaurentPoly.one(order)
     unit = RatFunc.from_laurent(u)
-    others = [RatFunc.make(LaurentPoly(order, tn), den), unit,
-              RatFunc.from_laurent(LaurentPoly(order, tx))]
+    quotient = RatFunc.make(LaurentPoly(order, tn), den)
     poly = RatFunc.from_laurent(LaurentPoly(order, tx))
-    for r in others:
+    for r in (quotient, unit, poly):
         want = stored(ratfunc_mul_general(unit, r))
         assert stored(unit * r) == want and stored(r * unit) == want
         for cap in range(0, 14, 3):
             want = capped_outcome(lambda: ratfunc_mul_general(unit, r), cap)
             assert capped_outcome(lambda: unit * r, cap) == want
             assert capped_outcome(lambda: r * unit, cap) == want
-    r = others[0]
-    assert stored(poly * r) == stored(ratfunc_mul_general(poly, r))
-    assert stored(r * poly) == stored(ratfunc_mul_general(r, poly))
+    assert stored(poly * quotient) == stored(ratfunc_mul_general(poly, quotient))
+    assert stored(quotient * poly) == stored(ratfunc_mul_general(quotient, poly))
 
 
 def test_a_polynomial_that_is_not_a_unit_cancels_through_make():
+    """(1 + q) 1/(1 + q) = 1: a polynomial of two terms is no unit."""
     one_plus_q = RatFunc.from_laurent(ONE_PLUS_Q)
     got = one_plus_q * RatFunc.make(LaurentPoly.one(1), ONE_PLUS_Q)
     assert stored(got) == stored(RatFunc.from_laurent(LaurentPoly.one(1)))
